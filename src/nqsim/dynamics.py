@@ -157,13 +157,15 @@ def transition_distribution(state: ChainState, rule: AllocationRule) -> np.ndarr
 def sample_site(probabilities: np.ndarray, uniform: float) -> int:
     """Inverse-CDF draw of a 0-based site from one uniform variate.
 
-    The last cumulative bucket is clamped to 1 so rounding in the sum can
-    never push the draw out of range.  Ties inside min/max sets are resolved
-    by the draw itself, uniformly over the set.
+    The cumulative value is clamped to 1 from the last site of positive
+    probability onward, so rounding in the sum can never push the draw onto a
+    site of probability 0 or out of range (n copies of the float 1/n can add
+    up to less than 1, e.g. n = 6, 7, 10).  Ties inside min/max sets are
+    resolved by the draw itself, uniformly over the set.
     """
     c = np.cumsum(probabilities)
-    c[-1] = 1.0
-    return int(np.argmax(uniform < c))
+    c[probabilities.nonzero()[0][-1] :] = 1.0
+    return int((uniform < c).argmax())
 
 
 def step(

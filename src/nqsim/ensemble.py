@@ -1,13 +1,33 @@
-"""Vectorised replica ensemble: one numpy row per chain, stepped in lock-step.
+"""Vectorised replica ensemble: R chains stepped in lock-step, stored site-major.
 
 Replica r draws from RandomStream(seed, stream=r) and reproduces the
 single-chain driver bit for bit (the uniform variates, the inverse-CDF site
 choice and the float arithmetic of the kernels are identical; tests pin this).
 Reports are therefore independent of any batching and stay in replica order.
 
+Layout: occupancies and potentials are held site-major, as (M, R) int64
+arrays with one contiguous R-vector per site, so each per-step reduction over
+the sites runs along axis 0.  Results are returned replica-major, (R, M).
+
+Site draw: the single chain takes the first site with U < c, where
+c = cumsum(mask / n) over the n-member min (or max) tie set.  At a site with
+k tie-set members at or before it, c holds the float sum of k copies of 1/n
+added left to right.  Those sums are tabulated once as THR[n, k], so the
+engine gathers c = THR[n, k] instead of dividing and summing each step.
+THR[n, n] is 1.0: c is clamped to 1 from the last member of the tie set
+onward, the rule `dynamics.sample_site` applies, so a draw never lands
+outside the tie set when n copies of 1/n add up to less than 1.  Softmax keeps
+its float weights, normalised in the single chain's summation order and
+clamped from each replica's last site of positive probability.
+
 The engine optionally tracks, fully vectorised:
   * per-level statistics (S, Q, W, signatures) with monotonicity, persistence
-    and window-exclusion monitors,
+    and window-exclusion monitors.  Each site's window of five zero/positive
+    marks is coded as a 5-bit number (one product with a precomputed (M, M)
+    matrix), and 32-entry tables give the isolated zeros, the doubles and the
+    excluded windows it starts.  Statistics are computed for all replicas and
+    recorded where a level opened.  Signatures and the required isolated-zero
+    centres are (M, R) boolean patterns, exact at any M,
   * renewal times (reduced potential identically zero) and the parity-gap
     increments between them,
   * the even/odd potential-sum identity each step,
@@ -30,13 +50,30 @@ from .dynamics import (
 )
 from .ring import Neighborhood, check_ring_size, potentials, validate_occupancy
 
-_FLAG_BITS = {
-    "three_positives": 1,
-    "three_zeros": 2,
-    "pair_into_zeros": 4,
-    "lone_positive_in_zeros": 8,
+# Windows excluded in the limit, as zero/positive shapes read from a site k
+# onward; level flag bit i marks shape i.
+_FLAG_SHAPES = {
+    "three_positives": (1, 1, 1),
+    "three_zeros": (0, 0, 0),
+    "pair_into_zeros": (1, 1, 0, 0),
+    "lone_positive_in_zeros": (0, 0, 1, 0, 0),
 }
-_FLAG_NAMES = list(_FLAG_BITS)
+_ISOLATED_ZERO = (1, 0, 1)  # Q counts these (centred on k + 1)
+_DOUBLE = (0, 1, 1, 0)  # W counts these
+_WINDOW = 5  # sites per window code; the longest shape
+
+
+def _window_table(shape: tuple[int, ...]) -> np.ndarray:
+    """For each 5-bit window code (bit d: site k + d positive), whether it starts with `shape`."""
+    codes = np.arange(2**_WINDOW)
+    return np.logical_and.reduce([(codes >> d & 1) == want for d, want in enumerate(shape)])
+
+
+_ISOLATED_ZERO_TABLE = _window_table(_ISOLATED_ZERO)
+_DOUBLE_TABLE = _window_table(_DOUBLE)
+_FLAG_TABLE = sum(
+    _window_table(shape).astype(np.uint8) << i for i, shape in enumerate(_FLAG_SHAPES.values())
+)
 
 
 @dataclass
@@ -99,6 +136,31 @@ class EnsembleResult:
         return self.xi / max(self.t, 1)
 
 
+def _threshold_table(m: int) -> np.ndarray:
+    """THR[n, k]: the float sum of k copies of 1/n, added left to right.
+
+    This is the value np.cumsum(mask / n) holds at the k-th member of an
+    n-member tie set.  THR[n, k] = 1.0 for k >= n: the cumulative value is
+    clamped to 1 from the last member onward.
+    """
+    n = np.arange(m + 1)[:, None]
+    k = np.arange(m + 1)[None, :]
+    with np.errstate(divide="ignore"):
+        inc = np.where((k >= 1) & (k <= n), 1.0 / n, 0.0)
+    thr = np.cumsum(inc, axis=1)
+    thr[k >= n] = 1.0
+    return thr
+
+
+def _bitmasks(patterns: np.ndarray) -> np.ndarray:
+    """Per-replica bitmask (site i at bit i) of an (M, R) boolean pattern."""
+    masks = [
+        int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
+        for col in patterns.T
+    ]
+    return np.array(masks, dtype=np.int64 if len(patterns) < 63 else object)
+
+
 def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     m = check_ring_size(req.m, req.kind)
     R, T = req.replicas, req.steps
@@ -112,30 +174,34 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     if (req.store_level_flags or req.debug_level_trace) and not req.track_levels:
         raise ValueError("level flags / traces require track_levels")
 
-    offsets = req.kind.offsets
-    rows = np.arange(R)
-    xi = np.tile(np.asarray(init, dtype=np.int64), (R, 1))
-    u = np.tile(np.asarray(potentials(init, req.kind), dtype=np.int64), (R, 1))
-    m_cur = u.min(axis=1)
+    # Site-major state: row i is site i across all replicas.
+    xi = np.repeat(np.asarray(init, dtype=np.int64)[:, None], R, axis=1)
+    u = np.repeat(np.asarray(potentials(init, req.kind), dtype=np.int64)[:, None], R, axis=1)
+    m_cur = u.min(axis=0)
 
     rule = req.rule
     beta = rule.beta if isinstance(rule, Softmax) else None
-    uniform_p = np.full((R, m), 1.0 / m)
-    bit_values = 1 << np.arange(m, dtype=np.int64)
+    # gain[:, k]: the potentials that rise by 1 when site k receives a particle
+    eye = np.eye(m, dtype=np.int64)
+    gain = sum(np.roll(eye, -d, axis=0) for d in req.kind.offsets)
 
     # --- level tracking state ---
     if req.track_levels:
+        # (window_code @ pattern)[k]: the 5-bit code of pattern[k .. k + 4], cyclically
+        window_code = np.zeros((m, m))
+        for d in range(_WINDOW):
+            window_code[np.arange(m), (np.arange(m) + d) % m] += 2**d
         level_counts = np.zeros(R, dtype=np.int64)
-        prev_s = np.zeros(R, dtype=np.int64)
-        prev_q = np.zeros(R, dtype=np.int64)
-        prev_w = np.zeros(R, dtype=np.int64)
-        s_viol = np.zeros(R, dtype=np.int64)
-        q_viol = np.zeros(R, dtype=np.int64)
-        w_viol = np.zeros(R, dtype=np.int64)
+        # Rows S, Q, W: a level may not raise S, lower Q or raise W.  The
+        # sentinels compare the first level against values no level violates.
+        worse = np.array([[1], [-1], [1]])
+        big = np.iinfo(np.int64).max
+        prev_stats = np.repeat([[big], [-1], [big]], R, axis=1)
+        stat_viol = np.zeros((3, R), dtype=np.int64)
         first_s_viol = np.full(R, -1, dtype=np.int64)
-        required_centers = np.zeros(R, dtype=np.int64)
+        required_centers = np.zeros((m, R), dtype=bool)
         persist_viol = np.zeros(R, dtype=np.int64)
-        cur_sig = np.full(R, -1, dtype=np.int64)
+        cur_sig = np.zeros((m, R), dtype=bool)
         run_len = np.zeros(R, dtype=np.int64)
         run_start = np.zeros(R, dtype=np.int64)
         flags_buf = None
@@ -144,65 +210,53 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             flags_buf = np.zeros((R, cap), dtype=np.uint8)
         debug_levels: list[list] | None = [[] for _ in range(R)] if req.debug_level_trace else None
 
-        def open_levels(idx: np.ndarray, t: int, m_new: np.ndarray) -> None:
-            v = u[idx] - m_new[idx, None]
+        def open_levels(opened: np.ndarray, t: int, m_new: np.ndarray) -> None:
+            nonlocal stat_viol, persist_viol, required_centers, cur_sig, run_len, level_counts
+            # Statistics are computed for every replica and recorded where `opened`.
+            v = u - m_new
             pos = v > 0
-            z = ~pos
-            p1 = np.roll(pos, -1, axis=1)
-            p2 = np.roll(pos, -2, axis=1)
-            z1 = np.roll(z, -1, axis=1)
-            z2 = np.roll(z, -2, axis=1)
-            z3 = np.roll(z, -3, axis=1)
-            s_here = np.where(v >= 2, v, 0).sum(axis=1)
-            q_here = (np.roll(pos, 1, axis=1) & z & p1).sum(axis=1)
-            w_here = (z & p1 & p2 & z3).sum(axis=1)
-            sig = (pos * bit_values).sum(axis=1)
-            centers = ((np.roll(pos, 1, axis=1) & z & p1) * bit_values).sum(axis=1)
+            code = (window_code @ pos).astype(np.intp)
+            # S = sum(v) less its entries equal to 1; the potentials sum to window * particles
+            s_here = req.kind.window * (sum(init) + t) - m * m_new - (v == 1).sum(axis=0)
+            centers = _ISOLATED_ZERO_TABLE.take(code)  # row k: isolated zero at site k + 1
+            q_here = centers.sum(axis=0)
+            w_here = _DOUBLE_TABLE.take(code).sum(axis=0)
 
-            has_prev = level_counts[idx] > 0
-            bad_s = has_prev & (s_here > prev_s[idx])
-            bad_q = has_prev & (q_here < prev_q[idx])
-            bad_w = has_prev & (w_here > prev_w[idx])
-            s_viol[idx] += bad_s
-            q_viol[idx] += bad_q
-            w_viol[idx] += bad_w
-            if bad_s.any():
-                hit = idx[bad_s]
-                first_s_viol[hit] = np.where(first_s_viol[hit] < 0, t, first_s_viol[hit])
-            lost = required_centers[idx] & ~centers
-            persist_viol[idx] += lost != 0
-            required_centers[idx] |= centers
-            prev_s[idx] = s_here
-            prev_q[idx] = q_here
-            prev_w[idx] = w_here
+            stats = np.stack([s_here, q_here, w_here])
+            bad = opened & ((stats - prev_stats) * worse > 0)
+            stat_viol += bad
+            if bad[0].any():
+                first_s_viol[bad[0] & (first_s_viol < 0)] = t
+            persist_viol += opened & (required_centers > centers).any(axis=0)
+            required_centers |= centers & opened
+            np.copyto(prev_stats, stats, where=opened)
 
             if flags_buf is not None or debug_levels is not None:
-                flag_bits = (
-                    (pos & p1 & p2).any(axis=1) * _FLAG_BITS["three_positives"]
-                    | (z & z1 & z2).any(axis=1) * _FLAG_BITS["three_zeros"]
-                    | (pos & p1 & z2 & z3).any(axis=1) * _FLAG_BITS["pair_into_zeros"]
-                    | (z & z1 & p2 & z3 & np.roll(z, -4, axis=1)).any(axis=1)
-                    * _FLAG_BITS["lone_positive_in_zeros"]
-                ).astype(np.uint8)
+                idx = np.flatnonzero(opened)
+                flag_bits = np.bitwise_or.reduce(_FLAG_TABLE.take(code), axis=0)
                 if flags_buf is not None:
-                    flags_buf[idx, level_counts[idx]] = flag_bits
+                    flags_buf[idx, level_counts[idx]] = flag_bits[idx]
                 if debug_levels is not None:
-                    for row, srow, qrow, wrow, sigrow in zip(
-                        idx.tolist(), s_here.tolist(), q_here.tolist(), w_here.tolist(), sig.tolist()
-                    ):
-                        debug_levels[row].append((t, int(m_new[row]), srow, qrow, wrow, sigrow))
+                    for row in idx.tolist():
+                        debug_levels[row].append((
+                            t, int(m_new[row]), int(s_here[row]), int(q_here[row]),
+                            int(w_here[row]), tuple(pos[:, row].astype(np.int64).tolist()),
+                        ))
 
-            same = sig == cur_sig[idx]
-            run_len[idx] = np.where(same, run_len[idx] + 1, 1)
-            run_start[idx] = np.where(same, run_start[idx], level_counts[idx])
-            cur_sig[idx] = sig
-            level_counts[idx] += 1
+            # a level whose signature differs from the current one starts a new run
+            changed = (cur_sig ^ pos) & opened
+            reset = changed.any(axis=0)
+            run_len += opened
+            run_len[reset] = 1
+            np.copyto(run_start, level_counts, where=reset)
+            cur_sig ^= changed
+            level_counts += opened
 
-        open_levels(rows, 0, m_cur)
+        open_levels(np.ones(R, dtype=bool), 0, m_cur)
 
     # --- renewal tracking state ---
     parity_sign = np.where(np.arange(m) % 2 == 1, 1, -1).astype(np.int64)  # +1 at even 1-based sites
-    D = (xi * parity_sign).sum(axis=1)
+    D = parity_sign @ xi
     if req.track_renewals:
         renew_count = np.zeros(R, dtype=np.int64)
         has_base = np.zeros(R, dtype=bool)
@@ -213,7 +267,7 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
 
         def handle_renewals(t: int, m_new: np.ndarray) -> None:
             nonlocal zeta_pos, zeta_neg, zeta_zero
-            mask = u.max(axis=1) == m_new
+            mask = u.max(axis=0) == m_new
             if not mask.any():
                 return
             idx = np.flatnonzero(mask)
@@ -240,9 +294,10 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     if req.check_comb_final_half:
         comb_viol = np.zeros(R, dtype=np.int64)
         comb_max = 0
+        two_on = (np.arange(m) + 2) % m
     if req.check_residual_final_half:
         resid_viol = np.zeros(R, dtype=np.int64)
-        resid_sign = parity_sign if m % 2 == 0 else np.zeros(m, dtype=np.int64)
+        resid_sign = parity_sign[:, None] if m % 2 == 0 else np.zeros((m, 1), dtype=np.int64)
     half_start = T - T // 2
     cp_index = {int(t): i for i, t in enumerate(req.h_checkpoints)}
     h_store = np.zeros((len(cp_index), R)) if cp_index else None
@@ -250,25 +305,39 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     if 0 in cp_index:
         h_store[cp_index[0]] = D / m
 
-    if isinstance(rule, MinRule):
-        def probabilities():
-            mask = u == m_cur[:, None]
-            return mask / mask.sum(axis=1)[:, None]
-    elif isinstance(rule, MaxRule):
-        def probabilities():
-            mask = u == u.max(axis=1)[:, None]
-            return mask / mask.sum(axis=1)[:, None]
-    elif beta == 1.0:
-        def probabilities():
-            return uniform_p
-    else:
-        def probabilities():
-            anchor = m_cur if beta < 1.0 else u.max(axis=1)
-            w = np.power(beta, (u - anchor[:, None]).astype(np.float64))
-            return w / w.sum(axis=1)[:, None]
+    # Each draw returns the first site whose cumulative value c exceeds U.  c is
+    # nondecreasing down a column and ends at 1 > U, so that is #{sites: c <= U}.
+    if isinstance(rule, (MinRule, MaxRule)):
+        thr_flat = _threshold_table(m).ravel()
+        # (table_index @ mask)[i] = (m + 1) * n + (tie-set members at sites <= i)
+        table_index = np.tril(np.ones((m, m))) + (m + 1)
+        is_min = isinstance(rule, MinRule)
 
-    # affected[d][k]: site whose potential gains when k receives a particle
-    affected = [np.arange(-d, m - d) % m for d in offsets]
+        def draw(U: np.ndarray) -> np.ndarray:
+            mask = u == (m_cur if is_min else u.max(axis=0))
+            c = thr_flat.take((table_index @ mask).astype(np.intp))
+            return (c <= U).sum(axis=0)
+    elif beta == 1.0:
+        uniform_c = np.cumsum(np.full(m, 1.0 / m))
+        uniform_c[-1] = 1.0
+
+        def draw(U: np.ndarray) -> np.ndarray:
+            return np.searchsorted(uniform_c, U, side="right")
+    else:
+        last_row = np.arange(m)[:, None]
+
+        def draw(U: np.ndarray) -> np.ndarray:
+            anchor = m_cur if beta < 1.0 else u.max(axis=0)
+            w = np.power(beta, (u - anchor).astype(np.float64))
+            # normalised over each replica's contiguous sites, in the single chain's summation order
+            p = w / np.ascontiguousarray(w.T).sum(axis=1)
+            c = np.cumsum(p, axis=0)
+            if (p[-1] > 0).all():
+                c[-1] = 1.0
+            else:  # a weight underflowed to 0: clamp from each replica's last support site
+                support = p > 0
+                c[last_row >= m - 1 - support[::-1].argmax(axis=0)] = 1.0
+            return (c <= U).sum(axis=0)
 
     gens = [RandomStream(req.seed, r).generator() for r in range(R)]
     done = 0
@@ -279,54 +348,51 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             unif[r] = gens[r].random(csize)
         for j in range(csize):
             t = done + j + 1
-            c = np.cumsum(probabilities(), axis=1)
-            c[:, -1] = 1.0
-            sites = (unif[:, j, None] < c).argmax(axis=1)
+            sites = draw(unif[:, j].copy())
 
-            xi[rows, sites] += 1
-            for table in affected:
-                u[rows, table[sites]] += 1
+            xi += eye.take(sites, axis=1)
+            u += gain.take(sites, axis=1)
             D += parity_sign[sites]
-            m_new = u.min(axis=1)
+            m_new = u.min(axis=0)
 
             if req.track_levels:
                 opened = m_new > m_cur
                 if opened.any():
-                    open_levels(np.flatnonzero(opened), t, m_new)
+                    open_levels(opened, t, m_new)
             m_cur = m_new
             if req.track_renewals:
                 handle_renewals(t, m_new)
             if req.check_parity:
-                bad = u[:, 0::2].sum(axis=1) != u[:, 1::2].sum(axis=1)
+                bad = u[0::2].sum(axis=0) != u[1::2].sum(axis=0)
                 if bad.any():
                     parity_violations += int(bad.sum())
                     if first_parity_step is None:
                         first_parity_step = t
             if t >= half_start:
                 if req.check_comb_final_half:
-                    dev = np.abs(xi - np.roll(xi, -2, axis=1))
+                    dev = np.abs(xi - xi[two_on]).max(axis=0)
                     comb_max = max(comb_max, int(dev.max()))
-                    comb_viol += (dev > 2).any(axis=1)
+                    comb_viol += dev > 2
                 if req.check_residual_final_half:
-                    resid = np.abs(m * xi - t - resid_sign * D[:, None])
-                    resid_viol += (resid > 2 * m * m).any(axis=1)
+                    resid = np.abs(m * xi - t - resid_sign * D).max(axis=0)
+                    resid_viol += resid > 2 * m * m
             if t in cp_index:
                 h_store[cp_index[t]] = D / m
             if sites_buf is not None:
                 sites_buf[:, t - 1] = sites + 1  # 1-based in all exported data
         done += csize
 
-    result = EnsembleResult(request=req, t=T, xi=xi, u=u)
+    result = EnsembleResult(
+        request=req, t=T, xi=np.ascontiguousarray(xi.T), u=np.ascontiguousarray(u.T)
+    )
     if req.track_levels:
         result.level_counts = level_counts
-        result.s_violations = s_viol
-        result.q_violations = q_viol
-        result.w_violations = w_viol
+        result.s_violations, result.q_violations, result.w_violations = stat_viol
         result.first_s_violation_step = first_s_viol
         result.persistence_violations = persist_viol
         result.run_length = run_len
         result.run_started_level = run_start
-        result.current_sigmask = cur_sig
+        result.current_sigmask = _bitmasks(cur_sig)
         result.level_flags = flags_buf
         result.debug_levels = debug_levels
     if req.track_renewals:
@@ -358,10 +424,10 @@ def final_half_flag_counts(result: EnsembleResult) -> np.ndarray:
     if result.level_flags is None or result.level_counts is None:
         raise ValueError("run was not tracked with store_level_flags")
     R = result.level_flags.shape[0]
-    counts = np.zeros((R, 4), dtype=np.int64)
+    counts = np.zeros((R, len(_FLAG_SHAPES)), dtype=np.int64)
     for r in range(R):
         n = int(result.level_counts[r])
         tail = result.level_flags[r, n // 2 : n]
-        for col, bit in enumerate(_FLAG_BITS.values()):
-            counts[r, col] = int(((tail & bit) != 0).sum())
+        for col in range(len(_FLAG_SHAPES)):
+            counts[r, col] = int(((tail & (1 << col)) != 0).sum())
     return counts

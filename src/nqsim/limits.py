@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Sequence
+
+import numpy as np
 
 ZERO, HALF, FULL = 0, 1, 2
 _SYMBOL_CHAR = {ZERO: "0", HALF: "h", FULL: "f"}
@@ -200,45 +201,43 @@ def is_limit_configuration(x: Sequence[Fraction]) -> bool:
     return any(ok_with(alpha) for alpha in candidates)
 
 
+_ORACLE_BLOCK = 3**8  # symbol strings decoded per block; bounds the oracle's memory
+
+
 def brute_force_oracle(m: int) -> tuple[LimitConfiguration, ...]:
     """Second, independently coded filter over all 3^M symbol strings.
 
-    Test-only oracle; the budget caps M at 16.
+    Strings are decoded in fixed blocks, in the lexicographic order of
+    itertools.product, and each local rule is applied literally as an array
+    mask over the block.  Test-only oracle; the budget caps M at 16.
     """
     if m < 4:
         raise ValueError(f"limit enumeration needs M >= 4, got {m}")
     if m > 16:
         raise ValueError(f"3^M budget exceeded for M={m}")
-    window_target = (FULL, ZERO, HALF, HALF, ZERO, FULL)
+
+    def shift(a: np.ndarray, d: int) -> np.ndarray:  # column i holds symbol i + d, cyclically
+        return np.roll(a, -d, axis=1)
+
     found = []
-    for s in product((ZERO, HALF, FULL), repeat=m):
-        if all(c == ZERO for c in s):
-            continue  # no alpha > 0 can give sum 1
-        valid = True
-        for i in range(m):
-            c = s[i]
-            if c == ZERO:
-                if s[i - 1] == ZERO and s[(i + 1) % m] == ZERO:
-                    valid = False
-                    break
-            elif c == HALF:
-                if not any(
-                    tuple(s[(j + d) % m] for d in range(-3, 3)) == window_target
-                    for j in (i, i + 1)
-                ):
-                    valid = False
-                    break
-            else:
-                if s[i - 1] != ZERO or s[(i + 1) % m] != ZERO:
-                    valid = False
-                    break
-        if valid and m % 3 == 0:
+    for start in range(0, 3**m, _ORACLE_BLOCK):
+        codes = np.arange(start, min(start + _ORACLE_BLOCK, 3**m), dtype=np.int64)
+        s = np.empty((len(codes), m), dtype=np.int8)
+        for k in range(m - 1, -1, -1):  # first symbol most significant
+            codes, s[:, k] = np.divmod(codes, 3)
+        left, right = shift(s, -1), shift(s, 1)
+        valid = (s != ZERO).any(axis=1)  # no alpha > 0 can give the zero string sum 1
+        valid &= ~((s == ZERO) & (left == ZERO) & (right == ZERO)).any(axis=1)
+        valid &= ~((s == FULL) & ((left != ZERO) | (right != ZERO))).any(axis=1)
+        # window (full, 0, half, half, 0, full) over symbols j-3 .. j+2
+        window = np.ones(s.shape, dtype=bool)
+        for d, want in zip(range(-3, 3), (FULL, ZERO, HALF, HALF, ZERO, FULL)):
+            window &= shift(s, d) == want
+        valid &= ~((s == HALF) & ~(window | shift(window, 1))).any(axis=1)
+        if m % 3 == 0:
             for j in range(3):
-                if min(s[k] for k in range(j, m, 3)) != ZERO:
-                    valid = False
-                    break
-        if valid:
-            found.append(_config_from_symbols(s))
+                valid &= (s[:, j::3] == ZERO).any(axis=1)
+        found.extend(_config_from_symbols(tuple(row)) for row in s[valid].tolist())
     return tuple(found)
 
 

@@ -134,6 +134,13 @@ class TestSampleSite:
         for unif in (0.0, 0.3, 0.999):
             assert sample_site(p, unif) == 1
 
+    def test_clamp_starts_at_last_support_site(self):
+        # six copies of the float 1/6 add up to less than 1; a draw in the gap
+        # must stay on the last tie site, not fall through to the 0-probability one
+        p = np.array([1 / 6] * 6 + [0.0])
+        assert np.cumsum(p)[5] < 1.0
+        assert sample_site(p, np.nextafter(1.0, 0.0)) == 5
+
 
 class TestStep:
     def test_uniform_over_empty_ring_and_u_update(self):

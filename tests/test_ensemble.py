@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run
+from nqsim import ensemble
+from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run, step
 from nqsim.ensemble import EnsembleRequest, final_half_flag_counts, run_ensemble
 from nqsim.observers import LevelLog, ParityGapSeries, pattern, stat_Q, stat_S, stat_W
 from nqsim.ring import Neighborhood
@@ -25,6 +26,88 @@ def test_matches_single_chain_bit_for_bit(kind, rule):
         assert tuple(res.u[r]) == out.final.u
 
 
+def _random_init(m: int, seed: int) -> tuple[int, ...]:
+    return tuple(int(x) for x in np.random.default_rng(seed).integers(0, 4, m))
+
+
+# M = 7 and 9 reach min/max tie sets of 6 and 7 sites, whose float thresholds
+# n * (1/n) fall short of 1.
+@pytest.mark.parametrize("kind", [ASYM, SYM])
+@pytest.mark.parametrize("rule", RULES, ids=str)
+@pytest.mark.parametrize("m", [7, 9])
+@pytest.mark.parametrize("random_init", [False, True], ids=["empty", "random"])
+def test_sites_match_single_chain_step_by_step(kind, rule, m, random_init):
+    steps, replicas, seed = 300, 3, 2024 + m
+    init = _random_init(m, seed) if random_init else (0,) * m
+    res = run_ensemble(
+        EnsembleRequest(
+            m=m, kind=kind, rule=rule, steps=steps, replicas=replicas, seed=seed, init=init,
+            record_sites=True,
+        )
+    )
+    for r in range(replicas):
+        start = ChainState.from_occupancy(init, kind)
+        out = run(start, rule, steps, RandomStream(seed, r), sample_every=1)
+        assert res.sites[r].tolist() == [rec.site for rec in out.records[1:]]
+        assert tuple(res.xi[r]) == out.final.xi
+        assert tuple(res.u[r]) == out.final.u
+
+
+def test_sites_match_single_chain_when_chunks_do_not_divide_steps():
+    m, steps, seed = 5, 250, 8
+    res = run_ensemble(
+        EnsembleRequest(
+            m=m, kind=SYM, rule=MinRule(), steps=steps, replicas=2, seed=seed, chunk_steps=64,
+            record_sites=True,
+        )
+    )
+    for r in range(2):
+        out = run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r), sample_every=1)
+        assert res.sites[r].tolist() == [rec.site for rec in out.records[1:]]
+
+
+class _FixedUniforms:
+    """A stand-in for RandomStream and its generator: every draw is `value`."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def generator(self):
+        return self
+
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_tie_break_stays_inside_tie_set_in_both_drivers(monkeypatch, m):
+    # One particle on the last site of an asymmetric ring: the minimisers are
+    # sites 1..M-2, a tie set of 6 (M=8) or 7 (M=9) whose float thresholds
+    # sum to less than 1.  Draws at and just below every threshold must agree,
+    # and a draw just below 1 must land on the last tie site, never on site M.
+    init = (0,) * (m - 1) + (1,)
+    n = m - 2
+    thresholds = np.cumsum(np.full(n, 1.0 / n))
+    assert thresholds[-1] < 1.0
+    draws = [np.nextafter(1.0, 0.0)]
+    for c in thresholds:
+        draws += [c, np.nextafter(c, 0.0)]
+    state = ChainState.from_occupancy(init, ASYM)
+    for U in draws:
+        _, single = step(state, MinRule(), _FixedUniforms(U))
+        monkeypatch.setattr(ensemble, "RandomStream", lambda seed, stream: _FixedUniforms(U))
+        res = run_ensemble(
+            EnsembleRequest(
+                m=m, kind=ASYM, rule=MinRule(), steps=1, replicas=2, seed=0, init=init,
+                record_sites=True,
+            )
+        )
+        assert res.sites[:, 0].tolist() == [single, single]
+        assert 1 <= single <= n
+    _, single = step(state, MinRule(), _FixedUniforms(np.nextafter(1.0, 0.0)))
+    assert single == n
+
+
 def test_level_statistics_match_single_chain_log():
     m, steps, seed = 5, 3000, 77
     res = run_ensemble(
@@ -45,15 +128,39 @@ def test_level_statistics_match_single_chain_log():
         run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r), observers=[log])
         trace = res.debug_levels[r]
         assert len(trace) == log.level_count == int(res.level_counts[r])
-        for (t, m_val, s, q, w, sigmask), level in zip(trace, log.levels):
+        for (t, m_val, s, q, w, signature), level in zip(trace, log.levels):
             assert t == level.t
             assert m_val == level.m
             assert (s, q, w) == (level.S, level.Q, level.W)
-            assert sigmask == sum(b << i for i, b in enumerate(level.signature))
+            assert signature == level.signature
         assert int(res.q_violations[r]) == len(log.q_decrease_violations)
         assert int(res.w_violations[r]) == len(log.w_increase_violations)
         assert int(res.s_violations[r]) == len(log.s_increase_violations)
         assert int(res.persistence_violations[r]) == len(log.persistence_violations)
+
+
+def test_signatures_beyond_site_64_match_single_chain_log():
+    # Sites 1..64 alternate full/empty and stay positive while the empty sites
+    # 65..70 fill, so successive level signatures differ only beyond site 64,
+    # where an int64 bitmask has no bits.
+    m, steps, seed, replicas = 70, 20, 5, 3
+    init = (20, 0) * 32 + (0,) * 6
+    res = run_ensemble(
+        EnsembleRequest(
+            m=m, kind=SYM, rule=MinRule(), steps=steps, replicas=replicas, seed=seed, init=init,
+            track_levels=True, debug_level_trace=True,
+        )
+    )
+    for r in range(replicas):
+        log = LevelLog(SYM)
+        run(ChainState.from_occupancy(init, SYM), MinRule(), steps, RandomStream(seed, r),
+            observers=[log])
+        assert [entry[-1] for entry in res.debug_levels[r]] == [lv.signature for lv in log.levels]
+        assert int(res.level_counts[r]) == log.level_count
+        assert int(res.run_length[r]) == log.run_length
+        assert int(res.run_started_level[r]) == log.run_started_level
+        assert int(res.persistence_violations[r]) == len(log.persistence_violations)
+        assert res.current_sigmask[r] == sum(b << i for i, b in enumerate(log.current_signature))
 
 
 def test_level_flags_match_single_chain_log():
