@@ -8,6 +8,10 @@ Reports are therefore independent of any batching and stay in replica order.
 Layout: occupancies and potentials are held site-major, as (M, R) int64
 arrays with one contiguous R-vector per site, so each per-step reduction over
 the sites runs along axis 0.  Results are returned replica-major, (R, M).
+The tie-set ranks and the level window codes below are (M, M) @ (M, R)
+products, O(M^2 R) per lock-step.  At the small rings the suites run that
+beats numpy's slow axis-0 cumsum, but the cost grows quadratically: from
+about M = 70, replica-major (R, M) arrays reduced along axis 1 are faster.
 
 Site draw: the single chain takes the first site with U < c, where
 c = cumsum(mask / n) over the n-member min (or max) tie set.  At a site with
@@ -112,7 +116,7 @@ class EnsembleResult:
     persistence_violations: np.ndarray | None = None
     run_length: np.ndarray | None = None
     run_started_level: np.ndarray | None = None
-    current_sigmask: np.ndarray | None = None
+    current_sigmask: np.ndarray | None = None  # bit i: site i + 1 positive in the current run
     level_flags: np.ndarray | None = None  # (R, cap) uint8, valid up to level_counts
     debug_levels: list | None = None
     # renewals
@@ -153,7 +157,12 @@ def _threshold_table(m: int) -> np.ndarray:
 
 
 def _bitmasks(patterns: np.ndarray) -> np.ndarray:
-    """Per-replica bitmask (site i at bit i) of an (M, R) boolean pattern."""
+    """Per-replica bitmask (site i at bit i) of an (M, R) boolean pattern.
+
+    Only `EnsembleResult.current_sigmask` uses this; the field keeps its
+    bitmask form for existing callers.  Masks of M >= 63 sites do not fit an
+    int64 and are returned as Python ints.
+    """
     masks = [
         int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
         for col in patterns.T
@@ -324,7 +333,7 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         def draw(U: np.ndarray) -> np.ndarray:
             return np.searchsorted(uniform_c, U, side="right")
     else:
-        last_row = np.arange(m)[:, None]
+        rows = np.arange(m)[:, None]
 
         def draw(U: np.ndarray) -> np.ndarray:
             anchor = m_cur if beta < 1.0 else u.max(axis=0)
@@ -332,11 +341,8 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             # normalised over each replica's contiguous sites, in the single chain's summation order
             p = w / np.ascontiguousarray(w.T).sum(axis=1)
             c = np.cumsum(p, axis=0)
-            if (p[-1] > 0).all():
-                c[-1] = 1.0
-            else:  # a weight underflowed to 0: clamp from each replica's last support site
-                support = p > 0
-                c[last_row >= m - 1 - support[::-1].argmax(axis=0)] = 1.0
+            # clamp from each replica's last site of positive probability
+            c[rows >= m - 1 - (p[::-1] > 0).argmax(axis=0)] = 1.0
             return (c <= U).sum(axis=0)
 
     gens = [RandomStream(req.seed, r).generator() for r in range(R)]

@@ -11,6 +11,8 @@ ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC
 
 RULES = [MinRule(), MaxRule(), Softmax(0.5), Softmax(1.0), Softmax(2.0)]
+# beta**2 underflows to 0, so a potential gap of 2 gives a site probability 0
+UNDERFLOW = Softmax(1e-300)
 
 
 @pytest.mark.parametrize("kind", [ASYM, SYM])
@@ -33,7 +35,7 @@ def _random_init(m: int, seed: int) -> tuple[int, ...]:
 # M = 7 and 9 reach min/max tie sets of 6 and 7 sites, whose float thresholds
 # n * (1/n) fall short of 1.
 @pytest.mark.parametrize("kind", [ASYM, SYM])
-@pytest.mark.parametrize("rule", RULES, ids=str)
+@pytest.mark.parametrize("rule", RULES + [UNDERFLOW], ids=str)
 @pytest.mark.parametrize("m", [7, 9])
 @pytest.mark.parametrize("random_init", [False, True], ids=["empty", "random"])
 def test_sites_match_single_chain_step_by_step(kind, rule, m, random_init):
@@ -79,13 +81,16 @@ class _FixedUniforms:
         return self.value if size is None else np.full(size, self.value)
 
 
+@pytest.mark.parametrize("rule", [MinRule(), UNDERFLOW], ids=str)
 @pytest.mark.parametrize("m", [8, 9])
-def test_tie_break_stays_inside_tie_set_in_both_drivers(monkeypatch, m):
-    # One particle on the last site of an asymmetric ring: the minimisers are
+def test_tie_break_stays_inside_tie_set_in_both_drivers(monkeypatch, m, rule):
+    # Two particles on the last site of an asymmetric ring: the minimisers are
     # sites 1..M-2, a tie set of 6 (M=8) or 7 (M=9) whose float thresholds
-    # sum to less than 1.  Draws at and just below every threshold must agree,
-    # and a draw just below 1 must land on the last tie site, never on site M.
-    init = (0,) * (m - 1) + (1,)
+    # sum to less than 1.  The last two sites sit 2 above the minimum, so under
+    # UNDERFLOW their weights are 0 and the softmax draw meets the same tie set.
+    # Draws at and just below every threshold must agree, and a draw just
+    # below 1 must land on the last tie site, never on site M.
+    init = (0,) * (m - 1) + (2,)
     n = m - 2
     thresholds = np.cumsum(np.full(n, 1.0 / n))
     assert thresholds[-1] < 1.0
@@ -94,17 +99,17 @@ def test_tie_break_stays_inside_tie_set_in_both_drivers(monkeypatch, m):
         draws += [c, np.nextafter(c, 0.0)]
     state = ChainState.from_occupancy(init, ASYM)
     for U in draws:
-        _, single = step(state, MinRule(), _FixedUniforms(U))
+        _, single = step(state, rule, _FixedUniforms(U))
         monkeypatch.setattr(ensemble, "RandomStream", lambda seed, stream: _FixedUniforms(U))
         res = run_ensemble(
             EnsembleRequest(
-                m=m, kind=ASYM, rule=MinRule(), steps=1, replicas=2, seed=0, init=init,
+                m=m, kind=ASYM, rule=rule, steps=1, replicas=2, seed=0, init=init,
                 record_sites=True,
             )
         )
         assert res.sites[:, 0].tolist() == [single, single]
         assert 1 <= single <= n
-    _, single = step(state, MinRule(), _FixedUniforms(np.nextafter(1.0, 0.0)))
+    _, single = step(state, rule, _FixedUniforms(np.nextafter(1.0, 0.0)))
     assert single == n
 
 
