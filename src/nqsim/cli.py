@@ -45,7 +45,6 @@ DEFAULTS = {
     "init": "empty",
     "stream": 0,
     "trials": 1000,
-    "jobs": 1,
     "format": "table",
 }
 
@@ -70,12 +69,21 @@ class ExperimentConfig:
     stream: int = 0
     init: str | None = None
     sample_every: int | None = None
-    jobs: int | None = None
     suite: str | None = None
     trials: int | None = None
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
+
+
+# The type a config-file value must have, by key, and how a usage error names it.
+_CONFIG_TYPES = {
+    **dict.fromkeys(
+        ("m", "steps", "replicas", "seed", "stream", "sample_every", "trials"), (int, "an integer")
+    ),
+    "beta": ((int, float), "a number"),
+    **dict.fromkeys(("rule", "neighborhood", "init", "format"), (str, "a string")),
+}
 
 
 def _resolve(args: argparse.Namespace, key: str, config_file: dict):
@@ -84,7 +92,11 @@ def _resolve(args: argparse.Namespace, key: str, config_file: dict):
     if value is not None:
         return value
     if key in config_file:
-        return config_file[key]
+        value = config_file[key]
+        types, expected = _CONFIG_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+        return value
     if key == "seed":
         env = os.environ.get("NQ_SEED")
         if env is not None:
@@ -119,10 +131,6 @@ def _parse_init(text: str, m: int) -> tuple[int, ...]:
     if len(counts) != m:
         raise ValueError(f"--init lists {len(counts)} counts for m={m} sites")
     return counts
-
-
-def _frac_str(value) -> str:
-    return str(value)
 
 
 def cmd_simulate(args, config_file) -> int:
@@ -182,7 +190,7 @@ def cmd_simulate(args, config_file) -> int:
             "t": final.t,
             "xi": list(final.xi),
             "u": list(final.u),
-            "m": final.m,
+            "m": final.min_potential,
         },
         "fractions": [x / final.t if final.t else 0.0 for x in final.xi],
         "levels": level_log.report(),
@@ -233,8 +241,8 @@ def cmd_enumerate(args, config_file) -> int:
         classes = rotation_classes(shown)
         rows = [
             {
-                "x": [_frac_str(v) for v in k.representative.x],
-                "alpha": _frac_str(k.representative.alpha),
+                "x": [str(v) for v in k.representative.x],
+                "alpha": str(k.representative.alpha),
                 "from_empty": k.representative.achievable_from_empty,
                 "orbit_size": k.orbit_size,
             }
@@ -243,8 +251,8 @@ def cmd_enumerate(args, config_file) -> int:
     else:
         rows = [
             {
-                "x": [_frac_str(v) for v in c.x],
-                "alpha": _frac_str(c.alpha),
+                "x": [str(v) for v in c.x],
+                "alpha": str(c.alpha),
                 "from_empty": c.achievable_from_empty,
             }
             for c in shown
@@ -368,9 +376,6 @@ def build_parser() -> _Parser:
             p.add_argument("--steps", type=int, default=None)
         if replicas:
             p.add_argument("--replicas", type=int, default=None)
-            p.add_argument("--jobs", type=int, default=None,
-                           help="replica batch width hint; replicas are stepped "
-                                "in lock-step and merged in replica order")
 
     p_sim = sub.add_parser("simulate", help="run one chain and write trajectory + summary")
     add_common(p_sim)

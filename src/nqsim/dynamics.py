@@ -84,7 +84,7 @@ class ChainState:
     kind: Neighborhood
 
     @property
-    def m(self) -> int:
+    def min_potential(self) -> int:
         return min(self.u)
 
     @property
@@ -124,7 +124,8 @@ class TrajectoryRecord:
 
 def _record(state: ChainState, site: int | None) -> TrajectoryRecord:
     return TrajectoryRecord(
-        t=state.t, xi=state.xi, u=state.u, v=reduce_potential(state.u), m=state.m, site=site
+        t=state.t, xi=state.xi, u=state.u, v=reduce_potential(state.u),
+        m=state.min_potential, site=site,
     )
 
 
@@ -205,7 +206,6 @@ def run(
     observers: Sequence = (),
     sample_every: int = 1000,
     include_level_steps: bool = False,
-    check_consistency: bool = False,
 ) -> RunResult:
     """Drive a single chain for `steps` steps.
 
@@ -214,6 +214,11 @@ def run(
     every step at which the minimum potential rose, and the final state.
     Identical (initial, rule, seed, stream, steps, stride) arguments give
     identical output.
+
+    This pure-Python stepper is the reference oracle for the vectorised
+    engine: replica r of `ensemble.run_ensemble` must reproduce it on stream
+    (seed, r), which the tests and the benchmark's stream check assert.  It
+    stays in the package for that check as well as for `nqsim simulate`.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -230,16 +235,14 @@ def run(
     for obs in observers:
         obs.on_step(rec)
 
-    last_m = state.m
+    last_m = state.min_potential
     for k in range(steps):
         state, site = step(state, rule, gen)
-        if check_consistency:
-            assert state.u == potentials(state.xi, state.kind)
         rec = _record(state, site)
         for obs in observers:
             obs.on_step(rec)
-        opened = state.m > last_m
-        last_m = state.m
+        opened = state.min_potential > last_m
+        last_m = state.min_potential
         if state.t % sample_every == 0 or k == steps - 1 or (include_level_steps and opened):
             records.append(rec)
 

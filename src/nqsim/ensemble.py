@@ -62,6 +62,7 @@ _FLAG_SHAPES = {
     "pair_into_zeros": (1, 1, 0, 0),
     "lone_positive_in_zeros": (0, 0, 1, 0, 0),
 }
+FLAG_NAMES = tuple(_FLAG_SHAPES)  # level flag column order everywhere
 _ISOLATED_ZERO = (1, 0, 1)  # Q counts these (centred on k + 1)
 _DOUBLE = (0, 1, 1, 0)  # W counts these
 _WINDOW = 5  # sites per window code; the longest shape
@@ -80,6 +81,33 @@ _FLAG_TABLE = sum(
 )
 
 
+def _window_code_matrix(m: int) -> np.ndarray:
+    """(matrix @ pattern)[k]: the 5-bit code of pattern[k .. k + 4], cyclically."""
+    code = np.zeros((m, m))
+    for d in range(_WINDOW):
+        code[np.arange(m), (np.arange(m) + d) % m] += 2**d
+    return code
+
+
+def _level_statistics(u, m_new, u_total, window_code, with_flags: bool) -> tuple:
+    """Level statistics of site-major potentials u (M, R) with column minima m_new.
+
+    u_total is each replica's potential sum (window * particles).  Returns the
+    signature pos (M, R), the stacked S, Q, W (3, R), the isolated-zero centres
+    (M, R; row k: a centre at site k + 1) and, if with_flags, the flag bits
+    (bit i: FLAG_NAMES[i]).
+    """
+    v = u - m_new
+    pos = v > 0
+    code = (window_code @ pos).astype(np.intp)
+    # S = sum(v) less its entries equal to 1
+    s = u_total - len(u) * m_new - (v == 1).sum(axis=0)
+    centers = _ISOLATED_ZERO_TABLE.take(code)
+    stats = np.stack([s, centers.sum(axis=0), _DOUBLE_TABLE.take(code).sum(axis=0)])
+    flag_bits = np.bitwise_or.reduce(_FLAG_TABLE.take(code), axis=0) if with_flags else None
+    return pos, stats, centers, flag_bits
+
+
 @dataclass
 class EnsembleRequest:
     m: int
@@ -92,7 +120,6 @@ class EnsembleRequest:
     h_checkpoints: tuple[int, ...] = ()
     track_levels: bool = False
     store_level_flags: bool = False
-    debug_level_trace: bool = False
     track_renewals: bool = False
     check_parity: bool = False
     check_comb_final_half: bool = False
@@ -116,9 +143,7 @@ class EnsembleResult:
     persistence_violations: np.ndarray | None = None
     run_length: np.ndarray | None = None
     run_started_level: np.ndarray | None = None
-    current_sigmask: np.ndarray | None = None  # bit i: site i + 1 positive in the current run
     level_flags: np.ndarray | None = None  # (R, cap) uint8, valid up to level_counts
-    debug_levels: list | None = None
     # renewals
     renewal_counts: np.ndarray | None = None
     zeta_positive: int = 0
@@ -156,20 +181,6 @@ def _threshold_table(m: int) -> np.ndarray:
     return thr
 
 
-def _bitmasks(patterns: np.ndarray) -> np.ndarray:
-    """Per-replica bitmask (site i at bit i) of an (M, R) boolean pattern.
-
-    Only `EnsembleResult.current_sigmask` uses this; the field keeps its
-    bitmask form for existing callers.  Masks of M >= 63 sites do not fit an
-    int64 and are returned as Python ints.
-    """
-    masks = [
-        int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
-        for col in patterns.T
-    ]
-    return np.array(masks, dtype=np.int64 if len(patterns) < 63 else object)
-
-
 def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     m = check_ring_size(req.m, req.kind)
     R, T = req.replicas, req.steps
@@ -180,8 +191,8 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     init = validate_occupancy(req.init, req.kind) if req.init is not None else (0,) * m
     if req.kind.window * (sum(init) + T) > MAX_TOTAL_PARTICLES:
         raise ValueError(f"step budget {T} overflows the int64 potential range")
-    if (req.store_level_flags or req.debug_level_trace) and not req.track_levels:
-        raise ValueError("level flags / traces require track_levels")
+    if req.store_level_flags and not req.track_levels:
+        raise ValueError("level flags require track_levels")
 
     # Site-major state: row i is site i across all replicas.
     xi = np.repeat(np.asarray(init, dtype=np.int64)[:, None], R, axis=1)
@@ -196,10 +207,7 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
 
     # --- level tracking state ---
     if req.track_levels:
-        # (window_code @ pattern)[k]: the 5-bit code of pattern[k .. k + 4], cyclically
-        window_code = np.zeros((m, m))
-        for d in range(_WINDOW):
-            window_code[np.arange(m), (np.arange(m) + d) % m] += 2**d
+        window_code = _window_code_matrix(m)
         level_counts = np.zeros(R, dtype=np.int64)
         # Rows S, Q, W: a level may not raise S, lower Q or raise W.  The
         # sentinels compare the first level against values no level violates.
@@ -217,21 +225,13 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         if req.store_level_flags:
             cap = req.kind.window * (sum(init) + T) // m + 2
             flags_buf = np.zeros((R, cap), dtype=np.uint8)
-        debug_levels: list[list] | None = [[] for _ in range(R)] if req.debug_level_trace else None
 
         def open_levels(opened: np.ndarray, t: int, m_new: np.ndarray) -> None:
             nonlocal stat_viol, persist_viol, required_centers, cur_sig, run_len, level_counts
             # Statistics are computed for every replica and recorded where `opened`.
-            v = u - m_new
-            pos = v > 0
-            code = (window_code @ pos).astype(np.intp)
-            # S = sum(v) less its entries equal to 1; the potentials sum to window * particles
-            s_here = req.kind.window * (sum(init) + t) - m * m_new - (v == 1).sum(axis=0)
-            centers = _ISOLATED_ZERO_TABLE.take(code)  # row k: isolated zero at site k + 1
-            q_here = centers.sum(axis=0)
-            w_here = _DOUBLE_TABLE.take(code).sum(axis=0)
-
-            stats = np.stack([s_here, q_here, w_here])
+            pos, stats, centers, flag_bits = _level_statistics(
+                u, m_new, req.kind.window * (sum(init) + t), window_code, flags_buf is not None
+            )
             bad = opened & ((stats - prev_stats) * worse > 0)
             stat_viol += bad
             if bad[0].any():
@@ -240,17 +240,9 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             required_centers |= centers & opened
             np.copyto(prev_stats, stats, where=opened)
 
-            if flags_buf is not None or debug_levels is not None:
+            if flags_buf is not None:
                 idx = np.flatnonzero(opened)
-                flag_bits = np.bitwise_or.reduce(_FLAG_TABLE.take(code), axis=0)
-                if flags_buf is not None:
-                    flags_buf[idx, level_counts[idx]] = flag_bits[idx]
-                if debug_levels is not None:
-                    for row in idx.tolist():
-                        debug_levels[row].append((
-                            t, int(m_new[row]), int(s_here[row]), int(q_here[row]),
-                            int(w_here[row]), tuple(pos[:, row].astype(np.int64).tolist()),
-                        ))
+                flags_buf[idx, level_counts[idx]] = flag_bits[idx]
 
             # a level whose signature differs from the current one starts a new run
             changed = (cur_sig ^ pos) & opened
@@ -398,9 +390,7 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         result.persistence_violations = persist_viol
         result.run_length = run_len
         result.run_started_level = run_start
-        result.current_sigmask = _bitmasks(cur_sig)
         result.level_flags = flags_buf
-        result.debug_levels = debug_levels
     if req.track_renewals:
         result.renewal_counts = renew_count
         result.zeta_positive = zeta_pos

@@ -15,13 +15,13 @@ symbol strings; `brute_force_oracle` re-derives it by literally filtering all
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 ZERO, HALF, FULL = 0, 1, 2
-_SYMBOL_CHAR = {ZERO: "0", HALF: "h", FULL: "f"}
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,14 @@ class LimitConfiguration:
     def size(self) -> int:
         return len(self.x)
 
+    @cached_property
+    def x_float(self) -> tuple[float, ...]:
+        """x as floats, converted once (float of a Fraction is correctly rounded)."""
+        return tuple(float(v) for v in self.x)
+
     @property
     def label(self) -> str:
         return "(" + ",".join(str(v) for v in self.x) + ")"
-
-    @property
-    def symbol_string(self) -> str:
-        return "".join(_SYMBOL_CHAR[s] for s in self.symbols)
 
 
 @dataclass(frozen=True)

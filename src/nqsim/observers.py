@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
+from .ensemble import FLAG_NAMES
 from .ring import Neighborhood
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,7 +93,13 @@ class LevelRecord:
 
 
 class LevelLog:
-    """Per-chain level log with monotonicity and persistence monitors."""
+    """Per-chain level log with monotonicity and persistence monitors.
+
+    This is the reference oracle for the engine's level tracking: the tests
+    pin `ensemble.run_ensemble`'s counts, violations and signature runs to it
+    replica by replica.  It stays in the package for `nqsim simulate` and for
+    the benchmark's per-layer probes.
+    """
 
     def __init__(self, kind: Neighborhood):
         self.kind = kind
@@ -158,8 +165,7 @@ class LevelLog:
         return len(self.levels)
 
     def flag_counts(self, start_level: int = 0) -> dict[str, int]:
-        counts = {name: 0 for name in
-                  ("three_positives", "three_zeros", "pair_into_zeros", "lone_positive_in_zeros")}
+        counts = dict.fromkeys(FLAG_NAMES, 0)
         for level in self.levels[start_level:]:
             for name in counts:
                 if level.flags[name]:
@@ -194,6 +200,10 @@ def parity_gap(xi: Sequence[int]) -> Fraction:
 class ParityGapSeries:
     """Tracks H(t), renewal times (reduced potential identically zero) and the
     H increments between consecutive renewals.  Asymmetric even-M chains only.
+
+    This is the reference oracle for the engine's renewal and checkpoint
+    tracking, in exact rationals.  It stays in the package for
+    `nqsim simulate` and for the benchmark's per-layer probes.
     """
 
     def __init__(self, m: int, sample_times: Sequence[int] = ()):
@@ -260,7 +270,7 @@ def match_limit(
     best = None
     best_dist = None
     for config in limits:
-        dist = max(abs(e - float(x)) for e, x in zip(empirical, config.x))
+        dist = max(abs(e - x) for e, x in zip(empirical, config.x_float))
         if best_dist is None or dist < best_dist:
             best, best_dist = config, dist
     if best is not None and best_dist is not None and best_dist <= tolerance:

@@ -13,7 +13,9 @@ import numpy as np
 
 from .algebra import Family, Infeasible, Unique, solve_occupancy_asym, solve_occupancy_sym
 from .dynamics import MaxRule, MinRule
-from .ensemble import EnsembleRequest, EnsembleResult, final_half_flag_counts, run_ensemble
+from .ensemble import (
+    FLAG_NAMES, EnsembleRequest, EnsembleResult, final_half_flag_counts, run_ensemble,
+)
 from .limits import LimitConfiguration, enumerate_limits
 from .observers import match_limit
 from .ring import Neighborhood, potentials
@@ -180,10 +182,9 @@ def suite_sym(m: int, steps: int, replicas: int, seed: int) -> VerificationRepor
         )
     )
     tail_flags = final_half_flag_counts(result)
-    flag_names = ("three_positives", "three_zeros", "pair_into_zeros", "lone_positive_in_zeros")
     invariants = [
         _count_invariant(f"no-{name.replace('_', '-')}-final-half", tail_flags[:, col])
-        for col, name in enumerate(flag_names)
+        for col, name in enumerate(FLAG_NAMES)
     ]
     invariants.append(_count_invariant("Q-nondecreasing", result.q_violations))
     invariants.append(_count_invariant("W-nonincreasing", result.w_violations))

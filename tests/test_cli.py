@@ -153,6 +153,28 @@ class TestSimulateCommand:
         assert summary["final"]["t"] == 100  # flag wins
         assert summary["config"]["seed"] == 5  # config fills the gap
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            (["simulate", "--m", "4"], {"steps": "100"}),
+            (["simulate", "--m", "4"], {"steps": 1.5}),
+            (["simulate", "--m", "4"], {"seed": True}),
+            (["simulate", "--m", "4", "--rule", "softmax"], {"beta": "0.5"}),
+            (["simulate", "--m", "4"], {"init": [0, 0, 0, 0]}),
+            (["verify", "--suite", "sym", "--m", "5"], {"replicas": "10"}),
+            (["enumerate", "--m", "5"], {"format": 1}),
+        ],
+        ids=["steps-str", "steps-float", "seed-bool", "beta-str", "init-list", "replicas-str",
+             "format-int"],
+    )
+    def test_mistyped_config_value_exits_1(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, *command, "--config", str(cfg))
+        assert code == 1
+        assert f"config key {next(iter(config))!r}" in err
+        assert "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_algebra_suite_m7(self, tmp_path, capsys):

@@ -3,9 +3,18 @@ import pytest
 
 from nqsim import ensemble
 from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run, step
-from nqsim.ensemble import EnsembleRequest, final_half_flag_counts, run_ensemble
-from nqsim.observers import LevelLog, ParityGapSeries, pattern, stat_Q, stat_S, stat_W
-from nqsim.ring import Neighborhood
+from nqsim.ensemble import FLAG_NAMES, EnsembleRequest, final_half_flag_counts, run_ensemble
+from nqsim.observers import (
+    LevelLog,
+    ParityGapSeries,
+    _window_flags,
+    isolated_zero_centers,
+    pattern,
+    stat_Q,
+    stat_S,
+    stat_W,
+)
+from nqsim.ring import Neighborhood, potentials, reduce_potential
 
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC
@@ -125,19 +134,12 @@ def test_level_statistics_match_single_chain_log():
             seed=seed,
             track_levels=True,
             store_level_flags=True,
-            debug_level_trace=True,
         )
     )
     for r in range(2):
         log = LevelLog(SYM)
         run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r), observers=[log])
-        trace = res.debug_levels[r]
-        assert len(trace) == log.level_count == int(res.level_counts[r])
-        for (t, m_val, s, q, w, signature), level in zip(trace, log.levels):
-            assert t == level.t
-            assert m_val == level.m
-            assert (s, q, w) == (level.S, level.Q, level.W)
-            assert signature == level.signature
+        assert log.level_count == int(res.level_counts[r])
         assert int(res.q_violations[r]) == len(log.q_decrease_violations)
         assert int(res.w_violations[r]) == len(log.w_increase_violations)
         assert int(res.s_violations[r]) == len(log.s_increase_violations)
@@ -153,19 +155,41 @@ def test_signatures_beyond_site_64_match_single_chain_log():
     res = run_ensemble(
         EnsembleRequest(
             m=m, kind=SYM, rule=MinRule(), steps=steps, replicas=replicas, seed=seed, init=init,
-            track_levels=True, debug_level_trace=True,
+            track_levels=True,
         )
     )
     for r in range(replicas):
         log = LevelLog(SYM)
         run(ChainState.from_occupancy(init, SYM), MinRule(), steps, RandomStream(seed, r),
             observers=[log])
-        assert [entry[-1] for entry in res.debug_levels[r]] == [lv.signature for lv in log.levels]
         assert int(res.level_counts[r]) == log.level_count
         assert int(res.run_length[r]) == log.run_length
         assert int(res.run_started_level[r]) == log.run_started_level
         assert int(res.persistence_violations[r]) == len(log.persistence_violations)
-        assert res.current_sigmask[r] == sum(b << i for i, b in enumerate(log.current_signature))
+
+
+@pytest.mark.parametrize("kind", [ASYM, SYM])
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 70])
+def test_level_statistics_match_reference_definitions(kind, m):
+    # Random occupancies, each row with its own share of empty sites, give
+    # reduced potentials with zeros, ones and larger entries in many
+    # arrangements; each column is checked against the single-chain
+    # definitions of the signature, S, Q, W, the centres and the flags.
+    rng = np.random.default_rng(m)
+    xi = rng.integers(1, 3, size=(200, m)) * (rng.random((200, m)) < rng.random((200, 1)))
+    u = np.array([potentials(tuple(row), kind) for row in xi.tolist()]).T
+    pos, stats, centers, flag_bits = ensemble._level_statistics(
+        u, u.min(axis=0), u.sum(axis=0), ensemble._window_code_matrix(m), True
+    )
+    for r in range(xi.shape[0]):
+        v = reduce_potential(tuple(u[:, r].tolist()))
+        sig = pattern(v)
+        assert tuple(pos[:, r].astype(int).tolist()) == sig
+        assert stats[:, r].tolist() == [stat_S(v), stat_Q(v), stat_W(v)]
+        # row k marks a centre at site k + 1
+        assert set(np.flatnonzero(np.roll(centers[:, r], 1)).tolist()) == isolated_zero_centers(sig)
+        flags = _window_flags(sig)
+        assert [bool(flag_bits[r] >> i & 1) for i in range(4)] == [flags[n] for n in FLAG_NAMES]
 
 
 def test_level_flags_match_single_chain_log():
@@ -185,14 +209,13 @@ def test_level_flags_match_single_chain_log():
     log = LevelLog(SYM)
     run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, 0), observers=[log])
     n = int(res.level_counts[0])
-    names = ("three_positives", "three_zeros", "pair_into_zeros", "lone_positive_in_zeros")
     for j, level in enumerate(log.levels):
         byte = int(res.level_flags[0, j])
-        for bit, name in enumerate(names):
+        for bit, name in enumerate(FLAG_NAMES):
             assert bool(byte & (1 << bit)) == level.flags[name], (j, name)
     tail = final_half_flag_counts(res)[0]
     expected = log.flag_counts(n // 2)
-    assert tail.tolist() == [expected[name] for name in names]
+    assert tail.tolist() == [expected[name] for name in FLAG_NAMES]
 
 
 def test_renewals_match_parity_gap_series():

@@ -9,6 +9,7 @@ from nqsim.observers import (
     LevelLog,
     ParityGapSeries,
     RenewalCounter,
+    _window_flags,
     detect_convergence,
     isolated_zero_centers,
     parity_gap,
@@ -48,6 +49,23 @@ class TestLevelStatistics:
     def test_isolated_zero_centers(self):
         assert isolated_zero_centers((1, 0, 1, 0)) == frozenset({1, 3})
         assert isolated_zero_centers((0, 0, 1, 1)) == frozenset()
+
+    @pytest.mark.parametrize(
+        "sig, flag",
+        [
+            ((1, 1, 1, 0, 1, 0), "three_positives"),
+            ((0, 0, 0, 1, 0, 1), "three_zeros"),
+            ((1, 1, 0, 0, 1, 0), "pair_into_zeros"),
+            ((0, 0, 1, 0, 0, 1), "lone_positive_in_zeros"),
+            ((1, 0, 1, 0, 1, 0), None),
+        ],
+    )
+    def test_window_flags_one_shape_each(self, sig, flag):
+        flags = _window_flags(sig)
+        assert sorted(flags) == sorted(
+            ["three_positives", "three_zeros", "pair_into_zeros", "lone_positive_in_zeros"]
+        )
+        assert [name for name, hit in flags.items() if hit] == ([flag] if flag else [])
 
 
 def _records_from_sites(kind, m, sites):
