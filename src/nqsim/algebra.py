@@ -7,11 +7,14 @@ u_k = xi_{k-1} + xi_k + xi_{k+1} is uniquely solvable unless M is divisible
 by 3, in which case solvability requires the three residue-class sums of u to
 coincide and leaves two free parameters.
 
-All arithmetic is exact (fractions.Fraction); the Unique/Family/Infeasible
-boundaries are decided without any floating point.
+All arithmetic is exact: the potentials are scaled to integers over one
+common denominator, the recurrences and the Unique/Family/Infeasible
+boundaries run in integer arithmetic without any floating point, and only the
+returned entries are built as fractions.Fraction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,8 +41,13 @@ class Infeasible:
 SolveOutcome = Unique | Family | Infeasible
 
 
-def _as_fractions(u: Sequence) -> list[Fraction]:
-    return [Fraction(x) for x in u]
+def _scaled(u: Sequence) -> tuple[list[int], int]:
+    """Integers n and a common denominator d > 0 with u_k = n_k / d exactly."""
+    if all(isinstance(x, int) for x in u):
+        return [int(x) for x in u], 1
+    uf = [Fraction(x) for x in u]
+    d = math.lcm(*(x.denominator for x in uf))
+    return [x.numerator * (d // x.denominator) for x in uf], d
 
 
 def solve_occupancy_asym(u: Sequence) -> SolveOutcome:
@@ -47,31 +55,30 @@ def solve_occupancy_asym(u: Sequence) -> SolveOutcome:
     m = len(u)
     if m < 3:
         raise ValueError(f"asymmetric system needs M >= 3, got {m}")
-    uf = _as_fractions(u)
+    n, d = _scaled(u)
 
     if m % 2 == 1:
         # xi_1 = (u_M - u_{M-1} + ... - u_2 + u_1) / 2, then peel off one
-        # equation at a time.
-        alt = sum(uf[j] if j % 2 == 0 else -uf[j] for j in range(m))
-        xi = [alt / 2]
+        # equation at a time; x holds 2 * d * xi.
+        x = [sum(n[0::2]) - sum(n[1::2])]
         for k in range(1, m):
-            xi.append(uf[k - 1] - xi[k - 1])
-        return Unique(tuple(xi))
+            x.append(2 * n[k - 1] - x[k - 1])
+        return Unique(tuple(Fraction(v, 2 * d) for v in x))
 
-    if sum(uf[0::2]) != sum(uf[1::2]):
+    if sum(n[0::2]) != sum(n[1::2]):
         return Infeasible("parity")
-    base = [Fraction(0)]
+    x = [0]  # d * base
     for k in range(1, m):
-        base.append(uf[k - 1] - base[k - 1])
-    return Family(tuple(base), free_parameters=1)
+        x.append(n[k - 1] - x[k - 1])
+    return Family(tuple(Fraction(v, d) for v in x), free_parameters=1)
 
 
-def _propagate_sym(uf: list[Fraction], xi1: Fraction, xi2: Fraction) -> list[Fraction]:
-    # Equations 2..M-1 determine xi_3..xi_M from the first two entries.
-    xi = [xi1, xi2]
-    for k in range(2, len(uf)):
-        xi.append(uf[k - 1] - xi[k - 1] - xi[k - 2])
-    return xi
+def _propagate_sym(n: list[int]) -> list[int]:
+    # Equations 2..M-1 determine xi_3..xi_M from xi_1 = xi_2 = 0.
+    p = [0, 0]
+    for k in range(2, len(n)):
+        p.append(n[k - 1] - p[k - 1] - p[k - 2])
+    return p
 
 
 def solve_occupancy_sym(u: Sequence) -> SolveOutcome:
@@ -79,37 +86,36 @@ def solve_occupancy_sym(u: Sequence) -> SolveOutcome:
     m = len(u)
     if m < 4:
         raise ValueError(f"symmetric system needs M >= 4, got {m}")
-    uf = _as_fractions(u)
+    n, d = _scaled(u)
 
     if m % 3 == 0:
-        sums = [sum(uf[j::3]) for j in range(3)]
+        sums = [sum(n[j::3]) for j in range(3)]
         if not sums[0] == sums[1] == sums[2]:
             return Infeasible("mod3")
-        return Family(tuple(_propagate_sym(uf, Fraction(0), Fraction(0))), free_parameters=2)
+        return Family(tuple(Fraction(v, d) for v in _propagate_sym(n)), free_parameters=2)
 
-    # Propagate symbolically: xi_k = p_k + a_k*xi_1 + b_k*xi_2 where the
-    # homogeneous coefficients cycle with period 3 (a, b, -a-b).  The two
-    # unused equations (k=1 and k=M) close the loop; their 2x2 determinant is
-    # -3 whenever M is not divisible by 3.
-    p = [Fraction(0), Fraction(0)]
+    # Propagate symbolically: xi_k = p_k + a_k*xi_1 + b_k*xi_2 (p held as
+    # d * p) where the homogeneous coefficients cycle with period 3 (a, b,
+    # -a-b).  The two unused equations (k=1 and k=M) close the loop; their
+    # 2x2 determinant is -3 whenever M is not divisible by 3.
+    p = _propagate_sym(n)
     a = [1, 0]
     b = [0, 1]
     for k in range(2, m):
-        p.append(uf[k - 1] - p[k - 1] - p[k - 2])
         a.append(-a[k - 1] - a[k - 2])
         b.append(-b[k - 1] - b[k - 2])
 
     # eq 1: xi_M + xi_1 + xi_2 = u_1 ; eq M: xi_{M-1} + xi_M + xi_1 = u_M
     a11, a12 = a[m - 1] + 1, b[m - 1] + 1
     a21, a22 = a[m - 2] + a[m - 1] + 1, b[m - 2] + b[m - 1]
-    r1 = uf[0] - p[m - 1]
-    r2 = uf[m - 1] - p[m - 2] - p[m - 1]
+    r1 = n[0] - p[m - 1]
+    r2 = n[m - 1] - p[m - 2] - p[m - 1]
     det = a11 * a22 - a12 * a21
     assert abs(det) == 3, f"closing determinant {det} for M={m}"
-    xi1 = Fraction(r1 * a22 - r2 * a12, det)
-    xi2 = Fraction(a11 * r2 - a21 * r1, det)
-    xi = [p[k] + a[k] * xi1 + b[k] * xi2 for k in range(m)]
-    return Unique(tuple(xi))
+    # det * d * xi_1 and det * d * xi_2 (Cramer's rule)
+    x1 = r1 * a22 - r2 * a12
+    x2 = a11 * r2 - a21 * r1
+    return Unique(tuple(Fraction(det * p[k] + a[k] * x1 + b[k] * x2, det * d) for k in range(m)))
 
 
 def parity_invariant(v: Sequence) -> bool:

@@ -2,7 +2,7 @@
 
 Every command is a deterministic function of its flags and seed; repeated
 invocations write byte-identical files.  Exit codes: 0 success, 1 usage or
-configuration error, 2 invariant violation, 3 I/O error.
+configuration error or out of memory, 2 invariant violation, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -427,6 +427,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"nqsim {args.command}: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"nqsim {args.command}: error: out of memory{detail}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

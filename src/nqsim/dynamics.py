@@ -129,6 +129,26 @@ def _record(state: ChainState, site: int | None) -> TrajectoryRecord:
     )
 
 
+def _distribution(u: Sequence[int], rule: AllocationRule) -> list[float]:
+    """`transition_distribution` as a Python list, the form `step` samples from."""
+    if isinstance(rule, (MinRule, MaxRule)):
+        extreme = min(u) if isinstance(rule, MinRule) else max(u)
+        p = 1.0 / u.count(extreme)
+        return [p if x == extreme else 0.0 for x in u]
+    beta = rule.beta
+    if beta == 1.0:
+        return [1.0 / len(u)] * len(u)
+    u = np.asarray(u, dtype=np.int64)
+    anchor = u.min() if beta < 1.0 else u.max()
+    with np.errstate(over="raise"):
+        try:
+            w = np.power(beta, (u - anchor).astype(np.float64))
+        except FloatingPointError as exc:  # pragma: no cover - unreachable after anchoring
+            raise FloatingPointError(f"softmax weight overflow at beta={beta}") from exc
+    # numpy's pairwise sum, the order the ensemble engine normalises in
+    return (w / w.sum()).tolist()
+
+
 def transition_distribution(state: ChainState, rule: AllocationRule) -> np.ndarray:
     """Probability of the next particle landing on each site, as float64.
 
@@ -136,37 +156,29 @@ def transition_distribution(state: ChainState, rule: AllocationRule) -> np.ndarr
     The softmax weights are stabilised by factoring out the extreme potential
     so every exponentiation stays in [0, 1].
     """
-    u = np.asarray(state.u, dtype=np.int64)
-    if isinstance(rule, MinRule):
-        mask = u == u.min()
-        return mask / mask.sum()
-    if isinstance(rule, MaxRule):
-        mask = u == u.max()
-        return mask / mask.sum()
-    beta = rule.beta
-    if beta == 1.0:
-        return np.full(len(u), 1.0 / len(u))
-    anchor = u.min() if beta < 1.0 else u.max()
-    with np.errstate(over="raise"):
-        try:
-            w = np.power(beta, (u - anchor).astype(np.float64))
-        except FloatingPointError as exc:  # pragma: no cover - unreachable after anchoring
-            raise FloatingPointError(f"softmax weight overflow at beta={beta}") from exc
-    return w / w.sum()
+    return np.array(_distribution(state.u, rule))
 
 
-def sample_site(probabilities: np.ndarray, uniform: float) -> int:
-    """Inverse-CDF draw of a 0-based site from one uniform variate.
+def sample_site(probabilities: Sequence[float], uniform: float) -> int:
+    """Inverse-CDF draw of a 0-based site from one uniform variate in [0, 1).
 
-    The cumulative value is clamped to 1 from the last site of positive
-    probability onward, so rounding in the sum can never push the draw onto a
-    site of probability 0 or out of range (n copies of the float 1/n can add
-    up to less than 1, e.g. n = 6, 7, 10).  Ties inside min/max sets are
-    resolved by the draw itself, uniformly over the set.
+    Returns the first site whose cumulative probability exceeds the variate,
+    summing left to right as np.cumsum does.  The cumulative value is clamped
+    to 1 from the last site of positive probability onward, so rounding in the
+    sum can never push the draw onto a site of probability 0 or out of range
+    (n copies of the float 1/n can add up to less than 1, e.g. n = 6, 7, 10).
+    Ties inside min/max sets are resolved by the draw itself, uniformly over
+    the set.
     """
-    c = np.cumsum(probabilities)
-    c[probabilities.nonzero()[0][-1] :] = 1.0
-    return int((uniform < c).argmax())
+    last = len(probabilities) - 1
+    while not probabilities[last]:
+        last -= 1
+    c = 0.0
+    for i in range(last):
+        c += probabilities[i]
+        if uniform < c:
+            return i
+    return last
 
 
 def step(
@@ -177,8 +189,7 @@ def step(
     The potential cache is updated incrementally: u_i gains 1 exactly for the
     sites whose neighbourhood contains the allocation.
     """
-    p = transition_distribution(state, rule)
-    site0 = sample_site(p, gen.random())
+    site0 = sample_site(_distribution(state.u, rule), gen.random())
     m = state.size
     xi = list(state.xi)
     xi[site0] += 1

@@ -66,6 +66,7 @@ FLAG_NAMES = tuple(_FLAG_SHAPES)  # level flag column order everywhere
 _ISOLATED_ZERO = (1, 0, 1)  # Q counts these (centred on k + 1)
 _DOUBLE = (0, 1, 1, 0)  # W counts these
 _WINDOW = 5  # sites per window code; the longest shape
+_FLAG_BLOCK_CELLS = 2**20  # flag entries per row block in final_half_flag_counts
 
 
 def _window_table(shape: tuple[int, ...]) -> np.ndarray:
@@ -412,18 +413,25 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
 
 
 def final_half_flag_counts(result: EnsembleResult) -> np.ndarray:
-    """Per-replica count of levels in the final half carrying any excluded window.
+    """Per-replica count of levels in the final half carrying each excluded window.
 
     Requires store_level_flags.  The final half of replica r is the levels
-    with index >= level_counts[r] // 2.
+    with index >= level_counts[r] // 2.  Replicas are counted in row blocks of
+    about _FLAG_BLOCK_CELLS flag entries, so the masks never span the whole
+    (R, cap) buffer (cap is about 1.2e5 levels at T = 2e5).
     """
     if result.level_flags is None or result.level_counts is None:
         raise ValueError("run was not tracked with store_level_flags")
-    R = result.level_flags.shape[0]
-    counts = np.zeros((R, len(_FLAG_SHAPES)), dtype=np.int64)
-    for r in range(R):
-        n = int(result.level_counts[r])
-        tail = result.level_flags[r, n // 2 : n]
-        for col in range(len(_FLAG_SHAPES)):
-            counts[r, col] = int(((tail & (1 << col)) != 0).sum())
+    flags, n = result.level_flags, result.level_counts
+    R, cap = flags.shape
+    rows = max(1, _FLAG_BLOCK_CELLS // cap)
+    counts = np.zeros((R, len(FLAG_NAMES)), dtype=np.int64)
+    for lo in range(0, R, rows):
+        nb = n[lo : lo + rows, None]
+        # only the columns some replica of the block counts
+        c0, c1 = int((nb // 2).min()), int(nb.max())
+        cols = np.arange(c0, c1)
+        tail = np.where((cols >= nb // 2) & (cols < nb), flags[lo : lo + rows, c0:c1], 0)
+        for col in range(len(FLAG_NAMES)):
+            counts[lo : lo + rows, col] = np.count_nonzero(tail & (1 << col), axis=1)
     return counts

@@ -57,18 +57,22 @@ def pattern_str(signature: Sequence[int]) -> str:
     return "".join("*" if s else "0" for s in signature)
 
 
+# Excluded windows as byte strings of zero/positive marks, read from a site onward.
+_FLAG_WINDOWS = {
+    "three_positives": bytes((1, 1, 1)),
+    "three_zeros": bytes((0, 0, 0)),
+    "pair_into_zeros": bytes((1, 1, 0, 0)),
+    "lone_positive_in_zeros": bytes((0, 0, 1, 0, 0)),
+}
+
+
 def _window_flags(sig: Sequence[int]) -> dict[str, bool]:
-    m = len(sig)
-
-    def win(k: int, shape: tuple[int, ...]) -> bool:
-        return all(sig[(k + d) % m] == want for d, want in enumerate(shape))
-
-    return {
-        "three_positives": any(win(k, (1, 1, 1)) for k in range(m)),
-        "three_zeros": any(win(k, (0, 0, 0)) for k in range(m)),
-        "pair_into_zeros": any(win(k, (1, 1, 0, 0)) for k in range(m)),
-        "lone_positive_in_zeros": any(win(k, (0, 0, 1, 0, 0)) for k in range(m)),
-    }
+    """Which excluded windows occur anywhere in the 0/1 signature, cyclically."""
+    # Every window starts at a site k < M and ends by k + 4, so the signature
+    # repeated up to M + 4 marks holds each cyclic window as a substring.
+    marks = bytes(sig)
+    ring = (marks * 3)[: len(marks) + 4]
+    return {name: window in ring for name, window in _FLAG_WINDOWS.items()}
 
 
 def isolated_zero_centers(sig: Sequence[int]) -> frozenset[int]:
@@ -214,17 +218,19 @@ class ParityGapSeries:
         self.samples: dict[int, Fraction] = {}
         self.renewal_times: list[int] = []
         self.increments: list[Fraction] = []
-        self._h_at_last_renewal: Fraction | None = None
+        self._d_at_last_renewal: int | None = None
 
     def on_step(self, record: "TrajectoryRecord") -> None:
-        h = parity_gap(record.xi)
+        # H times M as an integer; the Fraction is built only where it is kept.
+        xi = record.xi
+        d = sum(xi[1::2]) - sum(xi[0::2])
         if record.t in self.sample_times:
-            self.samples[record.t] = h
-        if all(x == 0 for x in record.v):
-            if self._h_at_last_renewal is not None:
-                self.increments.append(h - self._h_at_last_renewal)
+            self.samples[record.t] = Fraction(d, self.m)
+        if not any(record.v):
+            if self._d_at_last_renewal is not None:
+                self.increments.append(Fraction(d - self._d_at_last_renewal, self.m))
             self.renewal_times.append(record.t)
-            self._h_at_last_renewal = h
+            self._d_at_last_renewal = d
 
     def report(self) -> dict:
         nonzero = [z for z in self.increments if z != 0]
@@ -243,7 +249,7 @@ class RenewalCounter:
         self.times: list[int] = []
 
     def on_step(self, record: "TrajectoryRecord") -> None:
-        if all(x == 0 for x in record.v):
+        if not any(record.v):
             self.times.append(record.t)
 
     def report(self) -> dict:

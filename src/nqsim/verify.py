@@ -7,7 +7,6 @@ invariant results with first-violation details.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -276,7 +275,7 @@ def suite_appendix(
 
 
 def _random_occupancy(rng: np.random.Generator, m: int, high: int = 20) -> tuple[int, ...]:
-    return tuple(int(x) for x in rng.integers(0, high, size=m))
+    return tuple(rng.integers(0, high, size=m).tolist())
 
 
 def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
@@ -300,7 +299,7 @@ def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
         for _ in range(trials):
             xi = _random_occupancy(rng, size)
             outcome = solvers[kind](potentials(xi, kind))
-            if not (isinstance(outcome, Unique) and outcome.xi == tuple(Fraction(x) for x in xi)):
+            if not (isinstance(outcome, Unique) and outcome.xi == xi):
                 failures += 1
         return InvariantResult(
             f"round-trip-unique-{kind.value}",
@@ -316,7 +315,7 @@ def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
             outcome = solvers[kind](u)
             if not (
                 isinstance(outcome, Family)
-                and potentials(outcome.base, kind) == tuple(map(Fraction, u))
+                and potentials(outcome.base, kind) == u
             ):
                 failures += 1
         return InvariantResult(

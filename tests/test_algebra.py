@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -146,3 +147,96 @@ class TestConditions:
     def test_mod3_rejects_other_m(self):
         with pytest.raises(ValueError):
             mod3_invariant((1, 2, 3, 4))
+
+
+def literal_solve_asym(u):
+    """u_k = xi_k + xi_{k+1} solved entry by entry in Fraction arithmetic."""
+    m = len(u)
+    uf = [Fraction(x) for x in u]
+    if m % 2 == 1:
+        xi = [sum(uf[j] if j % 2 == 0 else -uf[j] for j in range(m)) / 2]
+        for k in range(1, m):
+            xi.append(uf[k - 1] - xi[k - 1])
+        return Unique(tuple(xi))
+    if sum(uf[0::2]) != sum(uf[1::2]):
+        return Infeasible("parity")
+    base = [Fraction(0)]
+    for k in range(1, m):
+        base.append(uf[k - 1] - base[k - 1])
+    return Family(tuple(base), free_parameters=1)
+
+
+def literal_solve_sym(u):
+    """u_k = xi_{k-1} + xi_k + xi_{k+1} solved by propagation and a 2x2 close, in Fractions."""
+    m = len(u)
+    uf = [Fraction(x) for x in u]
+
+    def propagate(xi1, xi2):
+        xi = [xi1, xi2]
+        for k in range(2, m):
+            xi.append(uf[k - 1] - xi[k - 1] - xi[k - 2])
+        return xi
+
+    if m % 3 == 0:
+        sums = [sum(uf[j::3]) for j in range(3)]
+        if not sums[0] == sums[1] == sums[2]:
+            return Infeasible("mod3")
+        return Family(tuple(propagate(Fraction(0), Fraction(0))), free_parameters=2)
+    # xi is affine in (xi_1, xi_2): recover it from three propagations
+    p = propagate(Fraction(0), Fraction(0))
+    a = [x - y for x, y in zip(propagate(Fraction(1), Fraction(0)), p)]
+    b = [x - y for x, y in zip(propagate(Fraction(0), Fraction(1)), p)]
+    # close with equations 1 and M
+    a11, a12, r1 = a[m - 1] + 1, b[m - 1] + 1, uf[0] - p[m - 1]
+    a21, a22, r2 = a[m - 2] + a[m - 1] + 1, b[m - 2] + b[m - 1], uf[m - 1] - p[m - 2] - p[m - 1]
+    det = a11 * a22 - a12 * a21
+    xi1 = (r1 * a22 - r2 * a12) / det
+    xi2 = (a11 * r2 - a21 * r1) / det
+    return Unique(tuple(p[k] + a[k] * xi1 + b[k] * xi2 for k in range(m)))
+
+
+def _fractions(rng, m, max_den):
+    nums, dens = rng.integers(-40, 40, m).tolist(), rng.integers(1, max_den, m).tolist()
+    return [Fraction(n, d) for n, d in zip(nums, dens)]
+
+
+def _inputs(rng, kind, m):
+    """Integer, negative, fractional and float potentials, feasible and just off it."""
+    out = []
+    for _ in range(6):
+        out.append(tuple(rng.integers(0, 30, size=m).tolist()))
+        out.append(tuple(rng.integers(-30, 30, size=m).tolist()))
+        out.append(tuple(_fractions(rng, m, 12)))
+        out.append(tuple(x / 4 for x in rng.integers(-20, 20, size=m).tolist()))
+        out.append(tuple(rng.integers(0, 9, size=m)))  # numpy integers
+        for xi in (rng.integers(-10, 30, size=m).tolist(), _fractions(rng, m, 9)):
+            u = potentials(xi, kind)
+            out.append(u)  # on the solvability boundary
+            k = int(rng.integers(0, m))
+            for delta in (1, -1, Fraction(1, int(rng.integers(2, 50)))):
+                bumped = list(u)
+                bumped[k] += delta  # just off it
+                out.append(tuple(bumped))
+                bumped[(k + 1) % m] += delta  # back on it for even asym M
+                out.append(tuple(bumped))
+    return out
+
+
+SOLVERS = {ASYM: (solve_occupancy_asym, literal_solve_asym), SYM: (solve_occupancy_sym, literal_solve_sym)}
+
+
+@pytest.mark.parametrize("kind, m", [(ASYM, m) for m in range(3, 17)] + [(SYM, m) for m in range(4, 17)])
+def test_solver_matches_literal_fraction_solver(kind, m):
+    solve, literal = SOLVERS[kind]
+    rng = np.random.default_rng(m if kind is ASYM else 100 + m)
+    outcomes = set()
+    for u in _inputs(rng, kind, m):
+        got = solve(u)
+        assert got == literal(u), u
+        outcomes.add(type(got))
+        entries = got.xi if isinstance(got, Unique) else got.base if isinstance(got, Family) else ()
+        assert all(type(x) is Fraction for x in entries)
+    if kind is ASYM:
+        assert outcomes == ({Unique} if m % 2 else {Family, Infeasible})
+    else:
+        assert outcomes == ({Family, Infeasible} if m % 3 == 0 else {Unique})

@@ -282,3 +282,22 @@ class TestExitCodes:
         )
         assert code == 2
         assert "always-fails" in err
+
+    @pytest.mark.parametrize(
+        "module, argv, message",
+        [
+            ("nqsim.verify", ("verify", "--suite", "sym", "--m", "5", "--steps", "10"), "no room"),
+            ("nqsim.verify", ("verify", "--suite", "sym", "--m", "5", "--steps", "10"), ""),
+            ("nqsim.scaling", ("scaling", "--m", "4", "--replicas", "100", "--steps", "1024"), "no room"),
+        ],
+    )
+    def test_out_of_memory_exits_1_without_traceback(self, capsys, monkeypatch, module, argv, message):
+        def out_of_memory(req):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"{module}.run_ensemble", out_of_memory)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        detail = f": {message}" if message else ""
+        assert err == f"nqsim {argv[0]}: error: out of memory{detail}\n"

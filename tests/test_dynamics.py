@@ -259,3 +259,64 @@ class TestRun:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             run(ChainState.empty(4, ASYM), MinRule(), 2**62, RandomStream(0, 0))
+
+
+def literal_site(state, rule, uniform):
+    """The inverse-CDF draw as np.cumsum, the clamp and argmax spell it out."""
+    p = transition_distribution(state, rule)
+    c = np.cumsum(p)
+    c[p.nonzero()[0][-1] :] = 1.0
+    return int(np.argmax(uniform < c))
+
+
+class FixedUniform:
+    """Stands in for a generator whose next variate is known."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def draw_points(state, rule):
+    """0, and every cumulative threshold below 1 together with its predecessor float."""
+    c = np.cumsum(transition_distribution(state, rule))
+    points = {0.0, float(np.nextafter(1.0, 0.0))}
+    for x in c.tolist():
+        if x < 1.0:
+            points.update((x, float(np.nextafter(x, 0.0))))
+    return sorted(points)
+
+
+class TestStepAgainstLiteralDraw:
+    @pytest.mark.parametrize("rule", [MinRule(), MaxRule(), Softmax(0.5), Softmax(1e-300)], ids=repr)
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_site_is_first_cumulative_value_above_the_draw(self, rule, m):
+        rng = np.random.default_rng(1000 + m)
+        kinds = [ASYM, SYM] if m >= 4 else [ASYM]
+        for kind in kinds:
+            for trial in range(8):
+                # trial 0 is the empty ring (one big tie); the rest mix ties and gaps
+                xi = [0] * m if trial == 0 else rng.integers(0, 3 + trial, size=m).tolist()
+                state = ChainState.from_occupancy(xi, kind)
+                for uniform in draw_points(state, rule):
+                    new, site = step(state, rule, FixedUniform(uniform))
+                    expected = literal_site(state, rule, uniform)
+                    assert site == expected + 1, (kind, xi, uniform)
+                    assert new.xi[expected] == state.xi[expected] + 1
+                    assert new.u == potentials(new.xi, kind)
+
+    def test_sample_site_matches_literal_draw_on_sparse_vectors(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            m = int(rng.integers(1, 13))
+            w = rng.random(m) * (rng.random(m) < 0.6)
+            if not w.any():
+                w[rng.integers(0, m)] = 1.0
+            p = w / w.sum()
+            c = np.cumsum(p)
+            c[p.nonzero()[0][-1] :] = 1.0
+            for uniform in [0.0, *c[c < 1.0], *np.nextafter(c[c < 1.0], 0.0), np.nextafter(1.0, 0.0)]:
+                assert sample_site(p.tolist(), float(uniform)) == int(np.argmax(uniform < c))
+                assert sample_site(p, uniform) == int(np.argmax(uniform < c))

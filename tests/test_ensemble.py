@@ -312,3 +312,47 @@ def test_validation_errors():
                 store_level_flags=True,
             )
         )
+
+
+def _flag_result(level_counts, cap, seed):
+    """A hand-made result whose flag buffer has garbage past each replica's levels."""
+    rng = np.random.default_rng(seed)
+    req = EnsembleRequest(m=5, kind=SYM, rule=MinRule(), steps=0, replicas=len(level_counts), seed=0)
+    res = ensemble.EnsembleResult(request=req, t=0, xi=None, u=None)
+    res.level_counts = np.array(level_counts, dtype=np.int64)
+    res.level_flags = rng.integers(0, 16, size=(len(level_counts), cap)).astype(np.uint8)
+    return res
+
+
+def _per_replica_flag_counts(res):
+    counts = []
+    for n, row in zip(res.level_counts.tolist(), res.level_flags):
+        tail = row[n // 2 : n].tolist()
+        counts.append([sum(1 for f in tail if f >> col & 1) for col in range(len(FLAG_NAMES))])
+    return counts
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 40, 2**20])
+def test_final_half_flag_counts_match_per_replica_definition(monkeypatch, block_cells):
+    monkeypatch.setattr(ensemble, "_FLAG_BLOCK_CELLS", block_cells)
+    cap = 13
+    # zero, one, odd, even and full level counts, in mixed order across blocks
+    res = _flag_result([0, 1, 2, 3, 4, 7, 8, 12, 13, 5, 0, 1, 6, 11, 13, 9, 2], cap, seed=block_cells)
+    assert final_half_flag_counts(res).tolist() == _per_replica_flag_counts(res)
+
+
+def test_final_half_flag_counts_peak_memory_follows_block_size(monkeypatch):
+    import tracemalloc
+
+    res = _flag_result(np.random.default_rng(0).integers(0, 4097, 64).tolist(), 4096, seed=1)
+    expected = _per_replica_flag_counts(res)
+    monkeypatch.setattr(ensemble, "_FLAG_BLOCK_CELLS", 4096)
+    tracemalloc.start()
+    try:
+        counts = final_half_flag_counts(res)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == expected
+    # the whole (R, cap) buffer is 256 KiB; one block's masks stay far below it
+    assert peak < res.level_flags.nbytes // 4

@@ -226,3 +226,42 @@ class TestDetectConvergence:
             assert verdict is not None
             assert verdict.mode == mode
             assert verdict.matched is None
+
+
+def literal_window_flags(sig):
+    """The excluded-window flags as a window-by-window scan of the ring."""
+    m = len(sig)
+
+    def win(k, shape):
+        return all(sig[(k + d) % m] == want for d, want in enumerate(shape))
+
+    return {
+        "three_positives": any(win(k, (1, 1, 1)) for k in range(m)),
+        "three_zeros": any(win(k, (0, 0, 0)) for k in range(m)),
+        "pair_into_zeros": any(win(k, (1, 1, 0, 0)) for k in range(m)),
+        "lone_positive_in_zeros": any(win(k, (0, 0, 1, 0, 0)) for k in range(m)),
+    }
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_window_flags_match_literal_scan_on_every_signature(m):
+    for sig in product((0, 1), repeat=m):
+        assert _window_flags(sig) == literal_window_flags(sig), sig
+
+
+@pytest.mark.parametrize(
+    "m, init, seed", [(4, None, 3), (6, None, 4), (8, None, 5), (6, (3, 0, 1, 0, 2, 5), 6)]
+)
+def test_parity_gap_series_matches_parity_gap_at_every_step(m, init, seed):
+    steps = 3000
+    start = ChainState.empty(m, ASYM) if init is None else ChainState.from_occupancy(init, ASYM)
+    series = ParityGapSeries(m, sample_times=range(0, steps + 1, 7))
+    records = run(start, MinRule(), steps, RandomStream(seed, 0), [series], sample_every=1).records
+    assert series.samples == {rec.t: parity_gap(rec.xi) for rec in records if rec.t % 7 == 0}
+    renewals = [rec for rec in records if all(x == 0 for x in rec.v)]
+    assert series.renewal_times == [rec.t for rec in renewals]
+    assert len(renewals) >= 10
+    assert series.increments == [
+        parity_gap(b.xi) - parity_gap(a.xi) for a, b in zip(renewals, renewals[1:])
+    ]
+    assert all(type(h) is Fraction for h in [*series.samples.values(), *series.increments])
