@@ -2,7 +2,8 @@
 
 Every command is a deterministic function of its flags and seed; repeated
 invocations write byte-identical files.  Exit codes: 0 success, 1 usage or
-configuration error or out of memory, 2 invariant violation, 3 I/O error.
+configuration error, out of memory or (scaling only) scipy missing, 2 invariant
+violation, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -427,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"nqsim {args.command}: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ImportError as exc:  # scipy, for the sign test of `scaling`
+        print(f"nqsim {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"nqsim {args.command}: error: out of memory{detail}", file=sys.stderr)

@@ -67,6 +67,11 @@ _ISOLATED_ZERO = (1, 0, 1)  # Q counts these (centred on k + 1)
 _DOUBLE = (0, 1, 1, 0)  # W counts these
 _WINDOW = 5  # sites per window code; the longest shape
 _FLAG_BLOCK_CELLS = 2**20  # flag entries per row block in final_half_flag_counts
+# Uniforms per (R, steps) block drawn ahead of the lock-steps: 4 MiB of float64.
+# Unbounded, the block grows with R (31 MiB at R = 1000 and 4096 steps).  Once
+# such a block is freed, glibc raises its mmap threshold, so the next one comes
+# from the brk heap, where later small allocations pin it and the peak RSS grows.
+_UNIF_BLOCK_CELLS = 2**19
 
 
 def _window_table(shape: tuple[int, ...]) -> np.ndarray:
@@ -341,7 +346,9 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     gens = [RandomStream(req.seed, r).generator() for r in range(R)]
     done = 0
     while done < T:
-        csize = min(req.chunk_steps, T - done)
+        # Philox gives one double per draw, so how the steps are split into
+        # blocks changes no draw.
+        csize = min(req.chunk_steps, T - done, max(1, _UNIF_BLOCK_CELLS // R))
         unif = np.empty((R, csize))
         for r in range(R):
             unif[r] = gens[r].random(csize)

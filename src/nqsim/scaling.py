@@ -4,7 +4,9 @@ For even-M asymmetric chains the parity gap H(t) behaves like a diffusion:
 its variance across independent replicas grows linearly in t and its terminal
 law is Gaussian.  `estimate_sigma` fits Var H(t) = sigma^2 t through the
 origin and runs a KS normality check on the rescaled terminal values; sigma
-is estimated, never asserted against a reference value.
+is estimated, never asserted against a reference value.  The KS p-value comes
+from the exact Kolmogorov distribution of D_n (`kolmogorov_cdf`), computed
+here in numpy; scipy is imported only by the sign test, `zeta_sign_test`.
 
 Under the max-potential rule the chain freezes: eventually all arrivals land
 on one site, or alternate between one adjacent pair with asymptotic shares
@@ -18,13 +20,19 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .dynamics import AllocationRule, ChainState, MaxRule, MinRule, transition_distribution
 from .ensemble import EnsembleRequest, EnsembleResult, run_ensemble
 from .ring import Neighborhood
 
 MIN_REPLICAS_FOR_KS = 100
+# n * d^2 from which P(D_n < d) rounds to 1.0: Massart's bound
+# P(D_n >= d) <= 2 exp(-2 n d^2) falls below 2^-54, half an ulp under 1.
+_KS_ROUNDS_TO_ONE = 19.1
+# In the right tail (n d^2 > 3.76) the exact matrix power runs up to
+# k = floor(n d) + 1 = 301, a 601-row matrix (about 0.5 s); beyond it
+# kolmogorov_cdf uses the tail formula.
+_KS_EXACT_MAX_K = 301
 
 
 @dataclass(frozen=True)
@@ -111,8 +119,8 @@ def estimate_sigma(
     else:
         t_max = checkpoints[-1]
         z = result.h_checkpoints[t_max] / (sigma * math.sqrt(t_max))
-        ks = stats.kstest(z, "norm")
-        ks_stat, ks_p = float(ks.statistic), float(ks.pvalue)
+        ks_stat = ks_statistic(z)
+        ks_p = 1.0 - kolmogorov_cdf(len(z), ks_stat)
     estimate = SigmaEstimate(
         sigma_hat=sigma,
         points=points,
@@ -126,11 +134,98 @@ def estimate_sigma(
     return estimate, result
 
 
+def ks_statistic(z: Sequence[float]) -> float:
+    """Two-sided KS distance of the sample z from the standard normal law."""
+    x = np.sort(np.asarray(z, dtype=np.float64))
+    n = len(x)
+    root2 = math.sqrt(2.0)
+    cdf = np.array([0.5 * math.erfc(-v / root2) for v in x.tolist()])
+    d_plus = (np.arange(1, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(n) / n).max()
+    return float(max(d_plus, d_minus))
+
+
+def _normalised(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a = b * 2**e with max |b| in [1/2, 1); scaling by a power of 2 is exact."""
+    _, e = math.frexp(float(np.abs(a).max()))
+    return np.ldexp(a, -e), e
+
+
+def _matrix_power(a: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """a**n as (b, e) with a**n = b * 2**e, by repeated squaring (n >= 1)."""
+    result, e_result = None, 0
+    base, e_base = a, 0
+    while True:
+        if n & 1:
+            if result is None:
+                result, e_result = base, e_base
+            else:
+                result, e = _normalised(result @ base)
+                e_result += e_base + e
+        n >>= 1
+        if not n:
+            return result, e_result
+        base, e = _normalised(base @ base)
+        e_base = 2 * e_base + e
+
+
+def kolmogorov_cdf(n: int, d: float) -> float:
+    """P(D_n < d) for the two-sided KS statistic of n samples from a continuous law.
+
+    Marsaglia, Tsang & Wang, "Evaluating Kolmogorov's distribution" (J. Stat.
+    Softw. 8(18), 2003): the probability is n!/n^n times an entry of H^n,
+    where H is a (2k-1)-square matrix, k = floor(n d) + 1.  The power is taken
+    by repeated squaring with the binary exponent carried separately, so it
+    neither overflows nor underflows.  The cost is O(k^3 log n).  Where the
+    matrix would pass 601 rows and n d^2 > 3.76 (only for n above 4 700), the
+    paper's right-tail formula is used instead, good to about 7 digits.
+    """
+    if n < 1:
+        raise ValueError(f"the KS distribution needs n >= 1, got {n}")
+    if d <= 0.5 / n:
+        return 0.0  # D_n >= 1/(2n) always
+    s = n * d * d
+    if d >= 1.0 or s >= _KS_ROUNDS_TO_ONE:
+        return 1.0
+    k = int(n * d) + 1
+    if k > _KS_EXACT_MAX_K and s > 3.76:
+        return 1.0 - 2.0 * math.exp(-(2.000071 + 0.331 / math.sqrt(n) + 1.409 / n) * s)
+    m = 2 * k - 1
+    h = k - n * d
+    i, j = np.indices((m, m))
+    g = i - j + 1
+    H = (g >= 0).astype(np.float64)
+    h_powers = h ** np.arange(1, m + 1)
+    H[:, 0] -= h_powers
+    H[-1, :] -= h_powers[::-1]
+    if 2 * h > 1:
+        H[-1, 0] += (2 * h - 1) ** m
+    inv_factorial = np.ones(m + 1)
+    for q in range(1, m + 1):
+        inv_factorial[q] = inv_factorial[q - 1] / q
+    H *= inv_factorial[np.clip(g, 0, m)]  # entry (i, j) over (i - j + 1)!
+    Q, e = _matrix_power(H, n)
+    p = float(Q[k - 1, k - 1])
+    for q in range(1, n + 1):  # times n!/n^n, rescaled as it shrinks
+        p = p * q / n
+        if p < 2.0**-500:
+            p, e = math.ldexp(p, 500), e - 500
+    return min(1.0, math.ldexp(p, e))  # rounding can lift a value near 1 past it
+
+
 def zeta_sign_test(positive: int, negative: int) -> float:
-    """Two-sided sign-test p-value for symmetry of the renewal increments."""
+    """Two-sided sign-test p-value for symmetry of the renewal increments.
+
+    The p-value is scipy's `binomtest`, imported here and nowhere else in
+    nqsim: the golden `scaling` output pins its bits.
+    """
     n = positive + negative
     if n == 0:
         return 1.0
+    try:
+        from scipy import stats
+    except ImportError as exc:
+        raise ImportError(f"the zeta sign test needs scipy (scipy.stats.binomtest): {exc}") from exc
     return float(stats.binomtest(positive, n, 0.5).pvalue)
 
 

@@ -3,7 +3,10 @@
 Every command runs in-process through `nqsim.cli.main` and must exit 0.  The
 hashes pin the deterministic contract end to end: the same flags and seed give
 byte-identical files, across refactors of the engine and the front end.  The
-scaling output is hashed without `ks_stat`/`ks_p`, which come from scipy.
+scaling output is hashed without `ks_stat`/`ks_p`.  nqsim computes both itself
+(`scaling.ks_statistic`, `scaling.kolmogorov_cdf`), but their last bits follow
+the platform's `math.erfc` and BLAS, so they stay out of the hash;
+`sign_test_p`, from scipy's `binomtest`, is pinned.
 """
 import hashlib
 import json

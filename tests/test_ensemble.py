@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,76 @@ def test_sites_match_single_chain_when_chunks_do_not_divide_steps():
     for r in range(2):
         out = run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r), sample_every=1)
         assert res.sites[r].tolist() == [rec.site for rec in out.records[1:]]
+
+
+class _RecordingStream:
+    """RandomStream whose generator records the size of every block it draws."""
+
+    sizes: list = []
+
+    def __init__(self, seed: int, stream: int):
+        self.gen = RandomStream(seed, stream).generator()
+
+    def generator(self):
+        return self
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.gen.random(size)
+
+
+def _same_result(a, b) -> bool:
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "h_checkpoints":
+            if x.keys() != y.keys() or not all(np.array_equal(x[t], y[t]) for t in x):
+                return False
+        elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not (isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and np.array_equal(x, y)):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("block_cells", [1, 7])
+@pytest.mark.parametrize("kind", [ASYM, SYM])
+@pytest.mark.parametrize("rule", [MinRule(), MaxRule(), Softmax(0.5)], ids=str)
+def test_uniform_blocks_change_no_result(monkeypatch, kind, rule, block_cells):
+    # The default run draws all 301 steps in one block; with block_cells // R
+    # steps per block (1 or 2 at R = 3) every block is split.  Philox gives one
+    # double per draw, so each replica's draws and every tracked output must
+    # be unchanged.
+    req = EnsembleRequest(
+        m=6, kind=kind, rule=rule, steps=301, replicas=3, seed=99, h_checkpoints=(1, 150, 301),
+        track_levels=True, store_level_flags=True, track_renewals=True, check_parity=True,
+        check_comb_final_half=True, check_residual_final_half=True, record_sites=True,
+    )
+    monkeypatch.setattr(ensemble, "RandomStream", _RecordingStream)
+    monkeypatch.setattr(_RecordingStream, "sizes", [])
+    whole = run_ensemble(req)
+    assert _RecordingStream.sizes == [301] * 3
+    monkeypatch.setattr(ensemble, "_UNIF_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(_RecordingStream, "sizes", [])
+    split = run_ensemble(req)
+    per_block = max(1, block_cells // 3)
+    assert max(_RecordingStream.sizes) == per_block and sum(_RecordingStream.sizes) == 3 * 301
+    assert _same_result(whole, split)
+
+
+def test_uniform_block_bounds_peak_memory():
+    import tracemalloc
+
+    # One (R, 4096) float64 block at R = 1000 would alone be 31.25 MiB.
+    bound = 16 * 2**20
+    req = EnsembleRequest(m=8, kind=ASYM, rule=MinRule(), steps=4096, replicas=1000, seed=3)
+    tracemalloc.start()
+    try:
+        run_ensemble(req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 class _FixedUniforms:

@@ -1,0 +1,105 @@
+"""Which commands need scipy.
+
+scipy is imported only by `scaling.zeta_sign_test`.  Each check runs a fresh
+interpreter, some with `sys.modules["scipy"] = None`, which makes every
+`import scipy` fail as if scipy were not installed; nothing is uninstalled.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import nqsim
+from nqsim.cli import main
+
+SRC = str(Path(nqsim.__file__).resolve().parents[1])
+BLOCK_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
+
+# Every command but scaling, with the outputs it writes.
+COMMANDS = [
+    ("simulate", "--m", "5", "--neighborhood", "sym", "--steps", "2000", "--seed", "11",
+     "--trajectory", "{dir}/sim-sym.jsonl", "--out", "{dir}/sim-sym.json"),
+    ("simulate", "--m", "6", "--neighborhood", "asym", "--steps", "2000", "--seed", "12",
+     "--trajectory", "{dir}/sim-asym.jsonl", "--out", "{dir}/sim-asym.json"),
+    ("enumerate", "--m", "8", "--format", "json", "--out", "{dir}/enum-m8.json"),
+    ("enumerate", "--m", "13", "--counts", "--out", "{dir}/enum-m13.txt"),
+    ("verify", "--suite", "asym-odd", "--m", "5", "--replicas", "20", "--steps", "2000",
+     "--seed", "1", "--out", "{dir}/asym-odd.json"),
+    ("verify", "--suite", "asym-even", "--m", "6", "--replicas", "20", "--steps", "2000",
+     "--seed", "2", "--out", "{dir}/asym-even.json"),
+    ("verify", "--suite", "sym", "--m", "5", "--replicas", "20", "--steps", "4000",
+     "--seed", "3", "--out", "{dir}/sym.json"),
+    ("verify", "--suite", "appendix", "--m", "6", "--neighborhood", "sym", "--replicas", "20",
+     "--steps", "2000", "--seed", "4", "--out", "{dir}/appendix-sym.json"),
+    ("verify", "--suite", "appendix", "--m", "5", "--neighborhood", "asym", "--replicas", "20",
+     "--steps", "2000", "--seed", "5", "--out", "{dir}/appendix-asym.json"),
+    ("verify", "--suite", "algebra", "--m", "7", "--trials", "50", "--seed", "6",
+     "--out", "{dir}/algebra.json"),
+]
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def _argvs(directory: Path) -> list[list[str]]:
+    return [[a.format(dir=directory) for a in cmd] for cmd in COMMANDS]
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = _python(
+        "import sys, nqsim.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_only_the_sign_test_imports_scipy():
+    proc = _python(
+        "import sys\n"
+        "from nqsim.scaling import estimate_sigma, zeta_sign_test\n"
+        "est, _ = estimate_sigma(4, 128, (256, 512, 1024), seed=5)\n"
+        "print(est.ks_p is not None, 'scipy' in sys.modules)\n"
+        "zeta_sign_test(30, 20)\n"
+        "print('scipy.stats' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "True"]
+
+
+def test_commands_without_scipy_write_the_same_bytes(tmp_path, capsys):
+    blocked, plain = tmp_path / "blocked", tmp_path / "plain"
+    blocked.mkdir()
+    plain.mkdir()
+    proc = _python(
+        BLOCK_SCIPY + "import json\nfrom nqsim.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))",
+        json.dumps(_argvs(blocked)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(COMMANDS)
+    assert [main(argv) for argv in _argvs(plain)] == [0] * len(COMMANDS), capsys.readouterr().err
+    names = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in blocked.iterdir()) == names
+    for name in names:
+        assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_scaling_without_scipy_exits_1_with_one_line(tmp_path):
+    out = tmp_path / "scaling.json"
+    proc = _python(
+        BLOCK_SCIPY + "from nqsim.cli import main\n"
+        f"sys.exit(main(['scaling', '--m', '4', '--replicas', '100', '--steps', '1024', "
+        f"'--out', {str(out)!r}]))"
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nqsim scaling: error: ")
+    assert "scipy" in lines[0]
+    assert not out.exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run, transition_distribution
 from nqsim.ring import Neighborhood
@@ -12,6 +13,8 @@ from nqsim.scaling import (
     fit_variance_line,
     freeze_window,
     kernel_limit_check,
+    kolmogorov_cdf,
+    ks_statistic,
     potential_gap,
     total_variation,
     zeta_sign_test,
@@ -46,7 +49,8 @@ class TestEstimateSigma:
 
     def test_ks_runs_with_enough_replicas(self):
         est, _ = estimate_sigma(4, 128, (256, 512, 1024), seed=5)
-        assert est.ks_p is not None
+        assert type(est.ks_p) is float and type(est.ks_stat) is float
+        assert 0.0 <= est.ks_p <= 1.0
 
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError):
@@ -63,6 +67,82 @@ class TestEstimateSigma:
         h = ens.h_checkpoints[512]
         perm = np.random.default_rng(0).permutation(len(h))
         assert float(h[perm].var(ddof=1)) == pytest.approx(float(h.var(ddof=1)))
+
+
+def _ks_grid(n: int, points: int) -> np.ndarray:
+    """KS distances over the support (1/(2n), 1], evenly spaced and random."""
+    rng = np.random.default_rng(n)
+    return np.concatenate([np.linspace(0.5 / n, 1.0, points), rng.uniform(0.5 / n, 1.0, points)])
+
+
+class TestKolmogorovDistribution:
+    # scipy stays installed for the tests and serves as the oracle here.
+
+    def test_one_sample_closed_form(self):
+        # D_1 = max(U, 1 - U), so P(D_1 < d) = 2d - 1 on [1/2, 1]
+        for d in np.linspace(0.5, 1.0, 41):
+            assert kolmogorov_cdf(1, float(d)) == pytest.approx(2 * d - 1, rel=1e-14, abs=1e-15)
+        assert kolmogorov_cdf(1, 0.3) == 0.0
+        assert kolmogorov_cdf(1, 1.5) == 1.0
+
+    def test_support_ends(self):
+        for n in (1, 7, 100, 1000):
+            assert kolmogorov_cdf(n, 0.5 / n) == 0.0
+            assert kolmogorov_cdf(n, 1.0) == 1.0
+
+    def test_matches_kstwo_for_small_n(self):
+        for n in range(1, 141):
+            d = _ks_grid(n, 12)
+            ref = stats.kstwo.cdf(d, n)
+            got = np.array([kolmogorov_cdf(n, float(x)) for x in d])
+            keep = ref > 1e-8
+            assert np.all(np.abs(got[keep] - ref[keep]) <= 1e-10 * ref[keep]), n
+
+    @pytest.mark.parametrize("n", [500, 1000, 5000])
+    def test_matches_kstwo_for_large_n(self, n):
+        d = _ks_grid(n, 40)
+        ref = stats.kstwo.cdf(d, n)
+        got = np.array([kolmogorov_cdf(n, float(x)) for x in d])
+        assert np.abs(got - ref).max() <= 1e-5
+
+    def test_matches_40_digit_values(self):
+        # The same matrix method in mpmath at 40 digits, on the same float d.
+        assert kolmogorov_cdf(200, 0.07) == pytest.approx(0.73176607911192856244, rel=1e-13)
+        # criterion 08's KS distance (seed 31337, R = 1000)
+        d = 0.021366041699830474
+        assert kolmogorov_cdf(1000, d) == pytest.approx(0.25714597265324229552, rel=1e-13)
+        assert 1.0 - kolmogorov_cdf(1000, d) == pytest.approx(0.74285402734675770448, rel=1e-13)
+        # a right-tail p-value, n d^2 = 3.6
+        assert 1.0 - kolmogorov_cdf(1000, 0.06) == pytest.approx(0.0014285978874661185726, rel=1e-10)
+
+    def test_monotone_in_d(self):
+        for n in (3, 50, 141, 1000):
+            d = np.linspace(0.5 / n, 1.0, 200)
+            cdf = [kolmogorov_cdf(n, float(x)) for x in d]
+            assert all(a <= b for a, b in zip(cdf, cdf[1:])), n
+
+    def test_statistic_matches_kstest(self):
+        # The two differ only through the normal CDF (math.erfc against
+        # scipy's ndtr), by an ulp of a CDF value, not of the distance.
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 10, 100, 1000, 3000):
+            for _ in range(5):
+                z = rng.standard_normal(n) * rng.uniform(0.5, 2.0) + rng.uniform(-1.0, 1.0)
+                ref = stats.kstest(z, "norm").statistic
+                assert abs(ks_statistic(z) - ref) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [100, 200, 500, 1000])
+    def test_p_value_matches_kstest(self, n):
+        # Beyond n = 140 scipy's kstwo is itself an approximation: against a
+        # 40-digit evaluation of the same matrix method its p-values are off
+        # by up to 1.2e-5 relative at n = 200 and 500, these by at most 1.1e-8.
+        rel = 1e-9 if n <= 140 else 1e-4
+        rng = np.random.default_rng(n)
+        for scale in (1.0, 1.1, 1.25, 1.4):
+            z = rng.standard_normal(n) * scale
+            ref = stats.kstest(z, "norm").pvalue
+            got = 1.0 - kolmogorov_cdf(n, ks_statistic(z))
+            assert got == pytest.approx(ref, rel=rel, abs=1e-12)
 
 
 class TestZetaDiagnostics:
