@@ -8,6 +8,7 @@ violation, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -29,7 +30,9 @@ from .observers import (
     pattern_str,
 )
 from .ring import Neighborhood
-from .scaling import MIN_REPLICAS_FOR_KS, estimate_sigma, zeta_sign_test, zeta_tail_check
+from .scaling import (
+    MIN_REPLICAS_FOR_KS, SCIPY_MISSING, estimate_sigma, zeta_sign_test, zeta_tail_check,
+)
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -65,13 +68,10 @@ class ExperimentConfig:
     rule: str | None = None
     beta: float | None = None
     steps: int | None = None
-    replicas: int | None = None
     seed: int = 0
     stream: int = 0
     init: str | None = None
     sample_every: int | None = None
-    suite: str | None = None
-    trials: int | None = None
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -116,13 +116,16 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump_json(payload: dict, path: str | None) -> None:
+    _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
 
 
 def _parse_init(text: str, m: int) -> tuple[int, ...]:
@@ -293,14 +296,6 @@ def cmd_enumerate(args, config_file) -> int:
     return EXIT_OK
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_verify(args, config_file) -> int:
     suite = args.suite
     m = _resolve(args, "m", config_file)
@@ -342,6 +337,8 @@ def cmd_scaling(args, config_file) -> int:
     while t <= steps:
         checkpoints.append(t)
         t *= 2
+    if importlib.util.find_spec("scipy") is None:  # fail before the ensemble, not after it
+        raise ImportError(SCIPY_MISSING)
     estimate, ensemble = estimate_sigma(m, replicas, checkpoints, seed)
     sign_p = zeta_sign_test(ensemble.zeta_positive, ensemble.zeta_negative)
     tail_ok, tail_ratios = zeta_tail_check(ensemble.zeta_tail.tolist())

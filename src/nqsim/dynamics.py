@@ -136,8 +136,6 @@ def _distribution(u: Sequence[int], rule: AllocationRule) -> list[float]:
         p = 1.0 / u.count(extreme)
         return [p if x == extreme else 0.0 for x in u]
     beta = rule.beta
-    if beta == 1.0:
-        return [1.0 / len(u)] * len(u)
     u = np.asarray(u, dtype=np.int64)
     anchor = u.min() if beta < 1.0 else u.max()
     with np.errstate(over="raise"):
@@ -206,7 +204,6 @@ def step(
 class RunResult:
     final: ChainState
     records: list[TrajectoryRecord]
-    reports: dict[str, dict]
 
 
 def run(
@@ -256,9 +253,4 @@ def run(
         last_m = state.min_potential
         if state.t % sample_every == 0 or k == steps - 1 or (include_level_steps and opened):
             records.append(rec)
-
-    reports = {}
-    for obs in observers:
-        if hasattr(obs, "report"):
-            reports[type(obs).__name__] = obs.report()
-    return RunResult(final=state, records=records, reports=reports)
+    return RunResult(final=state, records=records)

@@ -31,7 +31,11 @@ The engine optionally tracks, fully vectorised:
     matrix), and 32-entry tables give the isolated zeros, the doubles and the
     excluded windows it starts.  Statistics are computed for all replicas and
     recorded where a level opened.  Signatures and the required isolated-zero
-    centres are (M, R) boolean patterns, exact at any M,
+    centres are (M, R) boolean patterns, exact at any M.  Excluded windows
+    are kept as last-occurrence indices: for each window and replica, the
+    index of the last level carrying it (-1 if none).  A level of the final
+    half carries the window exactly when that index is >= level_count // 2,
+    so no per-level record is needed,
   * renewal times (reduced potential identically zero) and the parity-gap
     increments between them,
   * the even/odd potential-sum identity each step,
@@ -66,7 +70,6 @@ FLAG_NAMES = tuple(_FLAG_SHAPES)  # level flag column order everywhere
 _ISOLATED_ZERO = (1, 0, 1)  # Q counts these (centred on k + 1)
 _DOUBLE = (0, 1, 1, 0)  # W counts these
 _WINDOW = 5  # sites per window code; the longest shape
-_FLAG_BLOCK_CELLS = 2**20  # flag entries per row block in final_half_flag_counts
 # Uniforms per (R, steps) block drawn ahead of the lock-steps: 4 MiB of float64.
 # Unbounded, the block grows with R (31 MiB at R = 1000 and 4096 steps).  Once
 # such a block is freed, glibc raises its mmap threshold, so the next one comes
@@ -149,7 +152,9 @@ class EnsembleResult:
     persistence_violations: np.ndarray | None = None
     run_length: np.ndarray | None = None
     run_started_level: np.ndarray | None = None
-    level_flags: np.ndarray | None = None  # (R, cap) uint8, valid up to level_counts
+    # (R, len(FLAG_NAMES)): some level in the final half (index >= level_counts // 2)
+    # carries the window; None unless store_level_flags
+    final_half_flags: np.ndarray | None = None
     # renewals
     renewal_counts: np.ndarray | None = None
     zeta_positive: int = 0
@@ -227,16 +232,15 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         cur_sig = np.zeros((m, R), dtype=bool)
         run_len = np.zeros(R, dtype=np.int64)
         run_start = np.zeros(R, dtype=np.int64)
-        flags_buf = None
-        if req.store_level_flags:
-            cap = req.kind.window * (sum(init) + T) // m + 2
-            flags_buf = np.zeros((R, cap), dtype=np.uint8)
+        # last_flag[i, r]: index of replica r's last level carrying FLAG_NAMES[i], -1 if none
+        last_flag = np.full((len(FLAG_NAMES), R), -1, dtype=np.int64)
+        flag_bit = (1 << np.arange(len(FLAG_NAMES), dtype=np.uint8))[:, None]
 
         def open_levels(opened: np.ndarray, t: int, m_new: np.ndarray) -> None:
             nonlocal stat_viol, persist_viol, required_centers, cur_sig, run_len, level_counts
             # Statistics are computed for every replica and recorded where `opened`.
             pos, stats, centers, flag_bits = _level_statistics(
-                u, m_new, req.kind.window * (sum(init) + t), window_code, flags_buf is not None
+                u, m_new, req.kind.window * (sum(init) + t), window_code, req.store_level_flags
             )
             bad = opened & ((stats - prev_stats) * worse > 0)
             stat_viol += bad
@@ -246,9 +250,8 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             required_centers |= centers & opened
             np.copyto(prev_stats, stats, where=opened)
 
-            if flags_buf is not None:
-                idx = np.flatnonzero(opened)
-                flags_buf[idx, level_counts[idx]] = flag_bits[idx]
+            if req.store_level_flags:
+                np.copyto(last_flag, level_counts, where=opened & ((flag_bits & flag_bit) > 0))
 
             # a level whose signature differs from the current one starts a new run
             changed = (cur_sig ^ pos) & opened
@@ -324,12 +327,6 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             mask = u == (m_cur if is_min else u.max(axis=0))
             c = thr_flat.take((table_index @ mask).astype(np.intp))
             return (c <= U).sum(axis=0)
-    elif beta == 1.0:
-        uniform_c = np.cumsum(np.full(m, 1.0 / m))
-        uniform_c[-1] = 1.0
-
-        def draw(U: np.ndarray) -> np.ndarray:
-            return np.searchsorted(uniform_c, U, side="right")
     else:
         rows = np.arange(m)[:, None]
 
@@ -398,7 +395,8 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         result.persistence_violations = persist_viol
         result.run_length = run_len
         result.run_started_level = run_start
-        result.level_flags = flags_buf
+        if req.store_level_flags:
+            result.final_half_flags = (last_flag >= level_counts // 2).T
     if req.track_renewals:
         result.renewal_counts = renew_count
         result.zeta_positive = zeta_pos
@@ -418,27 +416,3 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     result.sites = sites_buf
     return result
 
-
-def final_half_flag_counts(result: EnsembleResult) -> np.ndarray:
-    """Per-replica count of levels in the final half carrying each excluded window.
-
-    Requires store_level_flags.  The final half of replica r is the levels
-    with index >= level_counts[r] // 2.  Replicas are counted in row blocks of
-    about _FLAG_BLOCK_CELLS flag entries, so the masks never span the whole
-    (R, cap) buffer (cap is about 1.2e5 levels at T = 2e5).
-    """
-    if result.level_flags is None or result.level_counts is None:
-        raise ValueError("run was not tracked with store_level_flags")
-    flags, n = result.level_flags, result.level_counts
-    R, cap = flags.shape
-    rows = max(1, _FLAG_BLOCK_CELLS // cap)
-    counts = np.zeros((R, len(FLAG_NAMES)), dtype=np.int64)
-    for lo in range(0, R, rows):
-        nb = n[lo : lo + rows, None]
-        # only the columns some replica of the block counts
-        c0, c1 = int((nb // 2).min()), int(nb.max())
-        cols = np.arange(c0, c1)
-        tail = np.where((cols >= nb // 2) & (cols < nb), flags[lo : lo + rows, c0:c1], 0)
-        for col in range(len(FLAG_NAMES)):
-            counts[lo : lo + rows, col] = np.count_nonzero(tail & (1 << col), axis=1)
-    return counts

@@ -26,6 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import TrajectoryRecord
     from .limits import LimitConfiguration
 
+# Convergence defaults: agreeing level signatures that make a chain stable, and
+# the L-infinity distance within which its fractions match a limit.
+STABILITY_WINDOW = 25
+MATCH_TOLERANCE = 0.02
+
 
 def stat_S(v: Sequence[int]) -> int:
     """Sum of entries >= 2 (entries 0 or 1 contribute nothing)."""
@@ -270,7 +275,7 @@ class ConvergenceVerdict:
 def match_limit(
     empirical: Sequence[float],
     limits: Sequence["LimitConfiguration"],
-    tolerance: float = 0.02,
+    tolerance: float = MATCH_TOLERANCE,
 ) -> tuple["LimitConfiguration | None", float | None]:
     """Closest enumerated configuration in L-infinity, if within tolerance."""
     best = None
@@ -289,8 +294,8 @@ def detect_convergence(
     xi: Sequence[int],
     t: int,
     limits: Sequence["LimitConfiguration"] | None = None,
-    stability_window: int = 25,
-    match_tolerance: float = 0.02,
+    stability_window: int = STABILITY_WINDOW,
+    match_tolerance: float = MATCH_TOLERANCE,
 ) -> ConvergenceVerdict | None:
     """Convergence verdict, or None while the signature is still unstable.
 

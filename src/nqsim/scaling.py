@@ -21,11 +21,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import AllocationRule, ChainState, MaxRule, MinRule, transition_distribution
+from .dynamics import ChainState, MaxRule, MinRule, transition_distribution
 from .ensemble import EnsembleRequest, EnsembleResult, run_ensemble
 from .ring import Neighborhood
 
 MIN_REPLICAS_FOR_KS = 100
+SCIPY_MISSING = "the zeta sign test needs scipy (scipy.stats.binomtest)"
+# zeta_tail_check: the largest accepted ratio of successive tails, and the
+# smallest tail it judges
+TAIL_RATIO = 0.95
+TAIL_MIN_COUNT = 100
 # n * d^2 from which P(D_n < d) rounds to 1.0: Massart's bound
 # P(D_n >= d) <= 2 exp(-2 n d^2) falls below 2^-54, half an ulp under 1.
 _KS_ROUNDS_TO_ONE = 19.1
@@ -75,15 +80,14 @@ def estimate_sigma(
     replicas: int,
     checkpoints: Sequence[int],
     seed: int,
-    rule: AllocationRule = MinRule(),
-    min_replicas_for_ks: int = MIN_REPLICAS_FOR_KS,
 ) -> tuple[SigmaEstimate, EnsembleResult]:
     """Diffusivity estimate for the parity gap of an asymmetric even-M chain.
 
-    Runs `replicas` independent chains, records H(t) at the checkpoints, fits
-    the variances linearly through the origin and (given enough replicas)
-    KS-tests the rescaled terminal H against a standard normal.  Renewal
-    increments are tracked alongside for the symmetry/tail diagnostics.
+    Runs `replicas` independent min-rule chains, records H(t) at the
+    checkpoints, fits the variances linearly through the origin and (given at
+    least MIN_REPLICAS_FOR_KS replicas) KS-tests the rescaled terminal H
+    against a standard normal.  Renewal increments are tracked alongside for
+    the symmetry/tail diagnostics.
     """
     if m % 2 != 0:
         raise ValueError(f"the parity gap scales diffusively only for even M, got M={m}")
@@ -96,7 +100,7 @@ def estimate_sigma(
         EnsembleRequest(
             m=m,
             kind=Neighborhood.ASYMMETRIC,
-            rule=rule,
+            rule=MinRule(),
             steps=checkpoints[-1],
             replicas=replicas,
             seed=seed,
@@ -112,8 +116,8 @@ def estimate_sigma(
 
     ks_stat = ks_p = None
     skipped = None
-    if replicas < min_replicas_for_ks:
-        skipped = f"replicas {replicas} below minimum {min_replicas_for_ks}"
+    if replicas < MIN_REPLICAS_FOR_KS:
+        skipped = f"replicas {replicas} below minimum {MIN_REPLICAS_FOR_KS}"
     elif sigma == 0:
         skipped = "degenerate variance fit"
     else:
@@ -225,26 +229,25 @@ def zeta_sign_test(positive: int, negative: int) -> float:
     try:
         from scipy import stats
     except ImportError as exc:
-        raise ImportError(f"the zeta sign test needs scipy (scipy.stats.binomtest): {exc}") from exc
+        raise ImportError(f"{SCIPY_MISSING}: {exc}") from exc
     return float(stats.binomtest(positive, n, 0.5).pvalue)
 
 
-def zeta_tail_check(
-    tail_counts: Sequence[int], ratio: float = 0.95, min_count: int = 100
-) -> tuple[bool, list[float]]:
+def zeta_tail_check(tail_counts: Sequence[int]) -> tuple[bool, list[float]]:
     """Geometric-decay sanity check on P(|zeta| > c), c = 1..10.
 
     tail_counts[c] counts increments with |zeta| > c.  Decay is accepted when
-    each successive tail is at most `ratio` times the previous one; tails with
-    fewer than `min_count` samples are too thin to judge and pass by default.
+    each successive tail is at most TAIL_RATIO times the previous one; tails
+    with fewer than TAIL_MIN_COUNT samples are too thin to judge and pass by
+    default.
     """
     ratios = []
     ok = True
     for c in range(1, len(tail_counts) - 1):
         cur, nxt = tail_counts[c], tail_counts[c + 1]
-        if cur >= min_count:
+        if cur >= TAIL_MIN_COUNT:
             ratios.append(nxt / cur)
-            if nxt > ratio * cur:
+            if nxt > TAIL_RATIO * cur:
                 ok = False
     return ok, ratios
 
@@ -262,13 +265,12 @@ def freeze_window(total_steps: int) -> int:
     return min(total_steps, max(1000, total_steps // 10))
 
 
-def classify_freeze(sites: Sequence[int], m: int, window: int | None = None) -> FreezeOutcome:
+def classify_freeze(sites: Sequence[int], m: int) -> FreezeOutcome:
     """Classify a max-rule run from its 1-based allocation sites (steps 1..T)."""
     total = len(sites)
     if total == 0:
         return FreezeOutcome("unfrozen", (), None)
-    w = freeze_window(total) if window is None else min(window, total)
-    tail = np.asarray(sites[total - w :], dtype=np.int64)
+    tail = np.asarray(sites[total - freeze_window(total) :], dtype=np.int64)
     distinct = np.unique(tail)
     if distinct.size == 1:
         frozen = {int(distinct[0])}

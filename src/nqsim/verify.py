@@ -12,11 +12,9 @@ import numpy as np
 
 from .algebra import Family, Infeasible, Unique, solve_occupancy_asym, solve_occupancy_sym
 from .dynamics import MaxRule, MinRule
-from .ensemble import (
-    FLAG_NAMES, EnsembleRequest, EnsembleResult, final_half_flag_counts, run_ensemble,
-)
+from .ensemble import FLAG_NAMES, EnsembleRequest, EnsembleResult, run_ensemble
 from .limits import LimitConfiguration, enumerate_limits
-from .observers import match_limit
+from .observers import STABILITY_WINDOW, match_limit
 from .ring import Neighborhood, potentials
 from .scaling import classify_freeze
 
@@ -145,17 +143,14 @@ def suite_asym_even(m: int, steps: int, replicas: int, seed: int) -> Verificatio
 
 
 def analyze_convergence(
-    result: EnsembleResult,
-    limits: tuple[LimitConfiguration, ...],
-    stability_window: int = 25,
-    tolerance: float = 0.02,
+    result: EnsembleResult, limits: tuple[LimitConfiguration, ...]
 ) -> list[dict]:
     """Per-replica stability and limit matching from an ensemble with levels."""
     fractions = result.empirical_fractions
     out = []
     for r in range(result.request.replicas):
-        stable = int(result.run_length[r]) >= stability_window
-        matched, dist = match_limit(fractions[r], limits, tolerance) if stable else (None, None)
+        stable = int(result.run_length[r]) >= STABILITY_WINDOW
+        matched, dist = match_limit(fractions[r], limits) if stable else (None, None)
         out.append(
             {
                 "stable": stable,
@@ -180,9 +175,9 @@ def suite_sym(m: int, steps: int, replicas: int, seed: int) -> VerificationRepor
             store_level_flags=True,
         )
     )
-    tail_flags = final_half_flag_counts(result)
+    flags = result.final_half_flags
     invariants = [
-        _count_invariant(f"no-{name.replace('_', '-')}-final-half", tail_flags[:, col])
+        _count_invariant(f"no-{name.replace('_', '-')}-final-half", flags[:, col])
         for col, name in enumerate(FLAG_NAMES)
     ]
     invariants.append(_count_invariant("Q-nondecreasing", result.q_violations))

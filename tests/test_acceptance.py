@@ -13,7 +13,7 @@ import numpy as np
 
 from nqsim.algebra import Infeasible, Unique, solve_occupancy_asym, solve_occupancy_sym
 from nqsim.dynamics import ChainState, MaxRule, MinRule, Softmax, transition_distribution
-from nqsim.ensemble import EnsembleRequest, final_half_flag_counts, run_ensemble
+from nqsim.ensemble import EnsembleRequest, run_ensemble
 from nqsim.limits import brute_force_oracle, enumerate_limits, summary_counts
 from nqsim.observers import match_limit
 from nqsim.ring import Neighborhood, potentials
@@ -170,7 +170,7 @@ def test_criterion_07_symmetric_structural_battery():
                 track_levels=True, store_level_flags=True,
             )
         )
-        tail = int(final_half_flag_counts(result).sum())
+        tail = int(result.final_half_flags.sum())
         q = int(result.q_violations.sum())
         w = int(result.w_violations.sum())
         p = int(result.persistence_violations.sum())

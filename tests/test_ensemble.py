@@ -5,7 +5,7 @@ import pytest
 
 from nqsim import ensemble
 from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run, step
-from nqsim.ensemble import FLAG_NAMES, EnsembleRequest, final_half_flag_counts, run_ensemble
+from nqsim.ensemble import FLAG_NAMES, EnsembleRequest, run_ensemble
 from nqsim.observers import (
     LevelLog,
     ParityGapSeries,
@@ -264,30 +264,27 @@ def test_level_statistics_match_reference_definitions(kind, m):
         assert [bool(flag_bits[r] >> i & 1) for i in range(4)] == [flags[n] for n in FLAG_NAMES]
 
 
-def test_level_flags_match_single_chain_log():
-    m, steps, seed = 6, 2500, 31
+# At T = 0 and 1 the only level is level 0, the whole final half, and the
+# near-empty ring carries excluded windows there.
+@pytest.mark.parametrize("steps", [0, 1, 40, 2500])
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 10])
+def test_final_half_flags_match_single_chain_log(m, steps):
+    replicas, seed = 4, 31 + m
     res = run_ensemble(
         EnsembleRequest(
-            m=m,
-            kind=SYM,
-            rule=MinRule(),
-            steps=steps,
-            replicas=1,
-            seed=seed,
-            track_levels=True,
-            store_level_flags=True,
+            m=m, kind=SYM, rule=MinRule(), steps=steps, replicas=replicas, seed=seed,
+            track_levels=True, store_level_flags=True,
         )
     )
-    log = LevelLog(SYM)
-    run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, 0), observers=[log])
-    n = int(res.level_counts[0])
-    for j, level in enumerate(log.levels):
-        byte = int(res.level_flags[0, j])
-        for bit, name in enumerate(FLAG_NAMES):
-            assert bool(byte & (1 << bit)) == level.flags[name], (j, name)
-    tail = final_half_flag_counts(res)[0]
-    expected = log.flag_counts(n // 2)
-    assert tail.tolist() == [expected[name] for name in FLAG_NAMES]
+    assert res.final_half_flags.shape == (replicas, len(FLAG_NAMES))
+    for r in range(replicas):
+        log = LevelLog(SYM)
+        run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r), observers=[log])
+        assert int(res.level_counts[r]) == log.level_count
+        expected = log.flag_counts(log.level_count // 2)
+        assert res.final_half_flags[r].tolist() == [expected[name] > 0 for name in FLAG_NAMES], r
+    if steps <= 1:
+        assert res.final_half_flags.any()
 
 
 def test_renewals_match_parity_gap_series():
@@ -384,47 +381,3 @@ def test_validation_errors():
                 store_level_flags=True,
             )
         )
-
-
-def _flag_result(level_counts, cap, seed):
-    """A hand-made result whose flag buffer has garbage past each replica's levels."""
-    rng = np.random.default_rng(seed)
-    req = EnsembleRequest(m=5, kind=SYM, rule=MinRule(), steps=0, replicas=len(level_counts), seed=0)
-    res = ensemble.EnsembleResult(request=req, t=0, xi=None, u=None)
-    res.level_counts = np.array(level_counts, dtype=np.int64)
-    res.level_flags = rng.integers(0, 16, size=(len(level_counts), cap)).astype(np.uint8)
-    return res
-
-
-def _per_replica_flag_counts(res):
-    counts = []
-    for n, row in zip(res.level_counts.tolist(), res.level_flags):
-        tail = row[n // 2 : n].tolist()
-        counts.append([sum(1 for f in tail if f >> col & 1) for col in range(len(FLAG_NAMES))])
-    return counts
-
-
-@pytest.mark.parametrize("block_cells", [1, 7, 40, 2**20])
-def test_final_half_flag_counts_match_per_replica_definition(monkeypatch, block_cells):
-    monkeypatch.setattr(ensemble, "_FLAG_BLOCK_CELLS", block_cells)
-    cap = 13
-    # zero, one, odd, even and full level counts, in mixed order across blocks
-    res = _flag_result([0, 1, 2, 3, 4, 7, 8, 12, 13, 5, 0, 1, 6, 11, 13, 9, 2], cap, seed=block_cells)
-    assert final_half_flag_counts(res).tolist() == _per_replica_flag_counts(res)
-
-
-def test_final_half_flag_counts_peak_memory_follows_block_size(monkeypatch):
-    import tracemalloc
-
-    res = _flag_result(np.random.default_rng(0).integers(0, 4097, 64).tolist(), 4096, seed=1)
-    expected = _per_replica_flag_counts(res)
-    monkeypatch.setattr(ensemble, "_FLAG_BLOCK_CELLS", 4096)
-    tracemalloc.start()
-    try:
-        counts = final_half_flag_counts(res)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert counts.tolist() == expected
-    # the whole (R, cap) buffer is 256 KiB; one block's masks stay far below it
-    assert peak < res.level_flags.nbytes // 4

@@ -91,9 +91,15 @@ def test_commands_without_scipy_write_the_same_bytes(tmp_path, capsys):
 
 
 def test_scaling_without_scipy_exits_1_with_one_line(tmp_path):
+    # The missing scipy is reported before the ensemble runs: here the
+    # ensemble raises if it is called at all.
     out = tmp_path / "scaling.json"
     proc = _python(
-        BLOCK_SCIPY + "from nqsim.cli import main\n"
+        BLOCK_SCIPY + "import nqsim.scaling\n"
+        "def no_ensemble(req):\n"
+        "    raise AssertionError('the ensemble ran')\n"
+        "nqsim.scaling.run_ensemble = no_ensemble\n"
+        "from nqsim.cli import main\n"
         f"sys.exit(main(['scaling', '--m', '4', '--replicas', '100', '--steps', '1024', "
         f"'--out', {str(out)!r}]))"
     )
