@@ -40,7 +40,26 @@ The engine optionally tracks, fully vectorised:
     increments between them,
   * the even/odd potential-sum identity each step,
   * neighbour-difference and residual bounds over the final half of the run,
-  * parity-gap checkpoints and raw allocation sites.
+  * parity-gap checkpoints, raw allocation sites and, per site, the last step
+    at which it received a particle (`last_seen`, (R, M), 0 if never).
+
+Max rule, absorbed phase.  The chosen site is a maximiser and lies in its own
+window, so the maximum potential rises by exactly 1 each step and no other
+potential rises by more: the max tie set T evolves as T' = T & raised(k) and
+never grows.  T is absorbing when every member raises every member: a single
+site, or an adjacent pair under the symmetric window (Kemeny & Snell, *Finite
+Markov Chains*, ch. 3).  A replica on an absorbing pair picks its
+higher-index member exactly when U >= THR[2, 1] (= 0.5), the comparison the
+lock-step draw makes, and a replica on a single site always picks it.  So
+once every replica's tie set is absorbing, a max-rule request that tracks
+nothing per step (no levels, renewals, parity, comb or residual checks)
+advances the rest of each uniform block at once: occupancies, potentials and
+the parity gap from per-site pick counts, and sites, checkpoints and
+`last_seen` from the same (R, steps) bool picks.  Every other request runs
+the lock-step loop.
+
+`run_ensemble` estimates the bytes of its large arrays before allocating and
+refuses a request above MAX_ENSEMBLE_BYTES with a ValueError.
 """
 from __future__ import annotations
 
@@ -75,6 +94,9 @@ _WINDOW = 5  # sites per window code; the longest shape
 # such a block is freed, glibc raises its mmap threshold, so the next one comes
 # from the brk heap, where later small allocations pin it and the peak RSS grows.
 _UNIF_BLOCK_CELLS = 2**19
+# Requests whose estimated arrays (`_footprint_bytes`) exceed this are refused
+# before anything is allocated: 4 GiB.
+MAX_ENSEMBLE_BYTES = 2**32
 
 
 def _window_table(shape: tuple[int, ...]) -> np.ndarray:
@@ -134,6 +156,7 @@ class EnsembleRequest:
     check_comb_final_half: bool = False
     check_residual_final_half: bool = False
     record_sites: bool = False
+    track_last_seen: bool = False
     chunk_steps: int = 4096
 
 
@@ -170,6 +193,9 @@ class EnsembleResult:
     # raw data
     h_checkpoints: dict[int, np.ndarray] = field(default_factory=dict)
     sites: np.ndarray | None = None
+    # (R, M) int64: last 1-based step at which each site got a particle, 0 if
+    # never; None unless track_last_seen
+    last_seen: np.ndarray | None = None
 
     @property
     def empirical_fractions(self) -> np.ndarray:
@@ -192,6 +218,21 @@ def _threshold_table(m: int) -> np.ndarray:
     return thr
 
 
+def _footprint_bytes(req: EnsembleRequest, m: int) -> int:
+    """Estimated bytes of run_ensemble's large arrays for this request.
+
+    Counts the R x T int16 site record, six (M, M) helpers and sixteen (M, R)
+    arrays of eight bytes (the state and the per-step temporaries), the
+    uniform block, the checkpoints and last_seen.
+    """
+    R, T = req.replicas, req.steps
+    block = R * max(1, min(req.chunk_steps, T, max(1, _UNIF_BLOCK_CELLS // R)))
+    cells = 6 * m * m + 16 * m * R + block + len(req.h_checkpoints) * R
+    if req.track_last_seen:
+        cells += m * R
+    return 8 * cells + (2 * R * T if req.record_sites else 0)
+
+
 def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     m = check_ring_size(req.m, req.kind)
     R, T = req.replicas, req.steps
@@ -204,6 +245,12 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         raise ValueError(f"step budget {T} overflows the int64 potential range")
     if req.store_level_flags and not req.track_levels:
         raise ValueError("level flags require track_levels")
+    need = _footprint_bytes(req, m)
+    if need > MAX_ENSEMBLE_BYTES:
+        raise ValueError(
+            f"M={m}, {R} replicas and {T} steps need about {need / 2**20:.0f} MiB, "
+            f"above the {MAX_ENSEMBLE_BYTES / 2**20:.0f} MiB limit"
+        )
 
     # Site-major state: row i is site i across all replicas.
     xi = np.repeat(np.asarray(init, dtype=np.int64)[:, None], R, axis=1)
@@ -312,13 +359,16 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     cp_index = {int(t): i for i, t in enumerate(req.h_checkpoints)}
     h_store = np.zeros((len(cp_index), R)) if cp_index else None
     sites_buf = np.zeros((R, T), dtype=np.int16) if req.record_sites else None
+    last_seen = np.zeros((m, R), dtype=np.int64) if req.track_last_seen else None
+    replica = np.arange(R)
     if 0 in cp_index:
         h_store[cp_index[0]] = D / m
 
     # Each draw returns the first site whose cumulative value c exceeds U.  c is
     # nondecreasing down a column and ends at 1 > U, so that is #{sites: c <= U}.
     if isinstance(rule, (MinRule, MaxRule)):
-        thr_flat = _threshold_table(m).ravel()
+        thr = _threshold_table(m)
+        thr_flat = thr.ravel()
         # (table_index @ mask)[i] = (m + 1) * n + (tie-set members at sites <= i)
         table_index = np.tril(np.ones((m, m))) + (m + 1)
         is_min = isinstance(rule, MinRule)
@@ -340,6 +390,22 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             c[rows >= m - 1 - (p[::-1] > 0).argmax(axis=0)] = 1.0
             return (c <= U).sum(axis=0)
 
+    freezable = isinstance(rule, MaxRule) and not (
+        req.track_levels or req.track_renewals or req.check_parity
+        or req.check_comb_final_half or req.check_residual_final_half
+    )
+    if freezable:
+        # escape[i, k]: site i is not raised when site k receives a particle
+        escape = (gain == 0).astype(np.float64)
+
+        def absorbed_pairs() -> tuple[np.ndarray, np.ndarray] | None:
+            """Each replica's lowest and highest max site, once every max tie set is absorbing."""
+            mask = u == u.max(axis=0)
+            if ((escape @ mask) * mask).any():
+                return None
+            return mask.argmax(axis=0), m - 1 - mask[::-1].argmax(axis=0)
+
+    frozen = None  # (lo, hi) from absorbed_pairs; lo == hi on a single site
     gens = [RandomStream(req.seed, r).generator() for r in range(R)]
     done = 0
     while done < T:
@@ -350,6 +416,11 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         for r in range(R):
             unif[r] = gens[r].random(csize)
         for j in range(csize):
+            if freezable:
+                if frozen is None:
+                    frozen = absorbed_pairs()
+                if frozen is not None:
+                    break
             t = done + j + 1
             sites = draw(unif[:, j].copy())
 
@@ -383,6 +454,37 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
                 h_store[cp_index[t]] = D / m
             if sites_buf is not None:
                 sites_buf[:, t - 1] = sites + 1  # 1-based in all exported data
+            if last_seen is not None:
+                last_seen[sites, replica] = t
+        else:  # no break: the whole block ran in lock-step
+            j = csize
+        if frozen is not None:
+            # Steps t0 + 1 .. t0 + n at once; picks[r, c]: replica r takes its
+            # higher site at step t0 + c + 1.
+            lo, hi = frozen
+            t0, n = done + j, csize - j
+            picks = unif[:, j:] >= thr[2, 1]
+            d_lo, d_hi = parity_sign[lo], parity_sign[hi]
+            for t, i in cp_index.items():
+                if t0 < t <= t0 + n:
+                    k_hi = picks[:, : t - t0].sum(axis=1)
+                    h_store[i] = (D + d_lo * (t - t0 - k_hi) + d_hi * k_hi) / m
+            if sites_buf is not None:
+                block = sites_buf[:, t0 : t0 + n]
+                block[:] = lo[:, None] + 1
+                np.copyto(block, hi[:, None] + 1, where=picks)
+            if last_seen is not None:
+                rev = picks[:, ::-1]
+                last_lo = np.where(picks.all(axis=1), 0, t0 + n - rev.argmin(axis=1))
+                last_hi = np.where(picks.any(axis=1), t0 + n - rev.argmax(axis=1), 0)
+                # lo == hi on a single site: the second write keeps the later step
+                last_seen[lo, replica] = np.maximum(last_seen[lo, replica], last_lo)
+                last_seen[hi, replica] = np.maximum(last_seen[hi, replica], last_hi)
+            n_hi = picks.sum(axis=1)
+            xi[lo, replica] += n - n_hi
+            xi[hi, replica] += n_hi
+            u += gain[:, lo] * (n - n_hi) + gain[:, hi] * n_hi
+            D += d_lo * (n - n_hi) + d_hi * n_hi
         done += csize
 
     result = EnsembleResult(
@@ -414,5 +516,7 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     if h_store is not None:
         result.h_checkpoints = {t: h_store[i] for t, i in cp_index.items()}
     result.sites = sites_buf
+    if last_seen is not None:
+        result.last_seen = np.ascontiguousarray(last_seen.T)
     return result
 

@@ -11,7 +11,9 @@ here in numpy; scipy is imported only by the sign test, `zeta_sign_test`.
 Under the max-potential rule the chain freezes: eventually all arrivals land
 on one site, or alternate between one adjacent pair with asymptotic shares
 1/2 each.  `classify_freeze` reads the outcome off an allocation-site
-trajectory.
+trajectory; it is the reference oracle for `classify_last_seen`, which reads
+the same verdicts off each site's last allocation step, an (R, M) array
+whose size does not grow with the run.
 """
 from __future__ import annotations
 
@@ -291,6 +293,35 @@ def classify_freeze(sites: Sequence[int], m: int) -> FreezeOutcome:
     outside = np.flatnonzero(~np.isin(np.asarray(sites, dtype=np.int64), list(frozen)))
     freeze_time = int(outside[-1]) + 2 if outside.size else 1  # steps are 1-based
     return FreezeOutcome(tag, ordered, freeze_time)
+
+
+def classify_last_seen(last_seen: np.ndarray, steps: int) -> list[FreezeOutcome]:
+    """`classify_freeze` for each row of an (R, M) array of last allocation steps.
+
+    last_seen[r, i] is the last 1-based step at which site i + 1 got a
+    particle in a run of `steps` steps (0 if never).  A site occurs in the
+    tail window exactly when its last step lies in it, and the last step
+    outside the frozen set is the largest last step of any site outside it
+    (0 if none, giving freeze_time 1).
+    """
+    unfrozen = FreezeOutcome("unfrozen", (), None)
+    if steps == 0:
+        return [unfrozen] * len(last_seen)
+    m = last_seen.shape[1]
+    in_tail = last_seen > steps - freeze_window(steps)
+    freeze_time = np.where(in_tail, 0, last_seen).max(axis=1) + 1
+    out = []
+    for row, t in zip(in_tail.tolist(), freeze_time.tolist()):
+        tail = [i + 1 for i, hit in enumerate(row) if hit]
+        if len(tail) == 1:
+            out.append(FreezeOutcome("single", tuple(tail), t))
+        elif len(tail) == 2 and tail[1] == tail[0] + 1:
+            out.append(FreezeOutcome("pair", tuple(tail), t))
+        elif tail == [1, m]:  # the pair that wraps around the ring
+            out.append(FreezeOutcome("pair", (m, 1), t))
+        else:
+            out.append(unfrozen)
+    return out
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

@@ -16,7 +16,7 @@ from .ensemble import FLAG_NAMES, EnsembleRequest, EnsembleResult, run_ensemble
 from .limits import LimitConfiguration, enumerate_limits
 from .observers import STABILITY_WINDOW, match_limit
 from .ring import Neighborhood, potentials
-from .scaling import classify_freeze
+from .scaling import classify_last_seen
 
 SUITE_NAMES = ("asym-odd", "asym-even", "sym", "appendix", "algebra")
 
@@ -205,13 +205,6 @@ def suite_sym(m: int, steps: int, replicas: int, seed: int) -> VerificationRepor
     return VerificationReport("sym", config, invariants)
 
 
-def freeze_outcomes(result: EnsembleResult) -> list:
-    return [
-        classify_freeze(result.sites[r].tolist(), result.request.m)
-        for r in range(result.request.replicas)
-    ]
-
-
 def suite_appendix(
     m: int, kind: Neighborhood, steps: int, replicas: int, seed: int
 ) -> VerificationReport:
@@ -223,10 +216,10 @@ def suite_appendix(
             steps=steps,
             replicas=replicas,
             seed=seed,
-            record_sites=True,
+            track_last_seen=True,
         )
     )
-    outcomes = freeze_outcomes(result)
+    outcomes = classify_last_seen(result.last_seen, steps)
     tags = [o.tag for o in outcomes]
     counts = {tag: tags.count(tag) for tag in ("single", "pair", "unfrozen")}
     per_replica = [

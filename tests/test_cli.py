@@ -301,3 +301,14 @@ class TestExitCodes:
         assert out == ""
         detail = f": {message}" if message else ""
         assert err == f"nqsim {argv[0]}: error: out of memory{detail}\n"
+
+    def test_oversized_run_exits_1_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("nqsim.ensemble.MAX_ENSEMBLE_BYTES", 1000)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "appendix", "--m", "5", "--neighborhood", "asym",
+            "--replicas", "4", "--steps", "100",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("nqsim verify: error: ") and err.endswith("MiB limit\n")
+        assert err.count("\n") == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -381,3 +382,111 @@ def test_validation_errors():
                 store_level_flags=True,
             )
         )
+
+
+def _last_seen(sites, m: int) -> list[int]:
+    """Last 1-based step at which each site was allocated, 0 if never."""
+    last = [0] * m
+    for t, s in enumerate(sites, 1):
+        last[s - 1] = t
+    return last
+
+
+def _checkpoints(steps: int) -> tuple[int, ...]:
+    return tuple(sorted({0, 1, 2, 5, steps // 2, steps} & set(range(steps + 1))))
+
+
+# A bare max-rule request advances in bulk once every max tie set is
+# absorbing.  One block per run, and blocks of 1 and 2 steps at R = 3, put
+# absorption mid-block and on a block edge.  Odd M start from a random
+# occupancy, whose tie sets take longer to absorb.
+@pytest.mark.parametrize("block_cells", [None, 1, 7])
+@pytest.mark.parametrize("steps", [0, 1, 2, 9, 300])
+@pytest.mark.parametrize("kind", [ASYM, SYM])
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
+def test_absorbed_max_rule_matches_single_chain(monkeypatch, m, kind, steps, block_cells):
+    replicas, seed = 3, 500 + m
+    init = _random_init(m, seed) if m % 2 else (0,) * m
+    if block_cells is not None:
+        monkeypatch.setattr(ensemble, "_UNIF_BLOCK_CELLS", block_cells)
+    req = EnsembleRequest(
+        m=m, kind=kind, rule=MaxRule(), steps=steps, replicas=replicas, seed=seed, init=init,
+        h_checkpoints=_checkpoints(steps), record_sites=True, track_last_seen=True,
+    )
+    res = run_ensemble(req)
+    # A per-step check keeps the request on the lock-step loop throughout.
+    lock = run_ensemble(dataclasses.replace(req, check_parity=True))
+    assert res.last_seen.shape == (replicas, m) and res.last_seen.dtype == np.int64
+    for r in range(replicas):
+        out = run(ChainState.from_occupancy(init, kind), MaxRule(), steps, RandomStream(seed, r),
+                  sample_every=1)
+        sites = [rec.site for rec in out.records[1:]]
+        assert res.sites[r].tolist() == sites
+        assert res.last_seen[r].tolist() == _last_seen(sites, m)
+        assert tuple(res.xi[r]) == out.final.xi
+        assert tuple(res.u[r]) == out.final.u
+    for name in ("xi", "u", "sites", "last_seen"):
+        assert np.array_equal(getattr(res, name), getattr(lock, name)), name
+    assert res.h_checkpoints.keys() == lock.h_checkpoints.keys()
+    for t in res.h_checkpoints:
+        assert np.array_equal(res.h_checkpoints[t], lock.h_checkpoints[t]), t
+
+
+@pytest.mark.parametrize("kind", [ASYM, SYM])
+@pytest.mark.parametrize("rule", [MinRule(), Softmax(0.5)], ids=str)
+@pytest.mark.parametrize("m", [4, 7])
+def test_last_seen_on_lock_step_path(kind, rule, m):
+    steps, replicas, seed = 300, 3, 60 + m
+    res = run_ensemble(
+        EnsembleRequest(
+            m=m, kind=kind, rule=rule, steps=steps, replicas=replicas, seed=seed,
+            track_last_seen=True,
+        )
+    )
+    for r in range(replicas):
+        out = run(ChainState.empty(m, kind), rule, steps, RandomStream(seed, r), sample_every=1)
+        assert res.last_seen[r].tolist() == _last_seen([rec.site for rec in out.records[1:]], m)
+
+
+def _draw_calls(req: EnsembleRequest) -> int:
+    """How many lock-step site draws run_ensemble makes for `req`."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "draw" and code.co_filename == ensemble.__file__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run_ensemble(req)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [ASYM, SYM])
+def test_absorbed_phase_takes_no_lock_steps(kind):
+    # From empty, every replica's max tie set is absorbing within a few dozen
+    # steps (each step leaves the transient sets with probability >= 1/2).
+    req = EnsembleRequest(
+        m=6, kind=kind, rule=MaxRule(), steps=3000, replicas=50, seed=4, track_last_seen=True,
+    )
+    assert _draw_calls(req) < 100
+    assert _draw_calls(dataclasses.replace(req, track_renewals=True)) == 3000
+    assert _draw_calls(dataclasses.replace(req, rule=MinRule())) == 3000
+
+
+def test_size_guard_refuses_before_allocating(monkeypatch):
+    req = EnsembleRequest(m=5, kind=ASYM, rule=MaxRule(), steps=5000, replicas=20, seed=0)
+    with_sites = dataclasses.replace(req, record_sites=True)
+    # the R x T int16 site record is counted
+    assert ensemble._footprint_bytes(with_sites, 5) == ensemble._footprint_bytes(req, 5) + 2 * 20 * 5000
+    monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", ensemble._footprint_bytes(req, 5))
+    run_ensemble(req)
+    with pytest.raises(ValueError, match="MiB limit"):
+        run_ensemble(with_sites)
+    # the (M, M) helpers are counted
+    with pytest.raises(ValueError, match="MiB limit"):
+        run_ensemble(dataclasses.replace(req, m=200, init=None, replicas=1))

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from nqsim import verify
 from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run, transition_distribution
+from nqsim.ensemble import EnsembleRequest, run_ensemble
 from nqsim.ring import Neighborhood
 from nqsim.scaling import (
     FreezeOutcome,
     classify_freeze,
+    classify_last_seen,
     estimate_sigma,
     fit_variance_line,
     freeze_window,
@@ -215,6 +220,126 @@ class TestClassifyFreeze:
             prefix = classify_freeze(sites[:cut], m=5)
             assert prefix.tag == "single"
             assert prefix.sites == full.sites
+
+
+def _last_seen_rows(rows: list, m: int) -> np.ndarray:
+    """(R, M) last 1-based allocation step of each site, from R site sequences."""
+    last = np.zeros((len(rows), m), dtype=np.int64)
+    for r, sites in enumerate(rows):
+        for t, s in enumerate(sites, 1):
+            last[r, s - 1] = t
+    return last
+
+
+def _split_peaks(m: int) -> tuple[int, ...]:
+    """Two particles on sites 1 and 4: the max tie set holds non-adjacent sites."""
+    return tuple(2 if i in (0, 3) else 0 for i in range(m))
+
+
+class TestClassifyLastSeen:
+    @pytest.mark.parametrize("steps", [0, 1, 2, 40, 999, 1000, 1001, 2500])
+    @pytest.mark.parametrize(
+        "kind, m, init",
+        [(ASYM, 3, None), (ASYM, 5, None), (ASYM, 7, "split"), (SYM, 4, None), (SYM, 6, "split"),
+         (SYM, 9, "split")],
+    )
+    def test_matches_classify_freeze_on_runs(self, kind, m, init, steps):
+        replicas = 20
+        res = run_ensemble(
+            EnsembleRequest(
+                m=m, kind=kind, rule=MaxRule(), steps=steps, replicas=replicas, seed=steps + m,
+                init=_split_peaks(m) if init else None, record_sites=True, track_last_seen=True,
+            )
+        )
+        got = classify_last_seen(res.last_seen, steps)
+        assert got == [classify_freeze(res.sites[r].tolist(), m) for r in range(replicas)]
+        # A max-rule run visits at most two sites, and those adjacent, even
+        # from a non-adjacent tie set: T' = T & raised(k) keeps only
+        # neighbours of every site picked.  Only the empty run is unfrozen.
+        assert all((o.tag == "unfrozen") == (steps == 0) for o in got)
+
+    @pytest.mark.parametrize("length", [1, 5, 999, 1000, 1001, 3000, 12_000])
+    @pytest.mark.parametrize("m", [3, 4, 6, 8])
+    def test_matches_classify_freeze_on_synthetic_sites(self, m, length):
+        # Random prefixes followed by one, two (adjacent, wrapped or apart) or
+        # three sites reach every verdict, unfrozen ones included.
+        rng = np.random.default_rng(100 * m + length)
+        rows = []
+        for _ in range(30):
+            tail_set = rng.choice(np.arange(1, m + 1), size=int(rng.integers(1, 4)), replace=False)
+            cut = int(rng.integers(0, length + 1))
+            rows.append(
+                rng.integers(1, m + 1, cut).tolist() + rng.choice(tail_set, length - cut).tolist()
+            )
+        got = classify_last_seen(_last_seen_rows(rows, m), length)
+        assert got == [classify_freeze(sites, m) for sites in rows]
+
+    def test_appendix_memory_does_not_grow_with_steps(self, monkeypatch):
+        requests = []
+
+        def recording_run_ensemble(req):
+            requests.append(req)
+            return run_ensemble(req)
+
+        monkeypatch.setattr(verify, "run_ensemble", recording_run_ensemble)
+        peaks = []
+        for steps in (10**4, 10**6):
+            tracemalloc.start()
+            try:
+                verify.suite_appendix(5, ASYM, steps, 4, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert all(req.track_last_seen and not req.record_sites for req in requests)
+        assert abs(peaks[1] - peaks[0]) < 2**20
+
+
+class TestFreezeLawsFromEmpty:
+    """Exact max-rule freeze laws from the empty ring, at criterion-09 sizes and seeds.
+
+    From the tie-set recursion T' = T & raised(k): under the asymmetric
+    window the first site k leaves T = {k-1, k}; each later step picks k-1
+    with probability 1/2, which freezes the run onto k-1, so freeze_time - 1
+    is Geometric(1/2) on {1, 2, ...}.  Under the symmetric window T = {k-1, k, k+1}
+    after step 1, and the first step off k freezes the run onto {k-1, k} or
+    {k, k+1}, each with probability 1/2 by reflection; k is in the pair, so
+    freeze_time is 1.  Exact facts are asserted for every replica;
+    frequencies are tested at p = 1e-6, fixed before the run.
+    """
+
+    P_MIN = 1e-6
+    STEPS, REPLICAS = 10_000, 500
+
+    def _outcomes(self, m: int, kind: Neighborhood, seed: int) -> tuple[list, list]:
+        report = verify.suite_appendix(m, kind, self.STEPS, self.REPLICAS, seed)
+        first = run_ensemble(
+            EnsembleRequest(
+                m=m, kind=kind, rule=MaxRule(), steps=1, replicas=self.REPLICAS, seed=seed,
+                record_sites=True,
+            )
+        ).sites[:, 0]
+        return report.invariants[0].detail["outcomes"], first.tolist()
+
+    def test_asymmetric_single_site_before_first_and_geometric_time(self):
+        m = 5
+        outcomes, first = self._outcomes(m, ASYM, 910)
+        for o, k in zip(outcomes, first):
+            assert o["tag"] == "single"
+            assert o["sites"] == [(k - 2) % m + 1]  # the site before k, cyclically
+            assert o["freeze_time"] >= 2
+        g = np.array([o["freeze_time"] - 1 for o in outcomes])
+        observed = [int((g == i).sum()) for i in range(1, 6)] + [int((g >= 6).sum())]
+        expected = self.REPLICAS * np.array([1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 32])
+        assert stats.chisquare(observed, expected).pvalue > self.P_MIN
+
+    def test_symmetric_pair_around_first_site_at_time_one(self):
+        outcomes, first = self._outcomes(6, SYM, 909)
+        for o, k in zip(outcomes, first):
+            assert o["tag"] == "pair"
+            assert k in o["sites"]
+            assert o["freeze_time"] == 1
+        lower = sum(o["sites"][0] == k for o, k in zip(outcomes, first))
+        assert stats.binomtest(lower, self.REPLICAS, 0.5).pvalue > self.P_MIN
 
 
 class TestKernelLimits:
