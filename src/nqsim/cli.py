@@ -304,8 +304,10 @@ def cmd_verify(args, config_file) -> int:
     seed = _resolve(args, "seed", config_file)
     trials = _resolve(args, "trials", config_file)
     kind = None
-    if args.neighborhood is not None or suite == "appendix":
+    if suite == "appendix":
         kind = Neighborhood.parse(_resolve(args, "neighborhood", config_file))
+    elif args.neighborhood is not None:
+        raise ValueError("--neighborhood applies only to the appendix suite")
     report = run_suite(suite, m, steps=steps, replicas=replicas, seed=seed, kind=kind, trials=trials)
     _dump_json(report.to_json_dict(), args.out)
     if not report.passed:
@@ -364,10 +366,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="nqsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, replicas=False, steps=True):
+    def add_common(p, *, replicas=False, steps=True, seed=True):
         p.add_argument("--m", type=int, required=True, help="number of ring sites")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: NQ_SEED env var, else 0)")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="RNG seed (default: NQ_SEED env var, else 0)")
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if steps:
@@ -387,7 +390,7 @@ def build_parser() -> _Parser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_enum = sub.add_parser("enumerate", help="list limiting configurations")
-    add_common(p_enum, steps=False)
+    add_common(p_enum, steps=False, seed=False)
     p_enum.add_argument("--counts", action="store_true", help="print the four summary counts")
     p_enum.add_argument("--from-empty", dest="from_empty", action="store_true",
                         help="restrict to configurations reachable from the empty start")
@@ -400,7 +403,7 @@ def build_parser() -> _Parser:
     add_common(p_ver, replicas=True)
     p_ver.add_argument("--suite", choices=list(SUITE_NAMES), required=True)
     p_ver.add_argument("--neighborhood", choices=["asym", "sym"], default=None,
-                       help="required for the appendix suite")
+                       help="appendix suite only (default: sym)")
     p_ver.add_argument("--trials", type=int, default=None, help="algebra suite batch size")
     p_ver.set_defaults(func=cmd_verify)
 

@@ -245,6 +245,8 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         raise ValueError(f"step budget {T} overflows the int64 potential range")
     if req.store_level_flags and not req.track_levels:
         raise ValueError("level flags require track_levels")
+    if any(not 0 <= t <= T for t in req.h_checkpoints):
+        raise ValueError(f"h checkpoints must lie in steps 0..{T}, got {tuple(req.h_checkpoints)}")
     need = _footprint_bytes(req, m)
     if need > MAX_ENSEMBLE_BYTES:
         raise ValueError(
@@ -252,10 +254,12 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             f"above the {MAX_ENSEMBLE_BYTES / 2**20:.0f} MiB limit"
         )
 
-    # Site-major state: row i is site i across all replicas.
+    # Site-major state: row i is site i across all replicas.  The result holds
+    # every counter from the start; its (M, R) arrays are transposed at the end.
     xi = np.repeat(np.asarray(init, dtype=np.int64)[:, None], R, axis=1)
     u = np.repeat(np.asarray(potentials(init, req.kind), dtype=np.int64)[:, None], R, axis=1)
     m_cur = u.min(axis=0)
+    res = EnsembleResult(request=req, t=T, xi=xi, u=u)
 
     rule = req.rule
     beta = rule.beta if isinstance(rule, Softmax) else None
@@ -266,48 +270,48 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     # --- level tracking state ---
     if req.track_levels:
         window_code = _window_code_matrix(m)
-        level_counts = np.zeros(R, dtype=np.int64)
+        res.level_counts = np.zeros(R, dtype=np.int64)
         # Rows S, Q, W: a level may not raise S, lower Q or raise W.  The
         # sentinels compare the first level against values no level violates.
         worse = np.array([[1], [-1], [1]])
         big = np.iinfo(np.int64).max
         prev_stats = np.repeat([[big], [-1], [big]], R, axis=1)
         stat_viol = np.zeros((3, R), dtype=np.int64)
-        first_s_viol = np.full(R, -1, dtype=np.int64)
+        res.s_violations, res.q_violations, res.w_violations = stat_viol
+        res.first_s_violation_step = np.full(R, -1, dtype=np.int64)
         required_centers = np.zeros((m, R), dtype=bool)
-        persist_viol = np.zeros(R, dtype=np.int64)
+        res.persistence_violations = np.zeros(R, dtype=np.int64)
         cur_sig = np.zeros((m, R), dtype=bool)
-        run_len = np.zeros(R, dtype=np.int64)
-        run_start = np.zeros(R, dtype=np.int64)
+        res.run_length = np.zeros(R, dtype=np.int64)
+        res.run_started_level = np.zeros(R, dtype=np.int64)
         # last_flag[i, r]: index of replica r's last level carrying FLAG_NAMES[i], -1 if none
         last_flag = np.full((len(FLAG_NAMES), R), -1, dtype=np.int64)
         flag_bit = (1 << np.arange(len(FLAG_NAMES), dtype=np.uint8))[:, None]
 
         def open_levels(opened: np.ndarray, t: int, m_new: np.ndarray) -> None:
-            nonlocal stat_viol, persist_viol, required_centers, cur_sig, run_len, level_counts
             # Statistics are computed for every replica and recorded where `opened`.
             pos, stats, centers, flag_bits = _level_statistics(
                 u, m_new, req.kind.window * (sum(init) + t), window_code, req.store_level_flags
             )
             bad = opened & ((stats - prev_stats) * worse > 0)
-            stat_viol += bad
+            stat_viol[:] += bad  # slice updates: the closure rebinds no name
             if bad[0].any():
-                first_s_viol[bad[0] & (first_s_viol < 0)] = t
-            persist_viol += opened & (required_centers > centers).any(axis=0)
-            required_centers |= centers & opened
+                res.first_s_violation_step[bad[0] & (res.first_s_violation_step < 0)] = t
+            res.persistence_violations += opened & (required_centers > centers).any(axis=0)
+            required_centers[:] |= centers & opened
             np.copyto(prev_stats, stats, where=opened)
 
             if req.store_level_flags:
-                np.copyto(last_flag, level_counts, where=opened & ((flag_bits & flag_bit) > 0))
+                np.copyto(last_flag, res.level_counts, where=opened & ((flag_bits & flag_bit) > 0))
 
             # a level whose signature differs from the current one starts a new run
             changed = (cur_sig ^ pos) & opened
             reset = changed.any(axis=0)
-            run_len += opened
-            run_len[reset] = 1
-            np.copyto(run_start, level_counts, where=reset)
-            cur_sig ^= changed
-            level_counts += opened
+            res.run_length += opened
+            res.run_length[reset] = 1
+            np.copyto(res.run_started_level, res.level_counts, where=reset)
+            cur_sig[:] ^= changed
+            res.level_counts += opened
 
         open_levels(np.ones(R, dtype=bool), 0, m_cur)
 
@@ -315,28 +319,26 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     parity_sign = np.where(np.arange(m) % 2 == 1, 1, -1).astype(np.int64)  # +1 at even 1-based sites
     D = parity_sign @ xi
     if req.track_renewals:
-        renew_count = np.zeros(R, dtype=np.int64)
+        res.renewal_counts = np.zeros(R, dtype=np.int64)
         has_base = np.zeros(R, dtype=bool)
         d_last = np.zeros(R, dtype=np.int64)
-        zeta_pos = zeta_neg = zeta_zero = 0
         # histogram of floor((|zeta|*M - 1) / M) clipped at 10, for nonzero zeta
         zeta_mag_hist = np.zeros(11, dtype=np.int64)
 
-        def handle_renewals(t: int, m_new: np.ndarray) -> None:
-            nonlocal zeta_pos, zeta_neg, zeta_zero
+        def handle_renewals(m_new: np.ndarray) -> None:
             mask = u.max(axis=0) == m_new
             if not mask.any():
                 return
             idx = np.flatnonzero(mask)
-            renew_count[idx] += 1
+            res.renewal_counts[idx] += 1
             based = idx[has_base[idx]]
             if based.size:
                 dd = D[based] - d_last[based]
-                zeta_pos += int((dd > 0).sum())
-                zeta_neg += int((dd < 0).sum())
+                res.zeta_positive += int((dd > 0).sum())
+                res.zeta_negative += int((dd < 0).sum())
                 mag = np.abs(dd)
                 nonzero = mag[mag > 0]
-                zeta_zero += based.size - nonzero.size
+                res.zeta_zero += based.size - nonzero.size
                 if nonzero.size:
                     zeta_mag_hist[:] += np.bincount(
                         np.minimum((nonzero - 1) // m, 10), minlength=11
@@ -344,26 +346,24 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             d_last[idx] = D[idx]
             has_base[idx] = True
 
-        handle_renewals(0, m_cur)
+        handle_renewals(m_cur)
 
-    parity_violations = 0
-    first_parity_step: int | None = None
     if req.check_comb_final_half:
-        comb_viol = np.zeros(R, dtype=np.int64)
-        comb_max = 0
+        res.comb_violations = np.zeros(R, dtype=np.int64)
         two_on = (np.arange(m) + 2) % m
     if req.check_residual_final_half:
-        resid_viol = np.zeros(R, dtype=np.int64)
+        res.residual_violations = np.zeros(R, dtype=np.int64)
         resid_sign = parity_sign[:, None] if m % 2 == 0 else np.zeros((m, 1), dtype=np.int64)
     half_start = T - T // 2
-    cp_index = {int(t): i for i, t in enumerate(req.h_checkpoints)}
-    h_store = np.zeros((len(cp_index), R)) if cp_index else None
-    sites_buf = np.zeros((R, T), dtype=np.int16) if req.record_sites else None
-    last_seen = np.zeros((m, R), dtype=np.int64) if req.track_last_seen else None
+    # keys in request order; each value is written when its step is reached
+    res.h_checkpoints = dict.fromkeys(int(t) for t in req.h_checkpoints)
+    if req.record_sites:
+        res.sites = np.zeros((R, T), dtype=np.int16)
+    if req.track_last_seen:
+        res.last_seen = np.zeros((m, R), dtype=np.int64)
     replica = np.arange(R)
-    if 0 in cp_index:
-        h_store[cp_index[0]] = D / m
-
+    if 0 in res.h_checkpoints:
+        res.h_checkpoints[0] = D / m
     # Each draw returns the first site whose cumulative value c exceeds U.  c is
     # nondecreasing down a column and ends at 1 > U, so that is #{sites: c <= U}.
     if isinstance(rule, (MinRule, MaxRule)):
@@ -435,27 +435,27 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
                     open_levels(opened, t, m_new)
             m_cur = m_new
             if req.track_renewals:
-                handle_renewals(t, m_new)
+                handle_renewals(m_new)
             if req.check_parity:
                 bad = u[0::2].sum(axis=0) != u[1::2].sum(axis=0)
                 if bad.any():
-                    parity_violations += int(bad.sum())
-                    if first_parity_step is None:
-                        first_parity_step = t
+                    res.parity_violations += int(bad.sum())
+                    if res.first_parity_violation_step is None:
+                        res.first_parity_violation_step = t
             if t >= half_start:
                 if req.check_comb_final_half:
                     dev = np.abs(xi - xi[two_on]).max(axis=0)
-                    comb_max = max(comb_max, int(dev.max()))
-                    comb_viol += dev > 2
+                    res.comb_max_seen = max(res.comb_max_seen, int(dev.max()))
+                    res.comb_violations += dev > 2
                 if req.check_residual_final_half:
                     resid = np.abs(m * xi - t - resid_sign * D).max(axis=0)
-                    resid_viol += resid > 2 * m * m
-            if t in cp_index:
-                h_store[cp_index[t]] = D / m
-            if sites_buf is not None:
-                sites_buf[:, t - 1] = sites + 1  # 1-based in all exported data
-            if last_seen is not None:
-                last_seen[sites, replica] = t
+                    res.residual_violations += resid > 2 * m * m
+            if t in res.h_checkpoints:
+                res.h_checkpoints[t] = D / m
+            if req.record_sites:
+                res.sites[:, t - 1] = sites + 1  # 1-based in all exported data
+            if req.track_last_seen:
+                res.last_seen[sites, replica] = t
         else:  # no break: the whole block ran in lock-step
             j = csize
         if frozen is not None:
@@ -465,21 +465,22 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             t0, n = done + j, csize - j
             picks = unif[:, j:] >= thr[2, 1]
             d_lo, d_hi = parity_sign[lo], parity_sign[hi]
-            for t, i in cp_index.items():
+            for t in res.h_checkpoints:
                 if t0 < t <= t0 + n:
                     k_hi = picks[:, : t - t0].sum(axis=1)
-                    h_store[i] = (D + d_lo * (t - t0 - k_hi) + d_hi * k_hi) / m
-            if sites_buf is not None:
-                block = sites_buf[:, t0 : t0 + n]
+                    res.h_checkpoints[t] = (D + d_lo * (t - t0 - k_hi) + d_hi * k_hi) / m
+            if req.record_sites:
+                block = res.sites[:, t0 : t0 + n]
                 block[:] = lo[:, None] + 1
                 np.copyto(block, hi[:, None] + 1, where=picks)
-            if last_seen is not None:
+            if req.track_last_seen:
                 rev = picks[:, ::-1]
                 last_lo = np.where(picks.all(axis=1), 0, t0 + n - rev.argmin(axis=1))
                 last_hi = np.where(picks.any(axis=1), t0 + n - rev.argmax(axis=1), 0)
                 # lo == hi on a single site: the second write keeps the later step
-                last_seen[lo, replica] = np.maximum(last_seen[lo, replica], last_lo)
-                last_seen[hi, replica] = np.maximum(last_seen[hi, replica], last_hi)
+                seen = res.last_seen
+                seen[lo, replica] = np.maximum(seen[lo, replica], last_lo)
+                seen[hi, replica] = np.maximum(seen[hi, replica], last_hi)
             n_hi = picks.sum(axis=1)
             xi[lo, replica] += n - n_hi
             xi[hi, replica] += n_hi
@@ -487,36 +488,12 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             D += d_lo * (n - n_hi) + d_hi * n_hi
         done += csize
 
-    result = EnsembleResult(
-        request=req, t=T, xi=np.ascontiguousarray(xi.T), u=np.ascontiguousarray(u.T)
-    )
-    if req.track_levels:
-        result.level_counts = level_counts
-        result.s_violations, result.q_violations, result.w_violations = stat_viol
-        result.first_s_violation_step = first_s_viol
-        result.persistence_violations = persist_viol
-        result.run_length = run_len
-        result.run_started_level = run_start
-        if req.store_level_flags:
-            result.final_half_flags = (last_flag >= level_counts // 2).T
+    res.xi, res.u = np.ascontiguousarray(xi.T), np.ascontiguousarray(u.T)
+    if req.track_last_seen:
+        res.last_seen = np.ascontiguousarray(res.last_seen.T)
+    if req.store_level_flags:
+        res.final_half_flags = (last_flag >= res.level_counts // 2).T
     if req.track_renewals:
-        result.renewal_counts = renew_count
-        result.zeta_positive = zeta_pos
-        result.zeta_negative = zeta_neg
-        result.zeta_zero = zeta_zero
         # tail[c] = #{|zeta| > c}: bucket b holds c*M < |zeta|*M <= (c+1)*M
-        result.zeta_tail = zeta_mag_hist[::-1].cumsum()[::-1].copy()
-    result.parity_violations = parity_violations
-    result.first_parity_violation_step = first_parity_step
-    if req.check_comb_final_half:
-        result.comb_violations = comb_viol
-        result.comb_max_seen = comb_max
-    if req.check_residual_final_half:
-        result.residual_violations = resid_viol
-    if h_store is not None:
-        result.h_checkpoints = {t: h_store[i] for t, i in cp_index.items()}
-    result.sites = sites_buf
-    if last_seen is not None:
-        result.last_seen = np.ascontiguousarray(last_seen.T)
-    return result
-
+        res.zeta_tail = zeta_mag_hist[::-1].cumsum()[::-1].copy()
+    return res

@@ -8,15 +8,19 @@ row, and when 3 | M each residue class mod 3 must contain a zero.  A
 configuration is reachable from the empty start iff every zero has both
 neighbours positive.
 
-`enumerate_limits` generates the set by a pruned depth-first search over
-symbol strings; `brute_force_oracle` re-derives it by literally filtering all
-3^M strings and exists purely as an independent check for tests.
+Every rule but the mod-3 one reads at most two sites on each side, so one
+table, `_SITE_OK` over the 3^5 windows (a, b, c, d, e) centred on c, holds
+them all; the set is a cyclic subshift of finite type.  `enumerate_limits`
+generates it by a depth-first search over symbol strings that checks each
+window once it is placed; `brute_force_oracle` re-derives it by literally
+filtering all 3^M strings and exists purely as an independent check for tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,59 +77,38 @@ def tag_achievability(symbols: Sequence[int]) -> bool:
     )
 
 
-def _cyclic_ok(s: Sequence[int], m: int) -> bool:
-    # Structural check used by the generator (run/pair form of the rules).
-    if not any(s):
-        return False
-    for i in range(m):
-        left, right = s[i - 1], s[(i + 1) % m]
-        if s[i] == FULL:
-            if left != ZERO or right != ZERO:
-                return False
-        elif s[i] == HALF:
-            if (left == HALF) == (right == HALF):
-                return False  # halves pair with exactly one half neighbour
-            if right == HALF:
-                if left != ZERO or s[i - 2] != FULL:
-                    return False
-            else:
-                if right != ZERO or s[(i + 2) % m] != FULL:
-                    return False
-        else:
-            if left == ZERO and right == ZERO:
-                return False
-    if m % 3 == 0:
-        for j in range(3):
-            if not any(s[k] == ZERO for k in range(j, m, 3)):
-                return False
-    return True
+def _site_ok(a: int, b: int, c: int, d: int, e: int) -> bool:
+    """Whether site c may hold its symbol, given neighbours b, d and second neighbours a, e."""
+    if c == FULL:
+        return b == ZERO and d == ZERO
+    if c == HALF:  # one half neighbour; the pair sits in (full, 0, half, half, 0, full)
+        if d == HALF:
+            return b == ZERO and a == FULL
+        return b == HALF and d == ZERO and e == FULL
+    return b != ZERO or d != ZERO
 
 
-def _prefix_ok(s: list[int], k: int) -> bool:
-    # Sound prunes on the decided prefix s[0..k]; wraparound is left to the
-    # final check.
-    if k >= 1:
-        a, b = s[k - 1], s[k]
-        if a == FULL and b == FULL:
+# _SITE_OK[w]: the rule for the 5-symbol window with base-3 code w (first symbol
+# most significant).  Derived prunes on a 4-symbol code w: _OPEN_OK, some fifth
+# symbol lets its third site pass; _START_OK, as the first four symbols of a
+# string, some last two symbols let sites 0 and 1 pass.
+_SITE_OK = tuple(_site_ok(*w) for w in product((ZERO, HALF, FULL), repeat=5))
+_OPEN_OK = tuple(any(_SITE_OK[3 * w : 3 * w + 3]) for w in range(81))
+_START_OK = tuple(
+    any(_SITE_OK[27 * yz + w // 3] and _SITE_OK[81 * (yz % 3) + w] for yz in range(9))
+    for w in range(81)
+)
+
+
+def _closes(s: Sequence[int], m: int) -> bool:
+    """The wrap-around sites m - 2, m - 1, 0, 1 and the mod-3 rule of a full string."""
+    for i in (m - 2, m - 1, 0, 1):
+        w = 0
+        for d in range(-2, 3):
+            w = 3 * w + s[(i + d) % m]
+        if not _SITE_OK[w]:
             return False
-        if (a == FULL and b == HALF) or (a == HALF and b == FULL):
-            return False
-        if b == HALF and a == HALF and k >= 2 and s[k - 2] != ZERO:
-            return False
-        if b == HALF and a == HALF and k >= 3 and s[k - 3] != FULL:
-            return False
-    if k >= 2:
-        if s[k - 2] == ZERO and s[k - 1] == ZERO and s[k] == ZERO:
-            return False
-        if s[k - 2] != ZERO and s[k - 1] != ZERO and s[k] != ZERO:
-            return False
-        if s[k - 1] == HALF and s[k] != HALF and s[k - 2] != HALF:
-            return False  # interior half with no half neighbour
-    if k >= 3 and s[k - 3] == HALF and s[k - 2] == HALF:
-        # pair fully interior: right flank must be (0, full)
-        if s[k - 1] != ZERO or s[k] != FULL:
-            return False
-    return True
+    return m % 3 != 0 or all(ZERO in s[j::3] for j in range(3))
 
 
 def enumerate_limits(m: int) -> tuple[LimitConfiguration, ...]:
@@ -138,17 +121,21 @@ def enumerate_limits(m: int) -> tuple[LimitConfiguration, ...]:
     found: list[LimitConfiguration] = []
     s = [ZERO] * m
 
-    def rec(k: int) -> None:
+    def rec(k: int, w: int) -> None:
+        # w: base-3 code of the last four placed symbols s[k - 4 .. k - 1]
         if k == m:
-            if _cyclic_ok(s, m):
+            if _closes(s, m):
                 found.append(_config_from_symbols(s))
             return
         for sym in (ZERO, HALF, FULL):
             s[k] = sym
-            if _prefix_ok(s, k):
-                rec(k + 1)
+            w5 = 3 * w + sym
+            # Site k - 2 now has its window (from k = 4; at k = 3 sites 0 and 1
+            # wait for the last two symbols), and site k - 1 must stay completable.
+            if k < 3 or (_SITE_OK[w5] if k > 3 else _START_OK[w5]) and _OPEN_OK[w5 % 81]:
+                rec(k + 1, w5 % 81)
 
-    rec(0)
+    rec(0, 0)
     return tuple(found)
 
 

@@ -72,6 +72,8 @@ def fraction_bound(m: int, steps: int) -> float:
 
 
 def _suite_asym(m: int, steps: int, replicas: int, seed: int, suite: str) -> VerificationReport:
+    if steps < 1:  # fraction_bound divides by the step count
+        raise ValueError(f"{suite} suite needs steps >= 1, got {steps}")
     even = m % 2 == 0
     result = run_ensemble(
         EnsembleRequest(
@@ -287,6 +289,8 @@ def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
     """
     if m < 4:
         raise ValueError(f"algebra suite needs M >= 4, got {m}")
+    if trials < 1:  # zero trials would pass every invariant vacuously
+        raise ValueError(f"algebra suite needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     solvers = {
         Neighborhood.ASYMMETRIC: solve_occupancy_asym,

@@ -50,6 +50,13 @@ class TestEnumerateCommand:
         assert code == 0
         assert "orbit 5" in out and "orbit 2" in out
 
+    def test_seed_flag_is_not_accepted(self, capsys):
+        # enumeration draws nothing, so a seed would be ignored
+        code, out, err = run_cli(capsys, "enumerate", "--m", "5", "--counts", "--seed", "3")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --seed 3" in err
+
     def test_m_too_small_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--m", "3", "--counts")
         assert code == 1
@@ -223,6 +230,30 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(out)
         assert report["passed"] is True
+
+    @pytest.mark.parametrize("suite, m", [("asym-odd", "5"), ("asym-even", "6")])
+    def test_asym_suites_refuse_zero_steps(self, capsys, suite, m):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--m", m, "--steps", "0")
+        assert code == 1
+        assert out == ""
+        assert err == f"nqsim verify: error: {suite} suite needs steps >= 1, got 0\n"
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_algebra_suite_refuses_no_trials(self, capsys, trials):
+        code, out, err = run_cli(capsys, "verify", "--suite", "algebra", "--m", "5", "--trials", trials)
+        assert code == 1
+        assert out == ""
+        assert err == f"nqsim verify: error: algebra suite needs trials >= 1, got {trials}\n"
+
+    @pytest.mark.parametrize("suite", ["sym", "asym-odd", "algebra"])
+    def test_neighborhood_outside_appendix_exits_1(self, capsys, suite):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--m", "5", "--neighborhood", "asym",
+            "--replicas", "1", "--steps", "10",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "nqsim verify: error: --neighborhood applies only to the appendix suite\n"
 
     def test_wrong_parity_suite_exits_1(self, capsys):
         code, _, err = run_cli(

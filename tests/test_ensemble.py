@@ -6,7 +6,7 @@ import pytest
 
 from nqsim import ensemble
 from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run, step
-from nqsim.ensemble import FLAG_NAMES, EnsembleRequest, run_ensemble
+from nqsim.ensemble import FLAG_NAMES, EnsembleRequest, EnsembleResult, run_ensemble
 from nqsim.observers import (
     LevelLog,
     ParityGapSeries,
@@ -382,6 +382,65 @@ def test_validation_errors():
                 store_level_flags=True,
             )
         )
+
+
+@pytest.mark.parametrize("checkpoints", [(5, 50), (-2,), (0, 11)])
+def test_h_checkpoints_outside_the_run_are_refused(checkpoints):
+    req = EnsembleRequest(
+        m=4, kind=ASYM, rule=MinRule(), steps=10, replicas=2, seed=0, h_checkpoints=checkpoints
+    )
+    with pytest.raises(ValueError, match=r"steps 0\.\.10"):
+        run_ensemble(req)
+
+
+def test_repeated_h_checkpoint_is_recorded_once():
+    base = dict(m=4, kind=ASYM, rule=MinRule(), steps=10, replicas=2, seed=0)
+    res = run_ensemble(EnsembleRequest(**base, h_checkpoints=(5, 0, 5)))
+    ref = run_ensemble(EnsembleRequest(**base, h_checkpoints=(5, 0)))
+    assert list(res.h_checkpoints) == [5, 0]
+    for t in (5, 0):
+        assert (res.h_checkpoints[t] == ref.h_checkpoints[t]).all()
+
+
+_LEVEL_FIELDS = {
+    "level_counts", "s_violations", "q_violations", "w_violations", "first_s_violation_step",
+    "persistence_violations", "run_length", "run_started_level",
+}
+# Each tracker request and the result fields it fills.  M = 5 for the parity
+# check, whose even/odd identity fails at odd M, so its counters move.
+_TRACKERS = {
+    "levels": ({"track_levels": True}, _LEVEL_FIELDS),
+    "level-flags": (
+        {"track_levels": True, "store_level_flags": True}, _LEVEL_FIELDS | {"final_half_flags"}
+    ),
+    "renewals": (
+        {"track_renewals": True},
+        {"renewal_counts", "zeta_positive", "zeta_negative", "zeta_zero", "zeta_tail"},
+    ),
+    "parity": ({"check_parity": True, "m": 5}, {"parity_violations", "first_parity_violation_step"}),
+    "comb": ({"check_comb_final_half": True}, {"comb_violations", "comb_max_seen"}),
+    "residual": ({"check_residual_final_half": True}, {"residual_violations"}),
+    "sites": ({"record_sites": True}, {"sites"}),
+    "last-seen": ({"track_last_seen": True}, {"last_seen"}),
+    "checkpoints": ({"h_checkpoints": (0, 7, 400)}, {"h_checkpoints"}),
+}
+
+
+@pytest.mark.parametrize("tracker", list(_TRACKERS))
+def test_each_tracker_fills_exactly_its_fields(tracker):
+    flags, filled = _TRACKERS[tracker]
+    base = dict(m=6, kind=ASYM, rule=MinRule(), steps=400, replicas=4, seed=8)
+    res = run_ensemble(EnsembleRequest(**{**base, **flags}))
+    for f in dataclasses.fields(EnsembleResult):
+        if f.name in ("request", "t", "xi", "u"):
+            continue
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        value = getattr(res, f.name)
+        if default is None:
+            kept = value is None
+        else:
+            kept = type(value) is type(default) and value == default
+        assert kept == (f.name not in filled), f.name
 
 
 def _last_seen(sites, m: int) -> list[int]:
