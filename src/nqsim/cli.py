@@ -308,6 +308,9 @@ def cmd_verify(args, config_file) -> int:
         kind = Neighborhood.parse(_resolve(args, "neighborhood", config_file))
     elif args.neighborhood is not None:
         raise ValueError("--neighborhood applies only to the appendix suite")
+    for key in ("steps", "replicas") if suite == "algebra" else ("trials",):
+        if getattr(args, key) is not None:
+            raise ValueError(f"--{key} does not apply to the {suite} suite")
     report = run_suite(suite, m, steps=steps, replicas=replicas, seed=seed, kind=kind, trials=trials)
     _dump_json(report.to_json_dict(), args.out)
     if not report.passed:

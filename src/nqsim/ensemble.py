@@ -48,15 +48,16 @@ window, so the maximum potential rises by exactly 1 each step and no other
 potential rises by more: the max tie set T evolves as T' = T & raised(k) and
 never grows.  T is absorbing when every member raises every member: a single
 site, or an adjacent pair under the symmetric window (Kemeny & Snell, *Finite
-Markov Chains*, ch. 3).  A replica on an absorbing pair picks its
-higher-index member exactly when U >= THR[2, 1] (= 0.5), the comparison the
-lock-step draw makes, and a replica on a single site always picks it.  So
-once every replica's tie set is absorbing, a max-rule request that tracks
-nothing per step (no levels, renewals, parity, comb or residual checks)
-advances the rest of each uniform block at once: occupancies, potentials and
-the parity gap from per-site pick counts, and sites, checkpoints and
-`last_seen` from the same (R, steps) bool picks.  Every other request runs
-the lock-step loop.
+Markov Chains*, ch. 3); `absorbed_max_ties` is the one test of it, for the
+engine and the appendix freeze classifier alike.  A replica on an absorbing
+pair picks its higher-index member exactly when U >= THR[2, 1] (= 0.5), the
+comparison the lock-step draw makes, and a replica on a single site always
+picks it.  So once every replica's tie set is absorbing, a max-rule request
+that tracks nothing per step (no levels, renewals, parity, comb or residual
+checks) advances the rest of each uniform block at once: occupancies,
+potentials and the parity gap from per-site pick counts, and sites,
+checkpoints and `last_seen` from the same (R, steps) bool picks.  Every other
+request runs the lock-step loop.
 
 `run_ensemble` estimates the bytes of its large arrays before allocating and
 refuses a request above MAX_ENSEMBLE_BYTES with a ValueError.
@@ -216,6 +217,21 @@ def _threshold_table(m: int) -> np.ndarray:
     thr = np.cumsum(inc, axis=1)
     thr[k >= n] = 1.0
     return thr
+
+
+def absorbed_max_ties(u: np.ndarray, kind: Neighborhood) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each replica's absorbed flag and lowest and highest max site, from site-major u (M, R).
+
+    A max tie set is absorbing when every member raises every member.  Sites are 0-based.
+    """
+    m = len(u)
+    mask = u == u.max(axis=0)
+    # escape[i, k] = 1: a particle at site k leaves site i's potential as it is
+    escape, k = np.ones((m, m)), np.arange(m)
+    for d in kind.offsets:
+        escape[(k - d) % m, k] = 0
+    absorbed = ~((escape @ mask) * mask).any(axis=0)
+    return absorbed, mask.argmax(axis=0), m - 1 - mask[::-1].argmax(axis=0)
 
 
 def _footprint_bytes(req: EnsembleRequest, m: int) -> int:
@@ -394,18 +410,7 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         req.track_levels or req.track_renewals or req.check_parity
         or req.check_comb_final_half or req.check_residual_final_half
     )
-    if freezable:
-        # escape[i, k]: site i is not raised when site k receives a particle
-        escape = (gain == 0).astype(np.float64)
-
-        def absorbed_pairs() -> tuple[np.ndarray, np.ndarray] | None:
-            """Each replica's lowest and highest max site, once every max tie set is absorbing."""
-            mask = u == u.max(axis=0)
-            if ((escape @ mask) * mask).any():
-                return None
-            return mask.argmax(axis=0), m - 1 - mask[::-1].argmax(axis=0)
-
-    frozen = None  # (lo, hi) from absorbed_pairs; lo == hi on a single site
+    frozen = None  # (lo, hi) once every max tie set is absorbing; lo == hi on a single site
     gens = [RandomStream(req.seed, r).generator() for r in range(R)]
     done = 0
     while done < T:
@@ -416,11 +421,11 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         for r in range(R):
             unif[r] = gens[r].random(csize)
         for j in range(csize):
-            if freezable:
-                if frozen is None:
-                    frozen = absorbed_pairs()
-                if frozen is not None:
-                    break
+            if freezable and frozen is None:
+                absorbed, lo, hi = absorbed_max_ties(u, req.kind)
+                frozen = (lo, hi) if absorbed.all() else None
+            if frozen is not None:
+                break
             t = done + j + 1
             sites = draw(unif[:, j].copy())
 

@@ -8,12 +8,14 @@ is estimated, never asserted against a reference value.  The KS p-value comes
 from the exact Kolmogorov distribution of D_n (`kolmogorov_cdf`), computed
 here in numpy; scipy is imported only by the sign test, `zeta_sign_test`.
 
-Under the max-potential rule the chain freezes: eventually all arrivals land
-on one site, or alternate between one adjacent pair with asymptotic shares
-1/2 each.  `classify_freeze` reads the outcome off an allocation-site
-trajectory; it is the reference oracle for `classify_last_seen`, which reads
-the same verdicts off each site's last allocation step, an (R, M) array
-whose size does not grow with the run.
+Under the max-potential rule the chain freezes onto one site, or onto an
+adjacent pair with asymptotic shares 1/2 each.  A run is frozen exactly when
+its final max tie set is absorbing (every member raises every member's
+potential), and "unfrozen" otherwise; the freeze time is the step after the
+last allocation outside the set.  `classify_final_ties` reads this off the
+final potentials and last allocation steps, (R, M) arrays, through
+`ensemble.absorbed_max_ties`; `classify_freeze`, its pure-Python reference
+oracle, replays an allocation-site list.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import ChainState, MaxRule, MinRule, transition_distribution
-from .ensemble import EnsembleRequest, EnsembleResult, run_ensemble
-from .ring import Neighborhood
+from .ensemble import EnsembleRequest, EnsembleResult, absorbed_max_ties, run_ensemble
+from .ring import Neighborhood, neighborhood, potentials
 
 MIN_REPLICAS_FOR_KS = 100
 SCIPY_MISSING = "the zeta sign test needs scipy (scipy.stats.binomtest)"
@@ -257,70 +259,52 @@ def zeta_tail_check(tail_counts: Sequence[int]) -> tuple[bool, list[float]]:
 @dataclass(frozen=True)
 class FreezeOutcome:
     tag: str  # "single", "pair" or "unfrozen"
-    sites: tuple[int, ...]  # 1-based; (k,) or (k, k+1); empty when unfrozen
-    freeze_time: int | None  # first step of the all-inside suffix
+    sites: tuple[int, ...]  # 1-based; (k,), (k, k+1) or (M, 1); empty when unfrozen
+    freeze_time: int | None  # the step after the last allocation outside `sites`
 
 
-def freeze_window(total_steps: int) -> int:
-    # Geometric stabilisation makes false "unfrozen" verdicts exponentially
-    # rare once the window is this long.
-    return min(total_steps, max(1000, total_steps // 10))
+def classify_freeze(
+    sites: Sequence[int], m: int, kind: Neighborhood, init: Sequence[int] | None = None
+) -> FreezeOutcome:
+    """Classify a max-rule run from its 1-based allocation sites (steps 1..T) and `init`.
 
-
-def classify_freeze(sites: Sequence[int], m: int) -> FreezeOutcome:
-    """Classify a max-rule run from its 1-based allocation sites (steps 1..T)."""
-    total = len(sites)
-    if total == 0:
+    Replays the occupancy, takes the final potentials' max tie set and tests
+    whether every member raises every member, without numpy.
+    """
+    xi = list(init) if init is not None else [0] * m
+    for site in sites:
+        xi[site - 1] += 1
+    u = potentials(xi, kind)
+    top = max(u)
+    ties = [i for i in range(1, m + 1) if u[i - 1] == top]
+    # site k raises the potential of site i when k lies in i's window
+    if any(k not in neighborhood(kind, i, m) for i in ties for k in ties):
         return FreezeOutcome("unfrozen", (), None)
-    tail = np.asarray(sites[total - freeze_window(total) :], dtype=np.int64)
-    distinct = np.unique(tail)
-    if distinct.size == 1:
-        frozen = {int(distinct[0])}
-        ordered = (int(distinct[0]),)
-        tag = "single"
-    elif distinct.size == 2:
-        a, b = (int(x) for x in distinct)
-        if b == a % m + 1:
-            ordered = (a, b)
-        elif a == b % m + 1:
-            ordered = (b, a)
-        else:
-            return FreezeOutcome("unfrozen", (), None)
-        frozen = {a, b}
-        tag = "pair"
-    else:
-        return FreezeOutcome("unfrozen", (), None)
-    outside = np.flatnonzero(~np.isin(np.asarray(sites, dtype=np.int64), list(frozen)))
-    freeze_time = int(outside[-1]) + 2 if outside.size else 1  # steps are 1-based
-    return FreezeOutcome(tag, ordered, freeze_time)
+    ordered = (m, 1) if ties == [1, m] else tuple(ties)  # (M, 1): the pair that wraps around
+    last_outside = max((t for t, site in enumerate(sites, 1) if site not in ties), default=0)
+    return FreezeOutcome("single" if len(ties) == 1 else "pair", ordered, last_outside + 1)
 
 
-def classify_last_seen(last_seen: np.ndarray, steps: int) -> list[FreezeOutcome]:
-    """`classify_freeze` for each row of an (R, M) array of last allocation steps.
+def classify_final_ties(u: np.ndarray, last_seen: np.ndarray, kind: Neighborhood) -> list[FreezeOutcome]:
+    """`classify_freeze` for each row of (R, M) final potentials and last allocation steps.
 
     last_seen[r, i] is the last 1-based step at which site i + 1 got a
-    particle in a run of `steps` steps (0 if never).  A site occurs in the
-    tail window exactly when its last step lies in it, and the last step
-    outside the frozen set is the largest last step of any site outside it
-    (0 if none, giving freeze_time 1).
+    particle (0 if never).  The last step outside the frozen set is the
+    largest last step of any site outside it (0 if none, giving freeze_time 1).
     """
-    unfrozen = FreezeOutcome("unfrozen", (), None)
-    if steps == 0:
-        return [unfrozen] * len(last_seen)
-    m = last_seen.shape[1]
-    in_tail = last_seen > steps - freeze_window(steps)
-    freeze_time = np.where(in_tail, 0, last_seen).max(axis=1) + 1
+    m = u.shape[1]
+    absorbed, lo, hi = absorbed_max_ties(u.T, kind)
+    sites = np.arange(m)
+    in_set = (sites == lo[:, None]) | (sites == hi[:, None])
+    freeze_time = np.where(in_set, 0, last_seen).max(axis=1) + 1
     out = []
-    for row, t in zip(in_tail.tolist(), freeze_time.tolist()):
-        tail = [i + 1 for i, hit in enumerate(row) if hit]
-        if len(tail) == 1:
-            out.append(FreezeOutcome("single", tuple(tail), t))
-        elif len(tail) == 2 and tail[1] == tail[0] + 1:
-            out.append(FreezeOutcome("pair", tuple(tail), t))
-        elif tail == [1, m]:  # the pair that wraps around the ring
-            out.append(FreezeOutcome("pair", (m, 1), t))
-        else:
-            out.append(unfrozen)
+    for frozen, i, j, t in zip(absorbed.tolist(), lo.tolist(), hi.tolist(), freeze_time.tolist()):
+        if not frozen:
+            out.append(FreezeOutcome("unfrozen", (), None))
+        elif i == j:
+            out.append(FreezeOutcome("single", (i + 1,), t))
+        else:  # (M, 1): the pair that wraps around the ring
+            out.append(FreezeOutcome("pair", (i + 1, j + 1) if j == i + 1 else (m, 1), t))
     return out
 
 

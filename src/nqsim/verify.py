@@ -16,7 +16,7 @@ from .ensemble import FLAG_NAMES, EnsembleRequest, EnsembleResult, run_ensemble
 from .limits import LimitConfiguration, enumerate_limits
 from .observers import STABILITY_WINDOW, match_limit
 from .ring import Neighborhood, potentials
-from .scaling import classify_last_seen
+from .scaling import classify_final_ties
 
 SUITE_NAMES = ("asym-odd", "asym-even", "sym", "appendix", "algebra")
 
@@ -71,9 +71,13 @@ def fraction_bound(m: int, steps: int) -> float:
     return 2 * m * (m - 1) / steps + 1e-3
 
 
-def _suite_asym(m: int, steps: int, replicas: int, seed: int, suite: str) -> VerificationReport:
-    if steps < 1:  # fraction_bound divides by the step count
+def _check_steps(suite: str, steps: int) -> None:
+    if steps < 1:  # an empty run checks nothing; fraction_bound divides by steps
         raise ValueError(f"{suite} suite needs steps >= 1, got {steps}")
+
+
+def _suite_asym(m: int, steps: int, replicas: int, seed: int, suite: str) -> VerificationReport:
+    _check_steps(suite, steps)
     even = m % 2 == 0
     result = run_ensemble(
         EnsembleRequest(
@@ -165,6 +169,7 @@ def analyze_convergence(
 
 
 def suite_sym(m: int, steps: int, replicas: int, seed: int) -> VerificationReport:
+    _check_steps("sym", steps)
     result = run_ensemble(
         EnsembleRequest(
             m=m,
@@ -210,6 +215,7 @@ def suite_sym(m: int, steps: int, replicas: int, seed: int) -> VerificationRepor
 def suite_appendix(
     m: int, kind: Neighborhood, steps: int, replicas: int, seed: int
 ) -> VerificationReport:
+    _check_steps("appendix", steps)
     result = run_ensemble(
         EnsembleRequest(
             m=m,
@@ -221,7 +227,7 @@ def suite_appendix(
             track_last_seen=True,
         )
     )
-    outcomes = classify_last_seen(result.last_seen, steps)
+    outcomes = classify_final_ties(result.u, result.last_seen, kind)
     tags = [o.tag for o in outcomes]
     counts = {tag: tags.count(tag) for tag in ("single", "pair", "unfrozen")}
     per_replica = [

@@ -231,7 +231,9 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["passed"] is True
 
-    @pytest.mark.parametrize("suite, m", [("asym-odd", "5"), ("asym-even", "6")])
+    @pytest.mark.parametrize(
+        "suite, m", [("asym-odd", "5"), ("asym-even", "6"), ("sym", "5"), ("appendix", "5")]
+    )
     def test_asym_suites_refuse_zero_steps(self, capsys, suite, m):
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--m", m, "--steps", "0")
         assert code == 1
@@ -254,6 +256,33 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         assert err == "nqsim verify: error: --neighborhood applies only to the appendix suite\n"
+
+    @pytest.mark.parametrize(
+        "suite, flags, message",
+        [
+            ("sym", ("--trials", "3", "--steps", "100", "--replicas", "2"),
+             "--trials does not apply to the sym suite"),
+            ("appendix", ("--trials", "3"), "--trials does not apply to the appendix suite"),
+            ("algebra", ("--steps", "7"), "--steps does not apply to the algebra suite"),
+            ("algebra", ("--replicas", "2"), "--replicas does not apply to the algebra suite"),
+        ],
+    )
+    def test_flags_the_suite_ignores_exit_1(self, capsys, suite, flags, message):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--m", "5", *flags)
+        assert code == 1
+        assert out == ""
+        assert err == f"nqsim verify: error: {message}\n"
+
+    def test_asymmetric_appendix_freezes_to_single_sites_at_500_steps(self, capsys):
+        # every run from empty is frozen on one site long before step 500
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--suite", "appendix", "--m", "5", "--neighborhood", "asym",
+            "--replicas", "20", "--steps", "500", "--seed", "5",
+        )
+        assert code == 0
+        counts = json.loads(out)["invariants"][0]["detail"]["counts"]
+        assert counts == {"single": 20, "pair": 0, "unfrozen": 0}
 
     def test_wrong_parity_suite_exits_1(self, capsys):
         code, _, err = run_cli(

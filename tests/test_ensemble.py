@@ -525,14 +525,44 @@ def _draw_calls(req: EnsembleRequest) -> int:
     return calls
 
 
+def _every_member_raises_every_member(members, m: int, kind: Neighborhood) -> bool:
+    """Brute force: a particle at 0-based site k raises site i when k = i + d for a window offset d."""
+    offsets = {d % m for d in kind.offsets}
+    return all((k - i) % m in offsets for i in members for k in members)
+
+
+@pytest.mark.parametrize("kind", [ASYM, SYM])
+@pytest.mark.parametrize("m", range(3, 9))
+def test_absorbed_max_ties_on_every_tie_mask(kind, m):
+    # column c - 1 holds potential 1 on the sites of the bits of c, 0 elsewhere
+    u = (np.arange(1, 2**m) >> np.arange(m)[:, None] & 1).astype(np.int64)
+    absorbed, lo, hi = ensemble.absorbed_max_ties(u, kind)
+    for c, col in enumerate(u.T.tolist()):
+        members = [i for i in range(m) if col[i]]
+        assert absorbed[c] == _every_member_raises_every_member(members, m, kind), members
+        assert (lo[c], hi[c]) == (members[0], members[-1])
+    if m >= kind.min_sites:  # the single sites, and the adjacent pairs under the symmetric window
+        assert absorbed.sum() == m * (kind.window - 1)
+
+
 @pytest.mark.parametrize("kind", [ASYM, SYM])
 def test_absorbed_phase_takes_no_lock_steps(kind):
-    # From empty, every replica's max tie set is absorbing within a few dozen
-    # steps (each step leaves the transient sets with probability >= 1/2).
+    # The lock-steps stop at the first step after which every replica's max
+    # tie set is absorbing, read off the single chains.  From empty that is
+    # within a few dozen steps (each step leaves the transient sets with
+    # probability >= 1/2).
+    m, replicas, seed = 6, 50, 4
     req = EnsembleRequest(
-        m=6, kind=kind, rule=MaxRule(), steps=3000, replicas=50, seed=4, track_last_seen=True,
+        m=m, kind=kind, rule=MaxRule(), steps=3000, replicas=replicas, seed=seed, track_last_seen=True,
     )
-    assert _draw_calls(req) < 100
+    absorbed_at = []
+    for r in range(replicas):
+        out = run(ChainState.empty(m, kind), MaxRule(), 100, RandomStream(seed, r), sample_every=1)
+        ties = [[i for i in range(m) if rec.u[i] == max(rec.u)] for rec in out.records]
+        absorbed_at.append(
+            next(t for t, members in enumerate(ties) if _every_member_raises_every_member(members, m, kind))
+        )
+    assert _draw_calls(req) == max(absorbed_at)
     assert _draw_calls(dataclasses.replace(req, track_renewals=True)) == 3000
     assert _draw_calls(dataclasses.replace(req, rule=MinRule())) == 3000
 

@@ -9,14 +9,13 @@ from scipy import stats
 from nqsim import verify
 from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run, transition_distribution
 from nqsim.ensemble import EnsembleRequest, run_ensemble
-from nqsim.ring import Neighborhood
+from nqsim.ring import Neighborhood, potentials
 from nqsim.scaling import (
     FreezeOutcome,
+    classify_final_ties,
     classify_freeze,
-    classify_last_seen,
     estimate_sigma,
     fit_variance_line,
-    freeze_window,
     kernel_limit_check,
     kolmogorov_cdf,
     ks_statistic,
@@ -172,18 +171,30 @@ class TestZetaDiagnostics:
         assert ok and ratios == []
 
 
+def _absorbing(u, kind: Neighborhood) -> bool:
+    """Brute force: every member of the max tie set of u raises every member.
+
+    A particle at 0-based site k raises site i when k = i + d for a window
+    offset d.
+    """
+    m = len(u)
+    ties = [i for i in range(m) if u[i] == max(u)]
+    offsets = {d % m for d in kind.offsets}
+    return all((k - i) % m in offsets for i in ties for k in ties)
+
+
 class TestClassifyFreeze:
     def test_single_site(self):
-        sites = [3, 1, 4, 2] + [5] * 2000
-        out = classify_freeze(sites, m=6)
+        sites = [3, 1, 6, 2] + [5] * 2000
+        out = classify_freeze(sites, 6, ASYM)
         assert out.tag == "single"
         assert out.sites == (5,)
         assert out.freeze_time == 5
 
     def test_adjacent_pair(self):
         rng = np.random.default_rng(3)
-        sites = [2] + list(rng.choice([3, 4], size=2000))
-        out = classify_freeze(sites, m=6)
+        sites = [1] + list(rng.choice([3, 4], size=2000))
+        out = classify_freeze(sites, 6, SYM)
         assert out.tag == "pair"
         assert out.sites == (3, 4)
         assert out.freeze_time == 2
@@ -191,33 +202,47 @@ class TestClassifyFreeze:
     def test_wraparound_pair(self):
         rng = np.random.default_rng(4)
         sites = list(rng.choice([6, 1], size=2000))
-        out = classify_freeze(sites, m=6)
+        out = classify_freeze(sites, 6, SYM)
         assert out.tag == "pair"
         assert out.sites == (6, 1)
 
     def test_unfrozen(self):
-        rng = np.random.default_rng(5)
-        sites = list(rng.integers(1, 7, size=2000))
-        assert classify_freeze(sites, m=6).tag == "unfrozen"
+        # every potential tied; an asymmetric pair {2, 3}, which site 2 does not raise
+        assert classify_freeze([1, 2, 3, 4, 5, 6] * 300, 6, SYM).tag == "unfrozen"
+        assert classify_freeze([3] * 2000, 6, ASYM) == FreezeOutcome("unfrozen", (), None)
 
     def test_nonadjacent_two_sites_unfrozen(self):
         rng = np.random.default_rng(6)
         sites = list(rng.choice([1, 4], size=2000))
-        assert classify_freeze(sites, m=6).tag == "unfrozen"
+        assert classify_freeze(sites, 6, SYM).tag == "unfrozen"
 
-    def test_window_rule(self):
-        assert freeze_window(10_000) == 1000
-        assert freeze_window(100_000) == 10_000
-        assert freeze_window(500) == 500
+    def test_init_enters_the_potentials(self):
+        # Peaks on sites 1 and 4 tie every symmetric potential.  Asymmetric,
+        # site 4 leaves the tie set {3, 4}, and site 3 then freezes the run.
+        init = (2, 0, 0, 2, 0, 0)
+        assert classify_freeze([], 6, SYM, init).tag == "unfrozen"
+        assert classify_freeze([4], 6, ASYM, init).tag == "unfrozen"
+        assert classify_freeze([4, 3], 6, ASYM, init) == FreezeOutcome("single", (3,), 2)
+
+    @pytest.mark.parametrize("kind, m", [(ASYM, 5), (SYM, 6)])
+    def test_unfrozen_exactly_while_tie_set_not_absorbing(self, kind, m):
+        out = run(ChainState.empty(m, kind), MaxRule(), 40, RandomStream(21, 0), sample_every=1)
+        sites = [rec.site for rec in out.records[1:]]
+        verdicts = [classify_freeze(sites[:t], m, kind) for t in range(41)]
+        for t, (verdict, rec) in enumerate(zip(verdicts, out.records)):
+            assert (verdict.tag == "unfrozen") == (not _absorbing(rec.u, kind)), t
+        # one step from empty leaves the tie set {k-1, k} or {k-1, k, k+1}
+        assert verdicts[0].tag == verdicts[1].tag == "unfrozen"
+        assert verdicts[-1].tag == ("single" if kind is ASYM else "pair")
 
     def test_monotone_once_frozen(self):
         # classifying any longer prefix after freezing returns the same site
         out = run(ChainState.empty(5, ASYM), MaxRule(), 4000, RandomStream(13, 0), sample_every=1)
         sites = [rec.site for rec in out.records[1:]]
-        full = classify_freeze(sites, m=5)
+        full = classify_freeze(sites, 5, ASYM)
         assert full.tag == "single"
         for cut in (2000, 3000, 4000):
-            prefix = classify_freeze(sites[:cut], m=5)
+            prefix = classify_freeze(sites[:cut], 5, ASYM)
             assert prefix.tag == "single"
             assert prefix.sites == full.sites
 
@@ -236,7 +261,7 @@ def _split_peaks(m: int) -> tuple[int, ...]:
     return tuple(2 if i in (0, 3) else 0 for i in range(m))
 
 
-class TestClassifyLastSeen:
+class TestClassifyFinalTies:
     @pytest.mark.parametrize("steps", [0, 1, 2, 40, 999, 1000, 1001, 2500])
     @pytest.mark.parametrize(
         "kind, m, init",
@@ -245,24 +270,23 @@ class TestClassifyLastSeen:
     )
     def test_matches_classify_freeze_on_runs(self, kind, m, init, steps):
         replicas = 20
+        init = _split_peaks(m) if init else None
         res = run_ensemble(
             EnsembleRequest(
                 m=m, kind=kind, rule=MaxRule(), steps=steps, replicas=replicas, seed=steps + m,
-                init=_split_peaks(m) if init else None, record_sites=True, track_last_seen=True,
+                init=init, record_sites=True, track_last_seen=True,
             )
         )
-        got = classify_last_seen(res.last_seen, steps)
-        assert got == [classify_freeze(res.sites[r].tolist(), m) for r in range(replicas)]
-        # A max-rule run visits at most two sites, and those adjacent, even
-        # from a non-adjacent tie set: T' = T & raised(k) keeps only
-        # neighbours of every site picked.  Only the empty run is unfrozen.
-        assert all((o.tag == "unfrozen") == (steps == 0) for o in got)
+        got = classify_final_ties(res.u, res.last_seen, kind)
+        assert got == [classify_freeze(res.sites[r].tolist(), m, kind, init) for r in range(replicas)]
+        # A run is unfrozen exactly when its final max tie set is not absorbing.
+        assert [o.tag == "unfrozen" for o in got] == [not _absorbing(u, kind) for u in res.u.tolist()]
 
     @pytest.mark.parametrize("length", [1, 5, 999, 1000, 1001, 3000, 12_000])
-    @pytest.mark.parametrize("m", [3, 4, 6, 8])
-    def test_matches_classify_freeze_on_synthetic_sites(self, m, length):
+    @pytest.mark.parametrize("kind, m", [(ASYM, 3), (ASYM, 4), (SYM, 4), (SYM, 6), (ASYM, 8), (SYM, 8)])
+    def test_matches_classify_freeze_on_synthetic_sites(self, kind, m, length):
         # Random prefixes followed by one, two (adjacent, wrapped or apart) or
-        # three sites reach every verdict, unfrozen ones included.
+        # three sites, read through the potentials of the sites they fill.
         rng = np.random.default_rng(100 * m + length)
         rows = []
         for _ in range(30):
@@ -271,8 +295,15 @@ class TestClassifyLastSeen:
             rows.append(
                 rng.integers(1, m + 1, cut).tolist() + rng.choice(tail_set, length - cut).tolist()
             )
-        got = classify_last_seen(_last_seen_rows(rows, m), length)
-        assert got == [classify_freeze(sites, m) for sites in rows]
+        xi = [np.bincount(np.asarray(sites) - 1, minlength=m).tolist() for sites in rows]
+        u = np.array([potentials(x, kind) for x in xi], dtype=np.int64)
+        got = classify_final_ties(u, _last_seen_rows(rows, m), kind)
+        assert got == [classify_freeze(sites, m, kind) for sites in rows]
+
+    def test_one_step_from_empty_is_unfrozen_asymmetric(self):
+        # the first site k leaves the max tie set {k-1, k}, which k-1 does not raise
+        report = verify.suite_appendix(5, ASYM, 1, 20, seed=5)
+        assert report.invariants[0].detail["counts"] == {"single": 0, "pair": 0, "unfrozen": 20}
 
     def test_appendix_memory_does_not_grow_with_steps(self, monkeypatch):
         requests = []
