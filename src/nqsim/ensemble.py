@@ -56,8 +56,31 @@ picks it.  So once every replica's tie set is absorbing, a max-rule request
 that tracks nothing per step (no levels, renewals, parity, comb or residual
 checks) advances the rest of each uniform block at once: occupancies,
 potentials and the parity gap from per-site pick counts, and sites,
-checkpoints and `last_seen` from the same (R, steps) bool picks.  Every other
-request runs the lock-step loop.
+checkpoints and `last_seen` from the same (R, steps) bool picks.
+
+State table (asymmetric min rule).  Under the min rule the reduced potentials
+v = u - min u form a Markov chain of their own, with a finite reachable set
+under the asymmetric window: 9, 70, 473 and 3111 states from empty at
+M = 4, 6, 8 and 10 (Kemeny & Snell, ch. 3).  An asymmetric min-rule request
+that asks for nothing read off the full potentials each step (no levels,
+parity, comb or residual checks, and no `last_seen`) searches that set from
+its initial v (`statetable.min_rule_states`).  If it has at most
+_TABLE_MAX_STATES states (8192, so every M <= 10 from empty; the search gives
+up past the cap), the chain runs on a table instead of the lock-step draw.
+A draw U falls in grid cell g = floor(U * G), G the smallest power of two
+above M.  The n - 1 breakpoints THR[n, 1..n-1] of an n-member tie set lie
+about 1/n apart, so a cell holds at most one of them, and the entry for
+(state, g) stores it as the cell's cut.  The tie-set rank that U >= cut
+selects, #{j : THR[n, j] <= U}, is then the count the lock-step draw makes
+from the same floats, so every site is identical.  A lock-step is
+e = base + 2g; e += U >= cut[e]; base = next[e].  The entries taken are kept
+for one slice of `statetable.SLICE_STEPS` (32) steps, and the slice's
+sites, occupancies (bincount), parity gaps (running sums), checkpoints and
+renewals (the next state is v == 0) are read off them at once; the final
+potentials are the window sums of the final occupancies.  A slice's arrays hold 32 R cells
+each (256 KiB at R = 1000), where a whole uniform block of 2^19 cells would
+add 4 MiB per array to the peak memory.  Every other request runs the
+lock-step loop.
 
 `run_ensemble` estimates the bytes of its large arrays before allocating and
 refuses a request above MAX_ENSEMBLE_BYTES with a ValueError.
@@ -76,7 +99,13 @@ from .dynamics import (
     RandomStream,
     Softmax,
 )
-from .ring import Neighborhood, check_ring_size, potentials, validate_occupancy
+from .ring import (
+    Neighborhood,
+    check_ring_size,
+    potentials,
+    reduce_potential,
+    validate_occupancy,
+)
 
 # Windows excluded in the limit, as zero/positive shapes read from a site k
 # onward; level flag bit i marks shape i.
@@ -98,6 +127,9 @@ _UNIF_BLOCK_CELLS = 2**19
 # Requests whose estimated arrays (`_footprint_bytes`) exceed this are refused
 # before anything is allocated: 4 GiB.
 MAX_ENSEMBLE_BYTES = 2**32
+# Largest reachable reduced-potential set the state-table path steps; 8192
+# covers every M <= 10 from empty (3111 states at M = 10, 5266 at M = 9).
+_TABLE_MAX_STATES = 8192
 
 
 def _window_table(shape: tuple[int, ...]) -> np.ndarray:
@@ -234,19 +266,28 @@ def absorbed_max_ties(u: np.ndarray, kind: Neighborhood) -> tuple[np.ndarray, np
     return absorbed, mask.argmax(axis=0), m - 1 - mask[::-1].argmax(axis=0)
 
 
-def _footprint_bytes(req: EnsembleRequest, m: int) -> int:
+def _footprint_bytes(req: EnsembleRequest, m: int, table_states: int = 0) -> int:
     """Estimated bytes of run_ensemble's large arrays for this request.
 
-    Counts the R x T int16 site record, six (M, M) helpers and sixteen (M, R)
-    arrays of eight bytes (the state and the per-step temporaries), the
-    uniform block, the checkpoints and last_seen.
+    Counts the R x T int16 site record, the uniform block and the checkpoints.
+    The lock-step loop adds six (M, M) helpers, sixteen (M, R) arrays of eight
+    bytes (the state and the per-step temporaries) and last_seen.  The
+    state-table path (table_states > 0) adds two (M, R) arrays (xi and u), the
+    table and the per-slice records.
     """
     R, T = req.replicas, req.steps
     block = R * max(1, min(req.chunk_steps, T, max(1, _UNIF_BLOCK_CELLS // R)))
-    cells = 6 * m * m + 16 * m * R + block + len(req.h_checkpoints) * R
+    shared = 8 * (block + len(req.h_checkpoints) * R) + (2 * R * T if req.record_sites else 0)
+    if table_states:
+        from . import statetable as st
+
+        entries = table_states * 2 * st.table_grid(m)
+        slices = st.SLICE_CELL_BYTES * st.SLICE_STEPS * R
+        return shared + 16 * m * R + st.TABLE_ENTRY_BYTES * entries + slices
+    cells = 6 * m * m + 16 * m * R
     if req.track_last_seen:
         cells += m * R
-    return 8 * cells + (2 * R * T if req.record_sites else 0)
+    return shared + 8 * cells
 
 
 def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
@@ -263,21 +304,37 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         raise ValueError("level flags require track_levels")
     if any(not 0 <= t <= T for t in req.h_checkpoints):
         raise ValueError(f"h checkpoints must lie in steps 0..{T}, got {tuple(req.h_checkpoints)}")
-    need = _footprint_bytes(req, m)
+    rule = req.rule
+    u0 = potentials(init, req.kind)
+    # Checks that read the full potentials every step keep the lock-step loop.
+    per_step = (
+        req.track_levels or req.check_parity or req.check_comb_final_half
+        or req.check_residual_final_half
+    )
+    freezable = isinstance(rule, MaxRule) and not (per_step or req.track_renewals)
+    reachable = None
+    if isinstance(rule, MinRule) and req.kind is Neighborhood.ASYMMETRIC and not (
+        per_step or req.track_last_seen
+    ):
+        from . import statetable  # imported by the requests that may take this path
+
+        reachable = statetable.min_rule_states(reduce_potential(u0), req.kind, _TABLE_MAX_STATES)
+    need = _footprint_bytes(req, m, len(reachable[0]) if reachable else 0)
     if need > MAX_ENSEMBLE_BYTES:
         raise ValueError(
             f"M={m}, {R} replicas and {T} steps need about {need / 2**20:.0f} MiB, "
             f"above the {MAX_ENSEMBLE_BYTES / 2**20:.0f} MiB limit"
         )
+    tab = statetable.state_table(*reachable, _threshold_table(m)) if reachable else None
+    del reachable  # the table holds all the state-table path reads
 
     # Site-major state: row i is site i across all replicas.  The result holds
     # every counter from the start; its (M, R) arrays are transposed at the end.
     xi = np.repeat(np.asarray(init, dtype=np.int64)[:, None], R, axis=1)
-    u = np.repeat(np.asarray(potentials(init, req.kind), dtype=np.int64)[:, None], R, axis=1)
+    u = np.repeat(np.asarray(u0, dtype=np.int64)[:, None], R, axis=1)
     m_cur = u.min(axis=0)
     res = EnsembleResult(request=req, t=T, xi=xi, u=u)
 
-    rule = req.rule
     beta = rule.beta if isinstance(rule, Softmax) else None
     # gain[:, k]: the potentials that rise by 1 when site k receives a particle
     eye = np.eye(m, dtype=np.int64)
@@ -338,31 +395,33 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         res.renewal_counts = np.zeros(R, dtype=np.int64)
         has_base = np.zeros(R, dtype=bool)
         d_last = np.zeros(R, dtype=np.int64)
-        # histogram of floor((|zeta|*M - 1) / M) clipped at 10, for nonzero zeta
-        zeta_mag_hist = np.zeros(11, dtype=np.int64)
+        # zeta_hist[z + cap]: the increments z, clipped to +-cap; every |z| >= cap
+        # is in the top bucket of zeta_tail, c = 10 (|z| > 10 * M).
+        cap = 10 * m + 1
+        zeta_hist = np.zeros(2 * cap + 1, dtype=np.int64)
 
-        def handle_renewals(m_new: np.ndarray) -> None:
-            mask = u.max(axis=0) == m_new
-            if not mask.any():
+        def handle_renewals(hit: np.ndarray, d: np.ndarray) -> None:
+            # hit (steps, R): renewals, with the parity gap d (steps, R) after
+            # each step.  Each renewal is paired with its replica's previous
+            # one, in this call or before it: idx runs replica-major.
+            idx = np.flatnonzero(hit.T)
+            if not idx.size:
                 return
-            idx = np.flatnonzero(mask)
-            res.renewal_counts[idx] += 1
-            based = idx[has_base[idx]]
-            if based.size:
-                dd = D[based] - d_last[based]
-                res.zeta_positive += int((dd > 0).sum())
-                res.zeta_negative += int((dd < 0).sum())
-                mag = np.abs(dd)
-                nonzero = mag[mag > 0]
-                res.zeta_zero += based.size - nonzero.size
-                if nonzero.size:
-                    zeta_mag_hist[:] += np.bincount(
-                        np.minimum((nonzero - 1) // m, 10), minlength=11
-                    )
-            d_last[idx] = D[idx]
-            has_base[idx] = True
+            rep, j = np.divmod(idx, len(hit))
+            dv = d[j, rep]
+            starts = np.flatnonzero(np.concatenate(([True], rep[1:] != rep[:-1])))
+            r0 = rep[starts]  # the replicas with renewals, each once
+            prev = np.empty_like(dv)
+            prev[1:] = dv[:-1]
+            prev[starts] = d_last[r0]
+            dd = np.delete(dv - prev, starts[~has_base[r0]])
+            zeta_hist[:] += np.bincount(np.clip(dd, -cap, cap) + cap, minlength=2 * cap + 1)
+            ends = np.append(starts[1:], idx.size)
+            res.renewal_counts[r0] += ends - starts
+            d_last[r0] = dv[ends - 1]
+            has_base[r0] = True
 
-        handle_renewals(m_cur)
+        handle_renewals((u.max(axis=0) == m_cur)[None], D[None])
 
     if req.check_comb_final_half:
         res.comb_violations = np.zeros(R, dtype=np.int64)
@@ -406,20 +465,28 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             c[rows >= m - 1 - (p[::-1] > 0).argmax(axis=0)] = 1.0
             return (c <= U).sum(axis=0)
 
-    freezable = isinstance(rule, MaxRule) and not (
-        req.track_levels or req.track_renewals or req.check_parity
-        or req.check_comb_final_half or req.check_residual_final_half
-    )
+    if tab is not None:
+        base = np.zeros(R, dtype=np.intp)  # each replica's state's first entry; v0 is state 0
+        renewals = handle_renewals if req.track_renewals else None
     frozen = None  # (lo, hi) once every max tie set is absorbing; lo == hi on a single site
     gens = [RandomStream(req.seed, r).generator() for r in range(R)]
     done = 0
+    block_steps = min(req.chunk_steps, max(1, _UNIF_BLOCK_CELLS // R))
+    # One buffer for every block.  A block allocated before the last one is
+    # freed would hold two at once, and the hole the freed one leaves is
+    # fragmented by smaller arrays, so the next block extends the heap.
+    blocks = np.empty((R, min(block_steps, T)))
     while done < T:
         # Philox gives one double per draw, so how the steps are split into
         # blocks changes no draw.
-        csize = min(req.chunk_steps, T - done, max(1, _UNIF_BLOCK_CELLS // R))
-        unif = np.empty((R, csize))
+        csize = min(block_steps, T - done)
+        unif = blocks[:, :csize]
         for r in range(R):
             unif[r] = gens[r].random(csize)
+        if tab is not None:
+            statetable.advance(tab, base, unif, done, xi, D, parity_sign, res, renewals)
+            done += csize
+            continue
         for j in range(csize):
             if freezable and frozen is None:
                 absorbed, lo, hi = absorbed_max_ties(u, req.kind)
@@ -440,7 +507,7 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
                     open_levels(opened, t, m_new)
             m_cur = m_new
             if req.track_renewals:
-                handle_renewals(m_new)
+                handle_renewals((u.max(axis=0) == m_new)[None], D[None])
             if req.check_parity:
                 bad = u[0::2].sum(axis=0) != u[1::2].sum(axis=0)
                 if bad.any():
@@ -493,12 +560,18 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             D += d_lo * (n - n_hi) + d_hi * n_hi
         done += csize
 
+    if tab is not None:
+        u = gain @ xi  # the window sums of the final occupancies
     res.xi, res.u = np.ascontiguousarray(xi.T), np.ascontiguousarray(u.T)
     if req.track_last_seen:
         res.last_seen = np.ascontiguousarray(res.last_seen.T)
     if req.store_level_flags:
         res.final_half_flags = (last_flag >= res.level_counts // 2).T
     if req.track_renewals:
-        # tail[c] = #{|zeta| > c}: bucket b holds c*M < |zeta|*M <= (c+1)*M
-        res.zeta_tail = zeta_mag_hist[::-1].cumsum()[::-1].copy()
+        # tail[c] = #{|zeta| > c}, zeta = dd / M
+        z = np.abs(np.arange(-cap, cap + 1))
+        res.zeta_positive = int(zeta_hist[cap + 1 :].sum())
+        res.zeta_negative = int(zeta_hist[:cap].sum())
+        res.zeta_zero = int(zeta_hist[cap])
+        res.zeta_tail = np.array([zeta_hist[z > c * m].sum() for c in range(11)])
     return res

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from nqsim import ensemble
+from nqsim import ensemble, statetable
 from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run, step
 from nqsim.ensemble import FLAG_NAMES, EnsembleRequest, EnsembleResult, run_ensemble
 from nqsim.observers import (
@@ -579,3 +579,211 @@ def test_size_guard_refuses_before_allocating(monkeypatch):
     # the (M, M) helpers are counted
     with pytest.raises(ValueError, match="MiB limit"):
         run_ensemble(dataclasses.replace(req, m=200, init=None, replicas=1))
+
+
+def _assert_identical(a: EnsembleResult, b: EnsembleResult) -> None:
+    """Every field equal in value, type, dtype and shape; checkpoints in the same key order."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "h_checkpoints":
+            assert list(x) == list(y)
+            pairs = [(x[t], y[t]) for t in x]
+        else:
+            pairs = [(x, y)]
+        for p, q in pairs:
+            assert type(p) is type(q), f.name
+            if isinstance(p, np.ndarray):
+                assert (p.dtype, p.shape) == (q.dtype, q.shape), f.name
+                assert np.array_equal(p, q), f.name
+            else:
+                assert p == q, f.name
+
+
+def _table_trackers(steps: int) -> dict:
+    """Tracker sets of the state-table tests; the checkpoints include 0 and a repeat."""
+    checkpoints = (0, steps // 2, steps, steps // 2, min(1, steps))
+    return {
+        "none": {},
+        "renewals": {"track_renewals": True},
+        "renewals-checkpoints": {"track_renewals": True, "h_checkpoints": checkpoints},
+        "sites": {"record_sites": True},
+        "last-seen": {"track_last_seen": True},
+    }
+
+
+# The state-table path against the lock-step loop, forced by a zero state cap
+# (the lock-step loop's own block splits are pinned above).  Blocks of 1 and 7
+# cells split the run into blocks of 1 or 7 steps (R = 1) and 1 or 2 steps
+# (R = 3), shorter than a slice, so slices end on every block edge; at R = 200
+# they would repeat the 1-step blocks at 200 times the cost.
+@pytest.mark.parametrize("random_init", [False, True], ids=["empty", "random"])
+@pytest.mark.parametrize("steps", [0, 1, 2, 9, 300, 1100])
+@pytest.mark.parametrize("m", range(3, 11))
+def test_state_table_matches_lock_step(monkeypatch, m, steps, random_init):
+    seed = 900 + m
+    init = _random_init(m, seed) if random_init else (0,) * m
+    for replicas in (1, 3, 200):
+        for name, flags in _table_trackers(steps).items():
+            req = EnsembleRequest(
+                m=m, kind=ASYM, rule=MinRule(), steps=steps, replicas=replicas, seed=seed,
+                init=init, **flags,
+            )
+            with monkeypatch.context() as mp:
+                mp.setattr(ensemble, "_TABLE_MAX_STATES", 0)
+                lock = run_ensemble(req)
+            for block_cells in (None, 1, 7) if replicas <= 3 else (None,):
+                with monkeypatch.context() as mp:
+                    if block_cells is not None:
+                        mp.setattr(ensemble, "_UNIF_BLOCK_CELLS", block_cells)
+                    res = run_ensemble(req)
+                _assert_identical(res, lock)
+            if name == "sites":
+                for r in {0, replicas - 1}:
+                    start = ChainState.from_occupancy(init, ASYM)
+                    out = run(start, MinRule(), steps, RandomStream(seed, r), sample_every=1)
+                    assert res.sites[r].tolist() == [rec.site for rec in out.records[1:]]
+                    assert tuple(res.xi[r]) == out.final.xi
+                    assert tuple(res.u[r]) == out.final.u
+
+
+def test_state_table_path_guard():
+    # Criterion 08's shape (renewals and checkpoints, asymmetric min rule)
+    # takes no lock-step draw; a tracker that reads the full potentials, or a
+    # reachable set above the cap, takes one draw per step.
+    steps = 200
+    req = EnsembleRequest(
+        m=4, kind=ASYM, rule=MinRule(), steps=steps, replicas=20, seed=31337,
+        h_checkpoints=(50, 100, 200), track_renewals=True,
+    )
+    assert _draw_calls(req) == 0
+    assert _draw_calls(dataclasses.replace(req, m=10, record_sites=True)) == 0
+    assert _draw_calls(dataclasses.replace(req, track_levels=True)) == steps
+    assert _draw_calls(dataclasses.replace(req, check_parity=True)) == steps
+    last_seen = dataclasses.replace(req, track_renewals=False, track_last_seen=True)
+    assert _draw_calls(last_seen) == steps
+    assert _draw_calls(dataclasses.replace(req, m=14)) == steps
+    assert _draw_calls(dataclasses.replace(req, kind=SYM)) == steps
+
+
+def test_state_search_gives_up_past_the_cap():
+    empty14 = (0,) * 14
+    assert statetable.min_rule_states(empty14, ASYM, ensemble._TABLE_MAX_STATES) is None
+    # at M = 10 the whole set is 3111 states: a cap of 3111 keeps it, 3110 gives up
+    states, successors = statetable.min_rule_states((0,) * 10, ASYM, 3111)
+    assert len(states) == len(successors) == 3111
+    assert statetable.min_rule_states((0,) * 10, ASYM, 3110) is None
+    assert statetable.min_rule_states((0,) * 10, ASYM, 0) is None
+
+
+@pytest.mark.parametrize("m, count", [(4, 9), (6, 70), (8, 473), (10, 3111)])
+def test_reachable_state_counts_from_empty(m, count):
+    states, _ = statetable.min_rule_states((0,) * m, ASYM, ensemble._TABLE_MAX_STATES)
+    assert len(states) == count
+
+
+def _naive_reachable(m: int) -> dict:
+    """The min-rule chain of v = u - min u from empty, by the definitions.
+
+    Maps each state to its successors, one per minimiser in site order.
+    """
+    from collections import deque
+
+    from nqsim.ring import neighborhood
+
+    start = (0,) * m
+    graph, todo = {}, deque([start])
+    while todo:
+        v = todo.popleft()
+        if v in graph:
+            continue
+        succ = []
+        for k in range(1, m + 1):
+            if v[k - 1] == min(v):
+                u = [x + (k in neighborhood(ASYM, i, m)) for i, x in enumerate(v, 1)]
+                succ.append(reduce_potential(u))
+        graph[v] = succ
+        todo.extend(succ)
+    return graph
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_reachable_states_match_naive_search_odd_m(m):
+    states, successors = statetable.min_rule_states((0,) * m, ASYM, ensemble._TABLE_MAX_STATES)
+    graph = _naive_reachable(m)
+    assert set(states) == set(graph) and len(states) == len(graph)
+    for v, row in zip(states, successors):
+        assert [states[j] for j in row] == graph[v]
+
+
+def _stationary_law(successors) -> list:
+    """Exact stationary law of the chain that moves from s to each successors[s] entry w.p. 1/n."""
+    from fractions import Fraction
+
+    n = len(successors)
+    # balance rows pi_j = sum_s pi_s P[s, j]; row 0 is replaced by sum pi = 1
+    a = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    for s, row in enumerate(successors):
+        for j in row:
+            a[j][s] += Fraction(1, len(row))
+    for j in range(n):
+        a[j][j] -= 1
+    a[0] = [Fraction(1)] * (n + 1)
+    for c in range(n):  # Gauss-Jordan elimination
+        p = next(r for r in range(c, n) if a[r][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n] for row in a]
+
+
+@pytest.mark.parametrize("m, mean_tau", [(4, "4"), (6, "138/11")])
+def test_mean_renewal_time_from_the_stationary_law(m, mean_tau):
+    from fractions import Fraction
+
+    states, successors = statetable.min_rule_states((0,) * m, ASYM, ensemble._TABLE_MAX_STATES)
+    pi = _stationary_law(successors)
+    assert sum(pi) == 1 and min(pi) > 0
+    assert 1 / pi[states.index((0,) * m)] == Fraction(mean_tau)
+
+
+def test_renewal_rate_matches_exact_mean_renewal_time():
+    # Criterion 08's size.  From empty, renewal_counts includes t = 0.  With
+    # Var(tau) = 8 at M = 4 (E[tau] = 4), the mean rate over R chains has
+    # standard error sqrt(Var(tau) / E[tau]^3 / (R T)) = 4.4e-5; the bound,
+    # fixed before the run, is about 7 standard errors.
+    m, replicas, steps = 4, 1000, 2**16
+    res = run_ensemble(
+        EnsembleRequest(
+            m=m, kind=ASYM, rule=MinRule(), steps=steps, replicas=replicas, seed=31337,
+            h_checkpoints=tuple(2**k for k in range(10, 17)), track_renewals=True,
+        )
+    )
+    assert abs(res.renewal_counts.mean() / steps - 1 / 4) < 3e-4
+
+
+def test_size_guard_counts_the_state_table(monkeypatch):
+    req = EnsembleRequest(
+        m=8, kind=ASYM, rule=MinRule(), steps=5000, replicas=20, seed=0, track_renewals=True,
+    )
+    table = ensemble._footprint_bytes(req, 8, 473)
+    # each state's 2 * grid entries are counted, and the per-slice records
+    per_state = statetable.TABLE_ENTRY_BYTES * 2 * statetable.table_grid(8)
+    assert table - ensemble._footprint_bytes(req, 8, 472) == per_state
+    per_slice = statetable.SLICE_CELL_BYTES * statetable.SLICE_STEPS * 20
+    with monkeypatch.context() as mp:
+        mp.setattr(statetable, "SLICE_STEPS", 2 * statetable.SLICE_STEPS)
+        assert ensemble._footprint_bytes(req, 8, 473) - table == per_slice
+    monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", table)
+    run_ensemble(req)
+
+    def no_table(*args):
+        raise AssertionError("the table was built before the size check")
+
+    monkeypatch.setattr(statetable, "state_table", no_table)
+    monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", table - 1)
+    with pytest.raises(ValueError, match="MiB limit"):
+        run_ensemble(req)
+
