@@ -12,7 +12,6 @@ import importlib.util
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from .dynamics import (
     RNG_ALGORITHM,
@@ -58,23 +57,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclass
-class ExperimentConfig:
-    command: str
-    m: int
-    neighborhood: str | None = None
-    rule: str | None = None
-    beta: float | None = None
-    steps: int | None = None
-    seed: int = 0
-    stream: int = 0
-    init: str | None = None
-    sample_every: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 # The type a config-file value must have, by key, and how a usage error names it.
@@ -138,24 +120,14 @@ def _parse_init(text: str, m: int) -> tuple[int, ...]:
 
 
 def cmd_simulate(args, config_file) -> int:
-    config = ExperimentConfig(
-        command="simulate",
-        m=_resolve(args, "m", config_file),
-        neighborhood=_resolve(args, "neighborhood", config_file),
-        rule=_resolve(args, "rule", config_file),
-        beta=_resolve(args, "beta", config_file),
-        steps=_resolve(args, "steps", config_file),
-        seed=_resolve(args, "seed", config_file),
-        stream=_resolve(args, "stream", config_file),
-        init=_resolve(args, "init", config_file),
-        sample_every=_resolve(args, "sample_every", config_file),
-    )
-    if config.rule != "softmax" and config.beta is not None:
+    keys = ("m", "neighborhood", "rule", "beta", "steps", "seed", "stream", "init", "sample_every")
+    config = {key: _resolve(args, key, config_file) for key in keys}
+    if config["rule"] != "softmax" and config["beta"] is not None:
         raise ValueError("--beta applies only to the softmax rule")
-    m = config.m
-    kind = Neighborhood.parse(config.neighborhood)
-    rule = parse_rule(config.rule, config.beta)
-    init = _parse_init(config.init, m)
+    m = config["m"]
+    kind = Neighborhood.parse(config["neighborhood"])
+    rule = parse_rule(config["rule"], config["beta"])
+    init = _parse_init(config["init"], m)
 
     state = ChainState.from_occupancy(init, kind)
     level_log = LevelLog(kind)
@@ -173,11 +145,11 @@ def cmd_simulate(args, config_file) -> int:
     result = run(
         state,
         rule,
-        config.steps,
-        RandomStream(config.seed, config.stream),
+        config["steps"],
+        RandomStream(config["seed"], config["stream"]),
         observers=observers,
-        sample_every=config.sample_every,
-        include_level_steps=True,
+        sample_every=config["sample_every"],
+        include_level_steps=bool(args.trajectory),  # level records reach only the trajectory
     )
 
     if args.trajectory:
@@ -189,7 +161,11 @@ def cmd_simulate(args, config_file) -> int:
     verdict = detect_convergence(level_log, result.final.xi, result.final.t, limits)
     final = result.final
     summary = {
-        "config": {**config.to_json_dict(), "rng": RNG_ALGORITHM},
+        "config": {
+            "command": "simulate",
+            **{k: v for k, v in config.items() if v is not None},
+            "rng": RNG_ALGORITHM,
+        },
         "final": {
             "t": final.t,
             "xi": list(final.xi),

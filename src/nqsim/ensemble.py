@@ -297,6 +297,8 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         raise ValueError("replicas must be >= 1")
     if T < 0:
         raise ValueError("steps must be >= 0")
+    if req.init is not None and len(req.init) != m:
+        raise ValueError(f"init lists {len(req.init)} counts for m={m} sites")
     init = validate_occupancy(req.init, req.kind) if req.init is not None else (0,) * m
     if req.kind.window * (sum(init) + T) > MAX_TOTAL_PARTICLES:
         raise ValueError(f"step budget {T} overflows the int64 potential range")

@@ -35,10 +35,6 @@ class LimitConfiguration:
     achievable_from_empty: bool
     symbols: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.x)
-
     @cached_property
     def x_float(self) -> tuple[float, ...]:
         """x as floats, converted once (float of a Fraction is correctly rounded)."""

@@ -295,7 +295,6 @@ def detect_convergence(
     t: int,
     limits: Sequence["LimitConfiguration"] | None = None,
     stability_window: int = STABILITY_WINDOW,
-    match_tolerance: float = MATCH_TOLERANCE,
 ) -> ConvergenceVerdict | None:
     """Convergence verdict, or None while the signature is still unstable.
 
@@ -319,7 +318,7 @@ def detect_convergence(
         return None
     if limits is None:
         raise ValueError("symmetric convergence matching needs the enumerated limit set")
-    matched, dist = match_limit(empirical, limits, match_tolerance)
+    matched, dist = match_limit(empirical, limits)
     return ConvergenceVerdict(
         mode="symmetric",
         stable=True,

@@ -7,13 +7,15 @@ invariant results with first-violation details.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .algebra import Family, Infeasible, Unique, solve_occupancy_asym, solve_occupancy_sym
 from .dynamics import MaxRule, MinRule
-from .ensemble import FLAG_NAMES, EnsembleRequest, EnsembleResult, run_ensemble
-from .limits import LimitConfiguration, enumerate_limits
+from .ensemble import FLAG_NAMES, EnsembleRequest, run_ensemble
+from .limits import enumerate_limits
 from .observers import STABILITY_WINDOW, match_limit
 from .ring import Neighborhood, potentials
 from .scaling import classify_final_ties
@@ -77,8 +79,11 @@ def _check_steps(suite: str, steps: int) -> None:
 
 
 def _suite_asym(m: int, steps: int, replicas: int, seed: int, suite: str) -> VerificationReport:
-    _check_steps(suite, steps)
+    parity = suite.removeprefix("asym-")
     even = m % 2 == 0
+    if parity != ("even" if even else "odd"):
+        raise ValueError(f"{suite} suite needs {parity} M, got {m}")
+    _check_steps(suite, steps)
     result = run_ensemble(
         EnsembleRequest(
             m=m,
@@ -136,38 +141,6 @@ def _suite_asym(m: int, steps: int, replicas: int, seed: int, suite: str) -> Ver
     return VerificationReport(suite, config, invariants)
 
 
-def suite_asym_odd(m: int, steps: int, replicas: int, seed: int) -> VerificationReport:
-    if m % 2 == 0:
-        raise ValueError(f"asym-odd suite needs odd M, got {m}")
-    return _suite_asym(m, steps, replicas, seed, "asym-odd")
-
-
-def suite_asym_even(m: int, steps: int, replicas: int, seed: int) -> VerificationReport:
-    if m % 2 == 1:
-        raise ValueError(f"asym-even suite needs even M, got {m}")
-    return _suite_asym(m, steps, replicas, seed, "asym-even")
-
-
-def analyze_convergence(
-    result: EnsembleResult, limits: tuple[LimitConfiguration, ...]
-) -> list[dict]:
-    """Per-replica stability and limit matching from an ensemble with levels."""
-    fractions = result.empirical_fractions
-    out = []
-    for r in range(result.request.replicas):
-        stable = int(result.run_length[r]) >= STABILITY_WINDOW
-        matched, dist = match_limit(fractions[r], limits) if stable else (None, None)
-        out.append(
-            {
-                "stable": stable,
-                "run_length": int(result.run_length[r]),
-                "matched": matched,
-                "distance": dist,
-            }
-        )
-    return out
-
-
 def suite_sym(m: int, steps: int, replicas: int, seed: int) -> VerificationReport:
     _check_steps("sym", steps)
     result = run_ensemble(
@@ -193,16 +166,18 @@ def suite_sym(m: int, steps: int, replicas: int, seed: int) -> VerificationRepor
         _count_invariant("isolated-zero-persistence", result.persistence_violations)
     )
     limits = enumerate_limits(m)
-    verdicts = analyze_convergence(result, limits)
-    matched = [v for v in verdicts if v["matched"] is not None]
-    starred_hits = sum(1 for v in matched if not v["matched"].achievable_from_empty)
+    stable = result.run_length >= STABILITY_WINDOW
+    fractions = result.empirical_fractions
+    matched = [match_limit(fractions[r], limits)[0] for r in np.flatnonzero(stable)]
+    matched = [c for c in matched if c is not None]
+    starred_hits = sum(1 for c in matched if not c.achievable_from_empty)
     invariants.append(
         InvariantResult(
             "matched-limits-reachable-from-empty",
             starred_hits == 0,
             None,
             {
-                "stable_replicas": sum(1 for v in verdicts if v["stable"]),
+                "stable_replicas": int(stable.sum()),
                 "matched_replicas": len(matched),
                 "starred_matches": starred_hits,
             },
@@ -298,67 +273,45 @@ def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
     if trials < 1:  # zero trials would pass every invariant vacuously
         raise ValueError(f"algebra suite needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    solvers = {
-        Neighborhood.ASYMMETRIC: solve_occupancy_asym,
-        Neighborhood.SYMMETRIC: solve_occupancy_sym,
-    }
+    asym, sym = Neighborhood.ASYMMETRIC, Neighborhood.SYMMETRIC
+    solvers = {asym: solve_occupancy_asym, sym: solve_occupancy_sym}
 
-    def round_trip(kind: Neighborhood, size: int) -> InvariantResult:
-        failures = 0
-        for _ in range(trials):
-            xi = _random_occupancy(rng, size)
-            outcome = solvers[kind](potentials(xi, kind))
-            if not (isinstance(outcome, Unique) and outcome.xi == xi):
-                failures += 1
+    def battery(id_: str, size: int, passes: Callable[[int], bool]) -> InvariantResult:
+        """`trials` calls of `passes(size)`, each drawing its own case from `rng`."""
+        failures = sum(1 for _ in range(trials) if not passes(size))
         return InvariantResult(
-            f"round-trip-unique-{kind.value}",
-            failures == 0,
-            None,
-            {"trials": trials, "failures": failures, "m": size},
+            id_, failures == 0, None, {"trials": trials, "failures": failures, "m": size}
         )
 
-    def family_substitution(kind: Neighborhood, size: int) -> InvariantResult:
-        failures = 0
-        for _ in range(trials):
-            u = potentials(_random_occupancy(rng, size), kind)
-            outcome = solvers[kind](u)
-            if not (isinstance(outcome, Family) and _reproduces(outcome.base, u, kind)):
-                failures += 1
-        return InvariantResult(
-            f"family-base-reproduces-potentials-{kind.value}",
-            failures == 0,
-            None,
-            {"trials": trials, "failures": failures, "m": size},
-        )
+    def unique(kind: Neighborhood, size: int) -> bool:
+        xi = _random_occupancy(rng, size)
+        outcome = solvers[kind](potentials(xi, kind))
+        return isinstance(outcome, Unique) and outcome.xi == xi
 
-    def infeasible_by_construction(kind: Neighborhood, size: int, condition: str) -> InvariantResult:
-        failures = 0
-        for _ in range(trials):
-            # Potentials of an occupancy satisfy the sum condition; bumping a
-            # single entry breaks it by exactly 1.
-            u = list(potentials(_random_occupancy(rng, size, high=15), kind))
-            u[int(rng.integers(0, size))] += 1
-            outcome = solvers[kind](u)
-            if not (isinstance(outcome, Infeasible) and outcome.condition == condition):
-                failures += 1
-        return InvariantResult(
-            f"infeasible-{condition}-detected",
-            failures == 0,
-            None,
-            {"trials": trials, "failures": failures, "m": size},
-        )
+    def family(kind: Neighborhood, size: int) -> bool:
+        u = potentials(_random_occupancy(rng, size), kind)
+        outcome = solvers[kind](u)
+        return isinstance(outcome, Family) and _reproduces(outcome.base, u, kind)
+
+    def infeasible(kind: Neighborhood, condition: str, size: int) -> bool:
+        # Potentials of an occupancy satisfy the sum condition; bumping a
+        # single entry breaks it by exactly 1.
+        u = list(potentials(_random_occupancy(rng, size, high=15), kind))
+        u[int(rng.integers(0, size))] += 1
+        outcome = solvers[kind](u)
+        return isinstance(outcome, Infeasible) and outcome.condition == condition
 
     m_odd = m if m % 2 == 1 else m + 1
     m_even = m if m % 2 == 0 else m + 1
     m_non3 = m if m % 3 != 0 else m + 1
     m_div3 = m if m % 3 == 0 else m + (3 - m % 3)
     invariants = [
-        round_trip(Neighborhood.ASYMMETRIC, m_odd),
-        round_trip(Neighborhood.SYMMETRIC, m_non3),
-        family_substitution(Neighborhood.ASYMMETRIC, m_even),
-        family_substitution(Neighborhood.SYMMETRIC, m_div3),
-        infeasible_by_construction(Neighborhood.ASYMMETRIC, m_even, "parity"),
-        infeasible_by_construction(Neighborhood.SYMMETRIC, m_div3, "mod3"),
+        battery("round-trip-unique-asym", m_odd, partial(unique, asym)),
+        battery("round-trip-unique-sym", m_non3, partial(unique, sym)),
+        battery("family-base-reproduces-potentials-asym", m_even, partial(family, asym)),
+        battery("family-base-reproduces-potentials-sym", m_div3, partial(family, sym)),
+        battery("infeasible-parity-detected", m_even, partial(infeasible, asym, "parity")),
+        battery("infeasible-mod3-detected", m_div3, partial(infeasible, sym, "mod3")),
     ]
     config = {"m": m, "seed": seed, "trials": trials}
     return VerificationReport("algebra", config, invariants)
@@ -373,10 +326,8 @@ def run_suite(
     kind: Neighborhood | None = None,
     trials: int = 1000,
 ) -> VerificationReport:
-    if suite == "asym-odd":
-        return suite_asym_odd(m, steps, replicas, seed)
-    if suite == "asym-even":
-        return suite_asym_even(m, steps, replicas, seed)
+    if suite in ("asym-odd", "asym-even"):
+        return _suite_asym(m, steps, replicas, seed, suite)
     if suite == "sym":
         return suite_sym(m, steps, replicas, seed)
     if suite == "appendix":

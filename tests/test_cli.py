@@ -3,7 +3,13 @@ import os
 
 import pytest
 
+import nqsim.cli
 from nqsim.cli import main
+from nqsim.dynamics import ChainState, MinRule, RandomStream
+from nqsim.ensemble import EnsembleRequest, run_ensemble
+from nqsim.limits import enumerate_limits
+from nqsim.observers import match_limit
+from nqsim.ring import Neighborhood
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +91,33 @@ class TestSimulateCommand:
         assert len(lines) == 1
         rec = json.loads(lines[0])
         assert rec["t"] == 0 and rec["site"] is None and rec["xi"] == [0] * 5
+
+    @pytest.mark.parametrize("trajectory", [False, True], ids=["summary-only", "trajectory"])
+    def test_level_records_are_kept_only_for_a_trajectory(self, tmp_path, capsys, monkeypatch,
+                                                          trajectory):
+        runs = []
+        original = nqsim.cli.run
+
+        def recording_run(*args, **kwargs):
+            runs.append(original(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(nqsim.cli, "run", recording_run)
+        traj = tmp_path / "t.jsonl"
+        argv = ["simulate", "--m", "5", "--neighborhood", "sym", "--steps", "1050",
+                "--sample-every", "100", "--seed", "3"]
+        code, _, _ = run_cli(capsys, *argv, *(["--trajectory", str(traj)] if trajectory else []))
+        assert code == 0
+        times = [rec.t for rec in runs[0].records]
+        sampled = [0, *range(100, 1050, 100), 1050]
+        if not trajectory:
+            assert times == sampled
+            return
+        every = original(ChainState.empty(5, Neighborhood.SYMMETRIC), MinRule(), 1050,
+                         RandomStream(3, 0), sample_every=1).records
+        opened = {b.t for a, b in zip(every, every[1:]) if b.m > a.m}
+        assert times == sorted(set(sampled) | opened)
+        assert [json.loads(line)["t"] for line in traj.read_text().splitlines()] == times
 
     def test_byte_identical_outputs(self, tmp_path, capsys):
         outputs = []
@@ -183,7 +216,74 @@ class TestSimulateCommand:
         assert "Traceback" not in err
 
 
+# The flags each verify suite reads; every other suite flag is a usage error.
+SUITE_FLAGS = {
+    "asym-odd": ("steps", "replicas"),
+    "asym-even": ("steps", "replicas"),
+    "sym": ("steps", "replicas"),
+    "appendix": ("steps", "replicas", "neighborhood"),
+    "algebra": ("trials",),
+}
+FLAG_VALUES = {"steps": 2000, "replicas": 2, "trials": 5, "neighborhood": "asym"}
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("flag", ["steps", "replicas", "trials", "neighborhood"])
+    @pytest.mark.parametrize("suite", list(SUITE_FLAGS))
+    def test_each_suite_flag_is_read_or_refused(self, capsys, suite, flag):
+        m = "6" if suite == "asym-even" else "5"
+        if flag not in SUITE_FLAGS[suite]:
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", suite, "--m", m, f"--{flag}", str(FLAG_VALUES[flag])
+            )
+            assert code == 1
+            assert out == ""
+            if flag == "neighborhood":
+                assert err == "nqsim verify: error: --neighborhood applies only to the appendix suite\n"
+            else:
+                assert err == f"nqsim verify: error: --{flag} does not apply to the {suite} suite\n"
+            return
+        argv = [a for f in SUITE_FLAGS[suite] for a in (f"--{f}", str(FLAG_VALUES[f]))]
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--m", m, *argv)
+        assert code == 0, err
+        config = json.loads(out)["config"]
+        assert config["kind" if flag == "neighborhood" else flag] == FLAG_VALUES[flag]
+
+    def test_sym_suite_counts_match_a_per_replica_reference(self, capsys):
+        # At M=9 and 110 steps some replicas are not yet stable and some are
+        # stable with fractions still far from every limit.
+        m, steps, replicas, seed = 9, 110, 20, 0
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "sym", "--m", str(m), "--steps", str(steps),
+            "--replicas", str(replicas), "--seed", str(seed),
+        )
+        assert code in (0, 2)
+        detail = next(
+            inv["detail"] for inv in json.loads(out)["invariants"]
+            if inv["id"] == "matched-limits-reachable-from-empty"
+        )
+        res = run_ensemble(EnsembleRequest(
+            m=m, kind=Neighborhood.SYMMETRIC, rule=MinRule(), steps=steps, replicas=replicas,
+            seed=seed, track_levels=True, store_level_flags=True,
+        ))
+        limits = enumerate_limits(m)
+        verdicts = []
+        for r in range(replicas):
+            if res.run_length[r] < 25:
+                verdicts.append("unstable")
+                continue
+            limit, _ = match_limit(res.xi[r] / steps, limits)
+            if limit is None:
+                verdicts.append("unmatched")
+            else:
+                verdicts.append("matched" if limit.achievable_from_empty else "starred")
+        assert {"unstable", "unmatched", "matched"} <= set(verdicts)
+        assert detail == {
+            "stable_replicas": replicas - verdicts.count("unstable"),
+            "matched_replicas": verdicts.count("matched") + verdicts.count("starred"),
+            "starred_matches": verdicts.count("starred"),
+        }
+
     def test_algebra_suite_m7(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code, _, _ = run_cli(

@@ -356,6 +356,24 @@ def test_initial_occupancy_honoured():
     assert res.t == 0
 
 
+@pytest.mark.parametrize("steps", [0, 5])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["shorter", "longer"])
+@pytest.mark.parametrize("kind", [ASYM, SYM], ids=str)
+@pytest.mark.parametrize("rule", RULES, ids=str)
+def test_init_of_the_wrong_length_is_refused_first(monkeypatch, rule, kind, extra, steps):
+    # Refused before the size estimate and the state search are reached.
+    def not_reached(*args):
+        raise AssertionError("ran past the init length check")
+
+    monkeypatch.setattr(ensemble, "_footprint_bytes", not_reached)
+    monkeypatch.setattr(statetable, "min_rule_states", not_reached)
+    init = (1,) * (5 + extra)
+    req = EnsembleRequest(m=5, kind=kind, rule=rule, steps=steps, replicas=2, seed=0, init=init)
+    with pytest.raises(ValueError) as err:
+        run_ensemble(req)
+    assert str(err.value) == f"init lists {5 + extra} counts for m=5 sites"
+
+
 def test_sites_recorded_one_based():
     res = run_ensemble(
         EnsembleRequest(

@@ -109,3 +109,20 @@ def test_scaling_without_scipy_exits_1_with_one_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("nqsim scaling: error: ")
     assert "scipy" in lines[0]
     assert not out.exists()
+
+
+def test_sym_and_appendix_suites_leave_the_state_table_out():
+    # Only asymmetric min-rule requests may take the state-table path, so
+    # only they import its module.
+    proc = _python(
+        "import os, sys\n"
+        "from nqsim.cli import main\n"
+        "print('nqsim.statetable' in sys.modules)\n"
+        "for flags in (['sym'], ['appendix', '--neighborhood', 'sym'],\n"
+        "              ['appendix', '--neighborhood', 'asym']):\n"
+        "    main(['verify', '--suite', *flags, '--m', '5', '--replicas', '2', '--steps', '300',\n"
+        "          '--out', os.devnull])\n"
+        "    print('nqsim.statetable' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] * 4
