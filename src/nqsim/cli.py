@@ -22,6 +22,7 @@ from .dynamics import (
 )
 from .limits import enumerate_limits, rotation_classes, summary_counts
 from .observers import (
+    STABILITY_WINDOW,
     LevelLog,
     ParityGapSeries,
     RenewalCounter,
@@ -157,7 +158,10 @@ def cmd_simulate(args, config_file) -> int:
             for rec in result.records:
                 fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
 
-    limits = enumerate_limits(m) if kind is Neighborhood.SYMMETRIC else None
+    # A symmetric chain is matched against the limit set only once it is
+    # stable; the enumeration grows fast with M, so it waits until then.
+    matching = kind is Neighborhood.SYMMETRIC and level_log.run_length >= STABILITY_WINDOW
+    limits = enumerate_limits(m) if matching else None
     verdict = detect_convergence(level_log, result.final.xi, result.final.t, limits)
     final = result.final
     summary = {

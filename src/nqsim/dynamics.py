@@ -14,13 +14,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ring import Neighborhood, check_ring_size, potentials, reduce_potential, validate_occupancy
+from .ring import Neighborhood, check_ring_size, potentials, validate_occupancy
 
 RNG_ALGORITHM = "philox4x64:numpy"
 
 # Guard for the int64 arithmetic of the vectorised engine: window * total
 # particles must stay far from 2^63.
 MAX_TOTAL_PARTICLES = 2**61
+
+# Uniforms `run` draws per generator call.
+DRAW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -122,15 +125,8 @@ class TrajectoryRecord:
         }
 
 
-def _record(state: ChainState, site: int | None) -> TrajectoryRecord:
-    return TrajectoryRecord(
-        t=state.t, xi=state.xi, u=state.u, v=reduce_potential(state.u),
-        m=state.min_potential, site=site,
-    )
-
-
 def _distribution(u: Sequence[int], rule: AllocationRule) -> list[float]:
-    """`transition_distribution` as a Python list, the form `step` samples from."""
+    """`transition_distribution` as a Python list, the form `step` and `run` sample from."""
     if isinstance(rule, (MinRule, MaxRule)):
         extreme = min(u) if isinstance(rule, MinRule) else max(u)
         p = 1.0 / u.count(extreme)
@@ -179,23 +175,30 @@ def sample_site(probabilities: Sequence[float], uniform: float) -> int:
     return last
 
 
+def _draw_and_place(
+    xi: list[int], u: list[int], offsets: tuple[int, ...], rule: AllocationRule, uniform: float
+) -> int:
+    """Draw a 0-based site from one uniform and allocate a particle there, in place.
+
+    The potential cache is updated incrementally: u_i gains 1 exactly when
+    the site lies in U_i, i.e. for i = site - d over the window offsets (for
+    the asymmetric window {i, i+1} that is {k-1, k}).
+    """
+    site0 = sample_site(_distribution(u, rule), uniform)
+    xi[site0] += 1
+    m = len(u)
+    for d in offsets:
+        u[(site0 - d) % m] += 1
+    return site0
+
+
 def step(
     state: ChainState, rule: AllocationRule, gen: np.random.Generator
 ) -> tuple[ChainState, int]:
-    """Advance one step; returns the new state and the 1-based allocated site.
-
-    The potential cache is updated incrementally: u_i gains 1 exactly for the
-    sites whose neighbourhood contains the allocation.
-    """
-    site0 = sample_site(_distribution(state.u, rule), gen.random())
-    m = state.size
+    """Advance one step; returns the new state and the 1-based allocated site."""
     xi = list(state.xi)
-    xi[site0] += 1
     u = list(state.u)
-    # u_i gains 1 exactly when site0 lies in U_i: i = site0 - d over the
-    # window offsets (for the asymmetric window {i, i+1} that is {k-1, k}).
-    for d in state.kind.offsets:
-        u[(site0 - d) % m] += 1
+    site0 = _draw_and_place(xi, u, state.kind.offsets, rule, gen.random())
     new_state = ChainState(t=state.t + 1, xi=tuple(xi), u=tuple(u), kind=state.kind)
     return new_state, site0 + 1
 
@@ -221,7 +224,8 @@ def run(
     records are the initial state, every `sample_every`-th step, optionally
     every step at which the minimum potential rose, and the final state.
     Identical (initial, rule, seed, stream, steps, stride) arguments give
-    identical output.
+    identical output.  The chain lives in two lists updated in place; a
+    `ChainState` is built only for the final state.
 
     This pure-Python stepper is the reference oracle for the vectorised
     engine: replica r of `ensemble.run_ensemble` must reproduce it on stream
@@ -237,20 +241,29 @@ def run(
         raise ValueError(f"step budget {steps} overflows the int64 potential range")
 
     gen = rng.generator()
-    state = initial
-    rec = _record(state, None)
+    offsets = initial.kind.offsets
+    xi = list(initial.xi)
+    u = list(initial.u)
+    t = initial.t
+    lo = min(u)
+    rec = TrajectoryRecord(t, initial.xi, initial.u, tuple([x - lo for x in u]), lo, None)
     records = [rec]
-    for obs in observers:
-        obs.on_step(rec)
+    notify = [obs.on_step for obs in observers]
+    for on_step in notify:
+        on_step(rec)
 
-    last_m = state.min_potential
-    for k in range(steps):
-        state, site = step(state, rule, gen)
-        rec = _record(state, site)
-        for obs in observers:
-            obs.on_step(rec)
-        opened = state.min_potential > last_m
-        last_m = state.min_potential
-        if state.t % sample_every == 0 or k == steps - 1 or (include_level_steps and opened):
-            records.append(rec)
-    return RunResult(final=state, records=records)
+    last_t = t + steps
+    while t < last_t:
+        # Philox gives the same doubles in one block as in scalar calls
+        for uniform in gen.random(min(DRAW_BLOCK, last_t - t)).tolist():
+            site0 = _draw_and_place(xi, u, offsets, rule, uniform)
+            t += 1
+            prev = lo
+            lo = min(u)
+            rec = TrajectoryRecord(t, tuple(xi), tuple(u), tuple([x - lo for x in u]), lo, site0 + 1)
+            for on_step in notify:
+                on_step(rec)
+            if t % sample_every == 0 or t == last_t or (include_level_steps and lo > prev):
+                records.append(rec)
+    final = ChainState(t=t, xi=tuple(xi), u=tuple(u), kind=initial.kind)
+    return RunResult(final=final, records=records)

@@ -121,6 +121,8 @@ class LevelLog:
         self.w_increase_violations: list[tuple[int, int, int]] = []
         self.persistence_violations: list[tuple[int, int]] = []  # (level index, center)
         self._required_centers: frozenset[int] = frozenset()
+        # signature -> (Q, W, flags, isolated-zero centers), filled as signatures appear
+        self._shapes: dict[tuple[int, ...], tuple[int, int, dict, frozenset[int]]] = {}
         # signature run tracking for convergence detection
         self.current_signature: tuple[int, ...] | None = None
         self.run_length = 0
@@ -138,16 +140,23 @@ class LevelLog:
     def _open_level(self, record: "TrajectoryRecord") -> None:
         v = record.v
         sig = pattern(v)
+        shape = self._shapes.get(sig)
+        if shape is None:
+            # Q, W, the flags and the isolated zeros read only the signature
+            shape = self._shapes[sig] = (
+                stat_Q(sig), stat_W(sig), _window_flags(sig), isolated_zero_centers(sig)
+            )
+        q, w, flags, centers = shape
         level = LevelRecord(
             index=len(self.levels),
             t=record.t,
             m=record.m,
             v=v,
             S=stat_S(v),
-            Q=stat_Q(v),
-            W=stat_W(v),
+            Q=q,
+            W=w,
             signature=sig,
-            flags=_window_flags(sig),
+            flags=dict(flags),
         )
         if self.levels:
             prev = self.levels[-1]
@@ -157,10 +166,13 @@ class LevelLog:
                 self.q_decrease_violations.append((level.index, prev.Q, level.Q))
             if level.W > prev.W:
                 self.w_increase_violations.append((level.index, prev.W, level.W))
-        centers = isolated_zero_centers(sig)
-        for lost in self._required_centers - centers:
-            self.persistence_violations.append((level.index, lost + 1))
-        self._required_centers = self._required_centers | centers
+        required = self._required_centers
+        if required <= centers:
+            self._required_centers = centers
+        else:
+            for lost in required - centers:
+                self.persistence_violations.append((level.index, lost + 1))
+            self._required_centers = required | centers
         if sig == self.current_signature:
             self.run_length += 1
         else:

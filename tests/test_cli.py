@@ -119,6 +119,18 @@ class TestSimulateCommand:
         assert times == sorted(set(sampled) | opened)
         assert [json.loads(line)["t"] for line in traj.read_text().splitlines()] == times
 
+    def test_unstable_symmetric_run_never_enumerates_limits(self, capsys, monkeypatch):
+        # the limit set grows fast with M and an unstable chain matches nothing
+        def refuse(m):
+            raise AssertionError(f"enumerate_limits({m}) called for an unstable chain")
+
+        monkeypatch.setattr(nqsim.cli, "enumerate_limits", refuse)
+        code, out, err = run_cli(
+            capsys, "simulate", "--m", "40", "--neighborhood", "sym", "--steps", "10", "--seed", "1"
+        )
+        assert code == 0, err
+        assert json.loads(out)["verdict"] is None
+
     def test_byte_identical_outputs(self, tmp_path, capsys):
         outputs = []
         for name in ("a", "b"):

@@ -27,6 +27,14 @@ CASES = [
          "--trajectory": "388794540a704d89b320f36f7ee124c6e0cfbf2855538e9b2cec5a49715136f2"},
     ),
     (
+        # 9000 steps span three of `dynamics.run`'s blocks of uniforms
+        "simulate-sym-min-m5-long",
+        ["simulate", "--m", "5", "--neighborhood", "sym", "--rule", "min", "--steps", "9000",
+         "--seed", "14"],
+        {"--out": "3a007675dfb2c710f543da294db40b4e41fe678b6fa2193f88bf0182b48b2c6a",
+         "--trajectory": "eba5227007531e25a04e0ecd8e66d139edb638b0f8bb470415ccf370a50ff3c6"},
+    ),
+    (
         "simulate-asym-min-m6",
         ["simulate", "--m", "6", "--neighborhood", "asym", "--rule", "min", "--steps", "3000",
          "--seed", "12"],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nqsim.dynamics import (
+    DRAW_BLOCK,
     ChainState,
     MaxRule,
     MinRule,
@@ -18,7 +19,7 @@ from nqsim.dynamics import (
     step,
     transition_distribution,
 )
-from nqsim.ring import Neighborhood, min_potential, potentials
+from nqsim.ring import Neighborhood, min_potential, potentials, reduce_potential
 from nqsim.scaling import total_variation
 
 ASYM = Neighborhood.ASYMMETRIC
@@ -259,6 +260,61 @@ class TestRun:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             run(ChainState.empty(4, ASYM), MinRule(), 2**62, RandomStream(0, 0))
+
+
+def replay_with_step(initial, rule, steps, rng):
+    """Every record of `steps` calls of `step` on one generator, the initial one first."""
+    gen = rng.generator()
+    state = initial
+    records = [TrajectoryRecord(state.t, state.xi, state.u, reduce_potential(state.u), min(state.u), None)]
+    for _ in range(steps):
+        state, site = step(state, rule, gen)
+        records.append(
+            TrajectoryRecord(state.t, state.xi, state.u, reduce_potential(state.u), min(state.u), site)
+        )
+    return state, records
+
+
+class TestRunReplaysStep:
+    STEPS = 5000  # past the first block of uniforms
+
+    @staticmethod
+    def start_states(kind):
+        xi = (1, 2, 0, 3, 1)
+        return {
+            "empty": ChainState.empty(5, kind),
+            "init": ChainState.from_occupancy((3, 0, 1, 0, 2), kind),
+            "t7": ChainState(t=7, xi=xi, u=potentials(xi, kind), kind=kind),
+        }
+
+    @pytest.mark.parametrize("start", ["empty", "init", "t7"])
+    @pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
+    @pytest.mark.parametrize("rule", [MinRule(), MaxRule(), Softmax(0.5)], ids=["min", "max", "softmax"])
+    def test_records_final_and_observers_match_a_step_loop(self, rule, kind, start):
+        class Seen:
+            def __init__(self):
+                self.records = []
+
+            def on_step(self, rec):
+                self.records.append(rec)
+
+        assert self.STEPS > DRAW_BLOCK
+        initial = self.start_states(kind)[start]
+        rng = RandomStream(31, 2)
+        final, every = replay_with_step(initial, rule, self.STEPS, rng)
+        last_t = initial.t + self.STEPS
+        for sample_every in (1, 100):
+            for levels in (False, True):
+                seen = Seen()
+                out = run(initial, rule, self.STEPS, rng, observers=[seen],
+                          sample_every=sample_every, include_level_steps=levels)
+                kept = [every[0]] + [
+                    b for a, b in zip(every, every[1:])
+                    if b.t % sample_every == 0 or b.t == last_t or (levels and b.m > a.m)
+                ]
+                assert out.final == final
+                assert seen.records == every
+                assert out.records == kept
 
 
 def literal_site(state, rule, uniform):

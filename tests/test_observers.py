@@ -129,11 +129,12 @@ class TestLevelLog:
             assert log.levels[1].t <= 3, sites
         assert len(paths) == 6  # 3 first choices, forced second, 2 third choices
 
-    def test_stat_columns_match_functions(self):
-        out = run(ChainState.empty(5, SYM), MinRule(), 2000, RandomStream(17, 0))
-        log = LevelLog(SYM)
+    @pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
+    def test_stat_columns_match_functions(self, kind):
+        out = run(ChainState.empty(5, kind), MinRule(), 2000, RandomStream(17, 0))
+        log = LevelLog(kind)
         out2 = run(
-            ChainState.empty(5, SYM), MinRule(), 2000, RandomStream(17, 0), observers=[log]
+            ChainState.empty(5, kind), MinRule(), 2000, RandomStream(17, 0), observers=[log]
         )
         assert out.final == out2.final
         for lv in log.levels:
@@ -141,7 +142,15 @@ class TestLevelLog:
             assert lv.Q == stat_Q(lv.v)
             assert lv.W == stat_W(lv.v)
             assert lv.signature == pattern(lv.v)
+            assert lv.flags == _window_flags(lv.signature)
             assert min(lv.v) == 0
+        # persistence recounted from the centers of successive signatures
+        required, lost = frozenset(), []
+        for lv in log.levels:
+            centers = isolated_zero_centers(lv.signature)
+            lost += [(lv.index, k + 1) for k in required - centers]
+            required |= centers
+        assert sorted(log.persistence_violations) == sorted(lost)
 
 
 class TestParityGap:
