@@ -154,9 +154,11 @@ def cmd_simulate(args, config_file) -> int:
     )
 
     if args.trajectory:
+        # json.dumps with keywords would build a new encoder for every record
+        encode = json.JSONEncoder(sort_keys=True).encode
         with open(args.trajectory, "w") as fh:
             for rec in result.records:
-                fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
+                fh.write(encode(rec.to_json_dict()) + "\n")
 
     # A symmetric chain is matched against the limit set only once it is
     # stable; the enumeration grows fast with M, so it waits until then.

@@ -10,16 +10,18 @@ per-level statistics are computed at the opening step.  The statistics are:
 plus the zero/positive signature of the reduced potentials.  The monotone
 behaviour of S (asymmetric) and of Q and W (symmetric), the persistence of
 (positive, 0, positive) triples and the eventual exclusion of certain windows
-are tracked as violation logs that the verification suites turn into
-pass/fail verdicts.
+are tracked as violation counts and one flag byte per level.  Each observer
+keeps only what its report reads, so a long chain without a trajectory runs
+in constant memory.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .ensemble import FLAG_NAMES
+from .ensemble import _FLAG_SHAPES, FLAG_NAMES
 from .ring import Neighborhood
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,12 +65,7 @@ def pattern_str(signature: Sequence[int]) -> str:
 
 
 # Excluded windows as byte strings of zero/positive marks, read from a site onward.
-_FLAG_WINDOWS = {
-    "three_positives": bytes((1, 1, 1)),
-    "three_zeros": bytes((0, 0, 0)),
-    "pair_into_zeros": bytes((1, 1, 0, 0)),
-    "lone_positive_in_zeros": bytes((0, 0, 1, 0, 0)),
-}
+_FLAG_WINDOWS = {name: bytes(shape) for name, shape in _FLAG_SHAPES.items()}
 
 
 def _window_flags(sig: Sequence[int]) -> dict[str, bool]:
@@ -88,21 +85,15 @@ def isolated_zero_centers(sig: Sequence[int]) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
-class LevelRecord:
-    index: int
-    t: int
-    m: int
-    v: tuple[int, ...]
-    S: int
-    Q: int
-    W: int
-    signature: tuple[int, ...]
-    flags: dict
-
-
 class LevelLog:
     """Per-chain level log with monotonicity and persistence monitors.
+
+    It keeps only what `report()` and `detect_convergence` read: counts, the
+    first ten level times, the previous level's (S, Q, W), the required
+    isolated-zero centres, the current signature run and one flag byte per
+    level (bit i marks `FLAG_NAMES[i]`), since the final half starts at a
+    level known only at the end.  A lost centre counts once per level that
+    lacks it.
 
     This is the reference oracle for the engine's level tracking: the tests
     pin `ensemble.run_ensemble`'s counts, violations and signature runs to it
@@ -112,17 +103,19 @@ class LevelLog:
 
     def __init__(self, kind: Neighborhood):
         self.kind = kind
-        self.levels: list[LevelRecord] = []
+        self.level_count = 0
+        self._times_head: list[int] = []
         self._last_t: int | None = None
         self._last_m: int | None = None
-        # violation logs: (level index, previous value, new value)
-        self.s_increase_violations: list[tuple[int, int, int]] = []
-        self.q_decrease_violations: list[tuple[int, int, int]] = []
-        self.w_increase_violations: list[tuple[int, int, int]] = []
-        self.persistence_violations: list[tuple[int, int]] = []  # (level index, center)
+        self._prev_stats: tuple[int, int, int] | None = None
+        self.s_increase_violations = 0
+        self.q_decrease_violations = 0
+        self.w_increase_violations = 0
+        self.persistence_violations = 0
         self._required_centers: frozenset[int] = frozenset()
-        # signature -> (Q, W, flags, isolated-zero centers), filled as signatures appear
-        self._shapes: dict[tuple[int, ...], tuple[int, int, dict, frozenset[int]]] = {}
+        self._flags = bytearray()
+        # signature -> (Q, W, flag byte, isolated-zero centers), filled as signatures appear
+        self._shapes: dict[tuple[int, ...], tuple[int, int, int, frozenset[int]]] = {}
         # signature run tracking for convergence detection
         self.current_signature: tuple[int, ...] | None = None
         self.run_length = 0
@@ -143,66 +136,56 @@ class LevelLog:
         shape = self._shapes.get(sig)
         if shape is None:
             # Q, W, the flags and the isolated zeros read only the signature
+            flags = _window_flags(sig).values()
             shape = self._shapes[sig] = (
-                stat_Q(sig), stat_W(sig), _window_flags(sig), isolated_zero_centers(sig)
+                stat_Q(sig),
+                stat_W(sig),
+                sum(hit << i for i, hit in enumerate(flags)),
+                isolated_zero_centers(sig),
             )
-        q, w, flags, centers = shape
-        level = LevelRecord(
-            index=len(self.levels),
-            t=record.t,
-            m=record.m,
-            v=v,
-            S=stat_S(v),
-            Q=q,
-            W=w,
-            signature=sig,
-            flags=dict(flags),
-        )
-        if self.levels:
-            prev = self.levels[-1]
-            if level.S > prev.S:
-                self.s_increase_violations.append((level.index, prev.S, level.S))
-            if level.Q < prev.Q:
-                self.q_decrease_violations.append((level.index, prev.Q, level.Q))
-            if level.W > prev.W:
-                self.w_increase_violations.append((level.index, prev.W, level.W))
+        q, w, flag_byte, centers = shape
+        s = stat_S(v)
+        if self._prev_stats is not None:
+            prev_s, prev_q, prev_w = self._prev_stats
+            self.s_increase_violations += s > prev_s
+            self.q_decrease_violations += q < prev_q
+            self.w_increase_violations += w > prev_w
+        self._prev_stats = (s, q, w)
         required = self._required_centers
         if required <= centers:
             self._required_centers = centers
         else:
-            for lost in required - centers:
-                self.persistence_violations.append((level.index, lost + 1))
+            self.persistence_violations += len(required - centers)
             self._required_centers = required | centers
         if sig == self.current_signature:
             self.run_length += 1
         else:
             self.current_signature = sig
             self.run_length = 1
-            self.run_started_level = level.index
-        self.levels.append(level)
-
-    @property
-    def level_count(self) -> int:
-        return len(self.levels)
+            self.run_started_level = self.level_count
+        if self.level_count < 10:
+            self._times_head.append(record.t)
+        self._flags.append(flag_byte)
+        self.level_count += 1
 
     def flag_counts(self, start_level: int = 0) -> dict[str, int]:
-        counts = dict.fromkeys(FLAG_NAMES, 0)
-        for level in self.levels[start_level:]:
-            for name in counts:
-                if level.flags[name]:
-                    counts[name] += 1
-        return counts
+        """Levels from `start_level` on that carry each excluded window."""
+        tail = self._flags[start_level:]
+        codes = range(1 << len(FLAG_NAMES))
+        return {
+            name: sum(tail.count(b) for b in codes if b >> i & 1)
+            for i, name in enumerate(FLAG_NAMES)
+        }
 
     def report(self) -> dict:
-        half = self.level_count // 2
         return {
             "levels": self.level_count,
-            "level_times_head": [lv.t for lv in self.levels[:10]],
-            "s_increase_violations": len(self.s_increase_violations),
-            "q_decrease_violations": len(self.q_decrease_violations),
-            "w_increase_violations": len(self.w_increase_violations),
-            "persistence_violations": len(self.persistence_violations),
-            "final_half_flag_counts": self.flag_counts(half),
+            "level_times_head": list(self._times_head),
+            "s_increase_violations": self.s_increase_violations,
+            "q_decrease_violations": self.q_decrease_violations,
+            "w_increase_violations": self.w_increase_violations,
+            "persistence_violations": self.persistence_violations,
+            "final_half_flag_counts": self.flag_counts(self.level_count // 2),
             "stable_run_length": self.run_length,
             "stable_signature": pattern_str(self.current_signature)
             if self.current_signature is not None
@@ -219,8 +202,9 @@ def parity_gap(xi: Sequence[int]) -> Fraction:
 
 
 class ParityGapSeries:
-    """Tracks H(t), renewal times (reduced potential identically zero) and the
-    H increments between consecutive renewals.  Asymmetric even-M chains only.
+    """Tracks H(t) at the sample times, the renewal count (reduced potential
+    identically zero) and the H increments between consecutive renewals, as a
+    `Counter` of exact values.  Asymmetric even-M chains only.
 
     This is the reference oracle for the engine's renewal and checkpoint
     tracking, in exact rationals.  It stays in the package for
@@ -233,8 +217,8 @@ class ParityGapSeries:
         self.m = m
         self.sample_times = frozenset(sample_times)
         self.samples: dict[int, Fraction] = {}
-        self.renewal_times: list[int] = []
-        self.increments: list[Fraction] = []
+        self.renewals = 0
+        self.increments: Counter[Fraction] = Counter()
         self._d_at_last_renewal: int | None = None
 
     def on_step(self, record: "TrajectoryRecord") -> None:
@@ -245,17 +229,16 @@ class ParityGapSeries:
             self.samples[record.t] = Fraction(d, self.m)
         if not any(record.v):
             if self._d_at_last_renewal is not None:
-                self.increments.append(Fraction(d - self._d_at_last_renewal, self.m))
-            self.renewal_times.append(record.t)
+                self.increments[Fraction(d - self._d_at_last_renewal, self.m)] += 1
+            self.renewals += 1
             self._d_at_last_renewal = d
 
     def report(self) -> dict:
-        nonzero = [z for z in self.increments if z != 0]
         return {
-            "renewals": len(self.renewal_times),
-            "increments": len(self.increments),
-            "increment_positive": sum(1 for z in nonzero if z > 0),
-            "increment_negative": sum(1 for z in nonzero if z < 0),
+            "renewals": self.renewals,
+            "increments": self.increments.total(),
+            "increment_positive": sum(n for z, n in self.increments.items() if z > 0),
+            "increment_negative": sum(n for z, n in self.increments.items() if z < 0),
         }
 
 
@@ -263,14 +246,14 @@ class RenewalCounter:
     """Counts visits to the all-zero reduced potential (any M)."""
 
     def __init__(self):
-        self.times: list[int] = []
+        self.renewals = 0
 
     def on_step(self, record: "TrajectoryRecord") -> None:
         if not any(record.v):
-            self.times.append(record.t)
+            self.renewals += 1
 
     def report(self) -> dict:
-        return {"renewals": len(self.times)}
+        return {"renewals": self.renewals}
 
 
 @dataclass(frozen=True)

@@ -165,8 +165,9 @@ def suite_sym(m: int, steps: int, replicas: int, seed: int) -> VerificationRepor
     invariants.append(
         _count_invariant("isolated-zero-persistence", result.persistence_violations)
     )
-    limits = enumerate_limits(m)
+    # The limit set grows fast with M; it is enumerated only if a replica is stable.
     stable = result.run_length >= STABILITY_WINDOW
+    limits = enumerate_limits(m) if stable.any() else ()
     fractions = result.empirical_fractions
     matched = [match_limit(fractions[r], limits)[0] for r in np.flatnonzero(stable)]
     matched = [c for c in matched if c is not None]

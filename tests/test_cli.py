@@ -296,6 +296,22 @@ class TestVerifyCommand:
             "starred_matches": verdicts.count("starred"),
         }
 
+    def test_sym_suite_without_stable_replicas_never_enumerates_limits(self, capsys, monkeypatch):
+        # the limit set grows fast with M and no replica is stable after 10 steps
+        def refuse(m):
+            raise AssertionError(f"enumerate_limits({m}) called with no stable replica")
+
+        monkeypatch.setattr("nqsim.verify.enumerate_limits", refuse)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "sym", "--m", "40", "--steps", "10", "--replicas", "2"
+        )
+        assert code in (0, 2), err
+        detail = next(
+            inv["detail"] for inv in json.loads(out)["invariants"]
+            if inv["id"] == "matched-limits-reachable-from-empty"
+        )
+        assert detail == {"stable_replicas": 0, "matched_replicas": 0, "starred_matches": 0}
+
     def test_algebra_suite_m7(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code, _, _ = run_cli(

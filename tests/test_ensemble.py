@@ -213,10 +213,10 @@ def test_level_statistics_match_single_chain_log():
         log = LevelLog(SYM)
         run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r), observers=[log])
         assert log.level_count == int(res.level_counts[r])
-        assert int(res.q_violations[r]) == len(log.q_decrease_violations)
-        assert int(res.w_violations[r]) == len(log.w_increase_violations)
-        assert int(res.s_violations[r]) == len(log.s_increase_violations)
-        assert int(res.persistence_violations[r]) == len(log.persistence_violations)
+        assert int(res.q_violations[r]) == log.q_decrease_violations
+        assert int(res.w_violations[r]) == log.w_increase_violations
+        assert int(res.s_violations[r]) == log.s_increase_violations
+        assert int(res.persistence_violations[r]) == log.persistence_violations
 
 
 def test_signatures_beyond_site_64_match_single_chain_log():
@@ -238,7 +238,7 @@ def test_signatures_beyond_site_64_match_single_chain_log():
         assert int(res.level_counts[r]) == log.level_count
         assert int(res.run_length[r]) == log.run_length
         assert int(res.run_started_level[r]) == log.run_started_level
-        assert int(res.persistence_violations[r]) == len(log.persistence_violations)
+        assert int(res.persistence_violations[r]) == log.persistence_violations
 
 
 @pytest.mark.parametrize("kind", [ASYM, SYM])
@@ -303,14 +303,14 @@ def test_renewals_match_parity_gap_series():
     )
     series = ParityGapSeries(m)
     run(ChainState.empty(m, ASYM), MinRule(), steps, RandomStream(seed, 0), observers=[series])
-    assert int(res.renewal_counts[0]) == len(series.renewal_times)
-    pos = sum(1 for z in series.increments if z > 0)
-    neg = sum(1 for z in series.increments if z < 0)
-    zero = sum(1 for z in series.increments if z == 0)
+    assert int(res.renewal_counts[0]) == series.renewals
+    pos = sum(n for z, n in series.increments.items() if z > 0)
+    neg = sum(n for z, n in series.increments.items() if z < 0)
+    zero = series.increments[0]
     assert (res.zeta_positive, res.zeta_negative, res.zeta_zero) == (pos, neg, zero)
     # tail counts against the exact increments
     for c in range(11):
-        assert res.zeta_tail[c] == sum(1 for z in series.increments if abs(z) > c)
+        assert res.zeta_tail[c] == sum(n for z, n in series.increments.items() if abs(z) > c)
 
 
 def test_h_checkpoints_match_parity_gap():

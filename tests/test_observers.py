@@ -1,9 +1,12 @@
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from nqsim.dynamics import ChainState, MinRule, RandomStream, TrajectoryRecord, run
+from nqsim.ensemble import FLAG_NAMES
 from nqsim.limits import enumerate_limits
 from nqsim.observers import (
     LevelLog,
@@ -86,10 +89,11 @@ class TestLevelLog:
     def test_levels_open_on_strict_min_increase(self):
         # m path 0,0,0,1,1,2: levels at t=0 and at the first hits of 1 and 2
         log = LevelLog(ASYM)
-        for rec in _records_from_sites(ASYM, 3, [1, 1, 2, 3, 2]):
+        records = _records_from_sites(ASYM, 3, [1, 1, 2, 3, 2])
+        for rec in records:
             log.on_step(rec)
-        times = [lv.t for lv in log.levels]
-        ms = [lv.m for lv in log.levels]
+        times = log.report()["level_times_head"]
+        ms = [records[t].m for t in times]
         assert times[0] == 0 and ms[0] == 0
         assert all(b > a for a, b in zip(ms, ms[1:]))
 
@@ -97,7 +101,7 @@ class TestLevelLog:
         log = LevelLog(SYM)
         log.on_step(_records_from_sites(SYM, 4, [])[0])
         assert log.level_count == 1
-        assert log.levels[0].t == 0
+        assert log.report()["level_times_head"][0] == 0
 
     def test_out_of_order_rejected(self):
         log = LevelLog(ASYM)
@@ -126,31 +130,45 @@ class TestLevelLog:
             for rec in _records_from_sites(ASYM, 3, sites):
                 log.on_step(rec)
             assert log.level_count >= 2, sites
-            assert log.levels[1].t <= 3, sites
+            assert log.report()["level_times_head"][1] <= 3, sites
         assert len(paths) == 6  # 3 first choices, forced second, 2 third choices
 
     @pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
     def test_stat_columns_match_functions(self, kind):
-        out = run(ChainState.empty(5, kind), MinRule(), 2000, RandomStream(17, 0))
+        out = run(ChainState.empty(5, kind), MinRule(), 2000, RandomStream(17, 0), sample_every=1)
         log = LevelLog(kind)
         out2 = run(
             ChainState.empty(5, kind), MinRule(), 2000, RandomStream(17, 0), observers=[log]
         )
         assert out.final == out2.final
-        for lv in log.levels:
-            assert lv.S == stat_S(lv.v)
-            assert lv.Q == stat_Q(lv.v)
-            assert lv.W == stat_W(lv.v)
-            assert lv.signature == pattern(lv.v)
-            assert lv.flags == _window_flags(lv.signature)
-            assert min(lv.v) == 0
+        # levels open at t = 0 and wherever the minimum potential rises
+        levels = [b for a, b in zip([None, *out.records], out.records) if a is None or b.m > a.m]
+        assert log.level_count == len(levels)
+        assert log.report()["level_times_head"] == [lv.t for lv in levels[:10]]
+        assert all(min(lv.v) == 0 for lv in levels)
+        stats = [(stat_S(lv.v), stat_Q(lv.v), stat_W(lv.v)) for lv in levels]
+        assert log.s_increase_violations == sum(b[0] > a[0] for a, b in zip(stats, stats[1:]))
+        assert log.q_decrease_violations == sum(b[1] < a[1] for a, b in zip(stats, stats[1:]))
+        assert log.w_increase_violations == sum(b[2] > a[2] for a, b in zip(stats, stats[1:]))
         # persistence recounted from the centers of successive signatures
-        required, lost = frozenset(), []
-        for lv in log.levels:
-            centers = isolated_zero_centers(lv.signature)
-            lost += [(lv.index, k + 1) for k in required - centers]
+        required, lost = frozenset(), 0
+        for lv in levels:
+            centers = isolated_zero_centers(pattern(lv.v))
+            lost += len(required - centers)
             required |= centers
-        assert sorted(log.persistence_violations) == sorted(lost)
+        assert log.persistence_violations == lost
+        # final-half flag counts recounted from the window flags of each level
+        for start in (0, len(levels) // 2):
+            flags = [_window_flags(pattern(lv.v)) for lv in levels[start:]]
+            assert log.flag_counts(start) == {
+                name: sum(f[name] for f in flags) for name in FLAG_NAMES
+            }
+        # every memoised signature shape equals the reference functions
+        assert set(log._shapes) == {pattern(lv.v) for lv in levels}
+        for sig, (q, w, flag_byte, centers) in log._shapes.items():
+            assert (q, w, centers) == (stat_Q(sig), stat_W(sig), isolated_zero_centers(sig))
+            flags = _window_flags(sig)
+            assert [bool(flag_byte >> i & 1) for i in range(4)] == [flags[n] for n in FLAG_NAMES]
 
 
 class TestParityGap:
@@ -168,26 +186,30 @@ class TestParityGap:
     def test_renewal_bookkeeping(self):
         series = ParityGapSeries(4, sample_times=(0, 2))
         # empty start: renewal at t=0; a full sweep 1,2,3,4 renews again at t=4
-        for rec in _records_from_sites(ASYM, 4, [1, 2, 3, 4]):
+        records = _records_from_sites(ASYM, 4, [1, 2, 3, 4])
+        for rec in records:
             series.on_step(rec)
-        assert series.renewal_times[0] == 0
-        assert series.renewal_times[-1] == 4
-        assert len(series.increments) == len(series.renewal_times) - 1
+        renewals = [rec for rec in records if not any(rec.v)]
+        increments = [parity_gap(b.xi) - parity_gap(a.xi) for a, b in zip(renewals, renewals[1:])]
+        assert renewals[0].t == 0
+        assert renewals[-1].t == 4
+        assert series.renewals == len(renewals)
+        assert series.increments == Counter(increments)
+        assert series.increments.total() == series.renewals - 1
         assert series.samples[0] == 0
         assert all(
-            abs(z) <= t2 - t1
-            for z, t1, t2 in zip(
-                series.increments, series.renewal_times, series.renewal_times[1:]
-            )
+            abs(z) <= b.t - a.t for z, a, b in zip(increments, renewals, renewals[1:])
         )
 
     def test_increment_values(self):
         series = ParityGapSeries(4)
         # sweep once (renewal at 4), then 2,1,4,3 (renewal at 8, H unchanged)
-        for rec in _records_from_sites(ASYM, 4, [1, 2, 3, 4, 2, 1, 4, 3]):
+        records = _records_from_sites(ASYM, 4, [1, 2, 3, 4, 2, 1, 4, 3])
+        for rec in records:
             series.on_step(rec)
-        assert series.renewal_times == [0, 4, 8]
-        assert series.increments == [Fraction(0), Fraction(0)]
+        assert [rec.t for rec in records if not any(rec.v)] == [0, 4, 8]
+        assert series.renewals == 3
+        assert series.increments == Counter({Fraction(0): 2})
 
     def test_renewal_counter_matches_series(self):
         log = RenewalCounter()
@@ -199,8 +221,8 @@ class TestParityGap:
             RandomStream(23, 0),
             observers=[log, series],
         )
-        assert log.times == series.renewal_times
-        assert len(log.times) >= 10
+        assert log.renewals == series.renewals
+        assert log.renewals >= 10
 
 
 class TestDetectConvergence:
@@ -268,9 +290,35 @@ def test_parity_gap_series_matches_parity_gap_at_every_step(m, init, seed):
     records = run(start, MinRule(), steps, RandomStream(seed, 0), [series], sample_every=1).records
     assert series.samples == {rec.t: parity_gap(rec.xi) for rec in records if rec.t % 7 == 0}
     renewals = [rec for rec in records if all(x == 0 for x in rec.v)]
-    assert series.renewal_times == [rec.t for rec in renewals]
+    assert series.renewals == len(renewals)
     assert len(renewals) >= 10
-    assert series.increments == [
+    assert series.increments == Counter(
         parity_gap(b.xi) - parity_gap(a.xi) for a, b in zip(renewals, renewals[1:])
-    ]
+    )
     assert all(type(h) is Fraction for h in [*series.samples.values(), *series.increments])
+
+
+@pytest.mark.parametrize(
+    "kind, m, observe_parity",
+    [(SYM, 5, False), (ASYM, 5, False), (ASYM, 4, True)],
+    ids=["sym-m5", "asym-m5", "asym-m4-parity"],
+)
+def test_observers_run_in_flat_memory(kind, m, observe_parity):
+    # Fixed before any run: a record per level or per renewal would add
+    # megabytes over the 11 500 extra steps.  Both lengths pass one block of
+    # DRAW_BLOCK uniforms, whose list would otherwise count as growth.
+    bound = 128 * 2**10
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            observers = [LevelLog(kind), *([ParityGapSeries(m)] if observe_parity else [])]
+            run(ChainState.empty(m, kind), MinRule(), steps, RandomStream(3, 0), observers,
+                sample_every=steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4500)  # warm-up: first-call caches are not the observers' memory
+    short, long = peak(4500), peak(16000)
+    assert abs(long - short) < bound
