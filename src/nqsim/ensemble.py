@@ -26,16 +26,12 @@ clamped from each replica's last site of positive probability.
 
 The engine optionally tracks, fully vectorised:
   * per-level statistics (S, Q, W, signatures) with monotonicity, persistence
-    and window-exclusion monitors.  Each site's window of five zero/positive
-    marks is coded as a 5-bit number (one product with a precomputed (M, M)
-    matrix), and 32-entry tables give the isolated zeros, the doubles and the
-    excluded windows it starts.  Statistics are computed for all replicas and
-    recorded where a level opened.  Signatures and the required isolated-zero
-    centres are (M, R) boolean patterns, exact at any M.  Excluded windows
-    are kept as last-occurrence indices: for each window and replica, the
-    index of the last level carrying it (-1 if none).  A level of the final
-    half carries the window exactly when that index is >= level_count // 2,
-    so no per-level record is needed,
+    and window-exclusion monitors (`levels.LevelTracker`).  Each lock-step
+    only copies the potentials of the replicas that opened a level into a
+    buffer of a fixed number of cells; the statistics of every buffered level
+    are computed in one call when it is full, at the end of each uniform block
+    and at the end of the run, and each replica's levels are then resolved in
+    order from the state carried between blocks,
   * renewal times (reduced potential identically zero) and the parity-gap
     increments between them,
   * the even/odd potential-sum identity each step,
@@ -99,6 +95,7 @@ from .dynamics import (
     RandomStream,
     Softmax,
 )
+from .levels import FLAG_NAMES, LevelTracker, buffer_columns
 from .ring import (
     Neighborhood,
     check_ring_size,
@@ -107,18 +104,6 @@ from .ring import (
     validate_occupancy,
 )
 
-# Windows excluded in the limit, as zero/positive shapes read from a site k
-# onward; level flag bit i marks shape i.
-_FLAG_SHAPES = {
-    "three_positives": (1, 1, 1),
-    "three_zeros": (0, 0, 0),
-    "pair_into_zeros": (1, 1, 0, 0),
-    "lone_positive_in_zeros": (0, 0, 1, 0, 0),
-}
-FLAG_NAMES = tuple(_FLAG_SHAPES)  # level flag column order everywhere
-_ISOLATED_ZERO = (1, 0, 1)  # Q counts these (centred on k + 1)
-_DOUBLE = (0, 1, 1, 0)  # W counts these
-_WINDOW = 5  # sites per window code; the longest shape
 # Uniforms per (R, steps) block drawn ahead of the lock-steps: 4 MiB of float64.
 # Unbounded, the block grows with R (31 MiB at R = 1000 and 4096 steps).  Once
 # such a block is freed, glibc raises its mmap threshold, so the next one comes
@@ -130,46 +115,6 @@ MAX_ENSEMBLE_BYTES = 2**32
 # Largest reachable reduced-potential set the state-table path steps; 8192
 # covers every M <= 10 from empty (3111 states at M = 10, 5266 at M = 9).
 _TABLE_MAX_STATES = 8192
-
-
-def _window_table(shape: tuple[int, ...]) -> np.ndarray:
-    """For each 5-bit window code (bit d: site k + d positive), whether it starts with `shape`."""
-    codes = np.arange(2**_WINDOW)
-    return np.logical_and.reduce([(codes >> d & 1) == want for d, want in enumerate(shape)])
-
-
-_ISOLATED_ZERO_TABLE = _window_table(_ISOLATED_ZERO)
-_DOUBLE_TABLE = _window_table(_DOUBLE)
-_FLAG_TABLE = sum(
-    _window_table(shape).astype(np.uint8) << i for i, shape in enumerate(_FLAG_SHAPES.values())
-)
-
-
-def _window_code_matrix(m: int) -> np.ndarray:
-    """(matrix @ pattern)[k]: the 5-bit code of pattern[k .. k + 4], cyclically."""
-    code = np.zeros((m, m))
-    for d in range(_WINDOW):
-        code[np.arange(m), (np.arange(m) + d) % m] += 2**d
-    return code
-
-
-def _level_statistics(u, m_new, u_total, window_code, with_flags: bool) -> tuple:
-    """Level statistics of site-major potentials u (M, R) with column minima m_new.
-
-    u_total is each replica's potential sum (window * particles).  Returns the
-    signature pos (M, R), the stacked S, Q, W (3, R), the isolated-zero centres
-    (M, R; row k: a centre at site k + 1) and, if with_flags, the flag bits
-    (bit i: FLAG_NAMES[i]).
-    """
-    v = u - m_new
-    pos = v > 0
-    code = (window_code @ pos).astype(np.intp)
-    # S = sum(v) less its entries equal to 1
-    s = u_total - len(u) * m_new - (v == 1).sum(axis=0)
-    centers = _ISOLATED_ZERO_TABLE.take(code)
-    stats = np.stack([s, centers.sum(axis=0), _DOUBLE_TABLE.take(code).sum(axis=0)])
-    flag_bits = np.bitwise_or.reduce(_FLAG_TABLE.take(code), axis=0) if with_flags else None
-    return pos, stats, centers, flag_bits
 
 
 @dataclass
@@ -271,9 +216,10 @@ def _footprint_bytes(req: EnsembleRequest, m: int, table_states: int = 0) -> int
 
     Counts the R x T int16 site record, the uniform block and the checkpoints.
     The lock-step loop adds six (M, M) helpers, sixteen (M, R) arrays of eight
-    bytes (the state and the per-step temporaries) and last_seen.  The
-    state-table path (table_states > 0) adds two (M, R) arrays (xi and u), the
-    table and the per-slice records.
+    bytes (the state and the per-step temporaries), last_seen and the level
+    buffer (an int64 potential per cell, a replica id and a step per column).
+    The state-table path (table_states > 0) adds two (M, R) arrays (xi and u),
+    the table and the per-slice records.
     """
     R, T = req.replicas, req.steps
     block = R * max(1, min(req.chunk_steps, T, max(1, _UNIF_BLOCK_CELLS // R)))
@@ -287,6 +233,8 @@ def _footprint_bytes(req: EnsembleRequest, m: int, table_states: int = 0) -> int
     cells = 6 * m * m + 16 * m * R
     if req.track_last_seen:
         cells += m * R
+    if req.track_levels:
+        cells += (m + 2) * buffer_columns(m, R)
     return shared + 8 * cells
 
 
@@ -342,53 +290,10 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     eye = np.eye(m, dtype=np.int64)
     gain = sum(np.roll(eye, -d, axis=0) for d in req.kind.offsets)
 
-    # --- level tracking state ---
+    levels = None
     if req.track_levels:
-        window_code = _window_code_matrix(m)
-        res.level_counts = np.zeros(R, dtype=np.int64)
-        # Rows S, Q, W: a level may not raise S, lower Q or raise W.  The
-        # sentinels compare the first level against values no level violates.
-        worse = np.array([[1], [-1], [1]])
-        big = np.iinfo(np.int64).max
-        prev_stats = np.repeat([[big], [-1], [big]], R, axis=1)
-        stat_viol = np.zeros((3, R), dtype=np.int64)
-        res.s_violations, res.q_violations, res.w_violations = stat_viol
-        res.first_s_violation_step = np.full(R, -1, dtype=np.int64)
-        required_centers = np.zeros((m, R), dtype=bool)
-        res.persistence_violations = np.zeros(R, dtype=np.int64)
-        cur_sig = np.zeros((m, R), dtype=bool)
-        res.run_length = np.zeros(R, dtype=np.int64)
-        res.run_started_level = np.zeros(R, dtype=np.int64)
-        # last_flag[i, r]: index of replica r's last level carrying FLAG_NAMES[i], -1 if none
-        last_flag = np.full((len(FLAG_NAMES), R), -1, dtype=np.int64)
-        flag_bit = (1 << np.arange(len(FLAG_NAMES), dtype=np.uint8))[:, None]
-
-        def open_levels(opened: np.ndarray, t: int, m_new: np.ndarray) -> None:
-            # Statistics are computed for every replica and recorded where `opened`.
-            pos, stats, centers, flag_bits = _level_statistics(
-                u, m_new, req.kind.window * (sum(init) + t), window_code, req.store_level_flags
-            )
-            bad = opened & ((stats - prev_stats) * worse > 0)
-            stat_viol[:] += bad  # slice updates: the closure rebinds no name
-            if bad[0].any():
-                res.first_s_violation_step[bad[0] & (res.first_s_violation_step < 0)] = t
-            res.persistence_violations += opened & (required_centers > centers).any(axis=0)
-            required_centers[:] |= centers & opened
-            np.copyto(prev_stats, stats, where=opened)
-
-            if req.store_level_flags:
-                np.copyto(last_flag, res.level_counts, where=opened & ((flag_bits & flag_bit) > 0))
-
-            # a level whose signature differs from the current one starts a new run
-            changed = (cur_sig ^ pos) & opened
-            reset = changed.any(axis=0)
-            res.run_length += opened
-            res.run_length[reset] = 1
-            np.copyto(res.run_started_level, res.level_counts, where=reset)
-            cur_sig[:] ^= changed
-            res.level_counts += opened
-
-        open_levels(np.ones(R, dtype=bool), 0, m_cur)
+        levels = LevelTracker(res, m, req.kind.window * sum(init), req.kind.window, req.store_level_flags)
+        levels.gather(np.ones(R, dtype=bool), 0, u)  # level 0 opens at step 0
 
     # --- renewal tracking state ---
     parity_sign = np.where(np.arange(m) % 2 == 1, 1, -1).astype(np.int64)  # +1 at even 1-based sites
@@ -503,10 +408,10 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             D += parity_sign[sites]
             m_new = u.min(axis=0)
 
-            if req.track_levels:
+            if levels is not None:
                 opened = m_new > m_cur
                 if opened.any():
-                    open_levels(opened, t, m_new)
+                    levels.gather(opened, t, u)
             m_cur = m_new
             if req.track_renewals:
                 handle_renewals((u.max(axis=0) == m_new)[None], D[None])
@@ -560,6 +465,8 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             xi[hi, replica] += n_hi
             u += gain[:, lo] * (n - n_hi) + gain[:, hi] * n_hi
             D += d_lo * (n - n_hi) + d_hi * n_hi
+        if levels is not None:
+            levels.flush()
         done += csize
 
     if tab is not None:
@@ -567,8 +474,8 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     res.xi, res.u = np.ascontiguousarray(xi.T), np.ascontiguousarray(u.T)
     if req.track_last_seen:
         res.last_seen = np.ascontiguousarray(res.last_seen.T)
-    if req.store_level_flags:
-        res.final_half_flags = (last_flag >= res.level_counts // 2).T
+    if levels is not None:
+        levels.finish()
     if req.track_renewals:
         # tail[c] = #{|zeta| > c}, zeta = dd / M
         z = np.abs(np.arange(-cap, cap + 1))

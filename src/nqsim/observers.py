@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .ensemble import _FLAG_SHAPES, FLAG_NAMES
+import numpy as np
+
+from .levels import _FLAG_SHAPES, FLAG_NAMES
 from .ring import Neighborhood
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -267,21 +269,35 @@ class ConvergenceVerdict:
     matched_distance: float | None
 
 
+def limit_floats(limits: Sequence["LimitConfiguration"]) -> np.ndarray:
+    """The limits' fractions as one (L, M) float array, for `nearest_limit`."""
+    return np.array([config.x_float for config in limits], dtype=np.float64)
+
+
+def nearest_limit(
+    empirical: Sequence[float], x: np.ndarray, tolerance: float = MATCH_TOLERANCE
+) -> tuple[int | None, float | None]:
+    """Row of x (from `limit_floats`) closest to empirical in L-infinity, and its distance.
+
+    The row is the first minimiser, and None if it lies beyond tolerance (or x
+    has no rows).  The distances are the float differences a scan over the
+    configurations takes, so each match and distance is the scan's.
+    """
+    if not len(x):
+        return None, None
+    dist = np.abs(np.asarray(empirical, dtype=np.float64) - x).max(axis=1)
+    best = int(dist.argmin())
+    return (best if dist[best] <= tolerance else None), float(dist[best])
+
+
 def match_limit(
     empirical: Sequence[float],
     limits: Sequence["LimitConfiguration"],
     tolerance: float = MATCH_TOLERANCE,
 ) -> tuple["LimitConfiguration | None", float | None]:
     """Closest enumerated configuration in L-infinity, if within tolerance."""
-    best = None
-    best_dist = None
-    for config in limits:
-        dist = max(abs(e - x) for e, x in zip(empirical, config.x_float))
-        if best_dist is None or dist < best_dist:
-            best, best_dist = config, dist
-    if best is not None and best_dist is not None and best_dist <= tolerance:
-        return best, best_dist
-    return None, best_dist
+    best, dist = nearest_limit(empirical, limit_floats(limits), tolerance)
+    return (None if best is None else limits[best]), dist
 
 
 def detect_convergence(

@@ -16,7 +16,7 @@ from .algebra import Family, Infeasible, Unique, solve_occupancy_asym, solve_occ
 from .dynamics import MaxRule, MinRule
 from .ensemble import FLAG_NAMES, EnsembleRequest, run_ensemble
 from .limits import enumerate_limits
-from .observers import STABILITY_WINDOW, match_limit
+from .observers import STABILITY_WINDOW, limit_floats, nearest_limit
 from .ring import Neighborhood, potentials
 from .scaling import classify_final_ties
 
@@ -168,9 +168,10 @@ def suite_sym(m: int, steps: int, replicas: int, seed: int) -> VerificationRepor
     # The limit set grows fast with M; it is enumerated only if a replica is stable.
     stable = result.run_length >= STABILITY_WINDOW
     limits = enumerate_limits(m) if stable.any() else ()
+    x = limit_floats(limits)
     fractions = result.empirical_fractions
-    matched = [match_limit(fractions[r], limits)[0] for r in np.flatnonzero(stable)]
-    matched = [c for c in matched if c is not None]
+    rows = (nearest_limit(fractions[r], x)[0] for r in np.flatnonzero(stable))
+    matched = [limits[row] for row in rows if row is not None]
     starred_hits = sum(1 for c in matched if not c.achievable_from_empty)
     invariants.append(
         InvariantResult(

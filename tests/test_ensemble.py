@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from nqsim import ensemble, statetable
+from nqsim import ensemble, levels, statetable
 from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run, step
 from nqsim.ensemble import FLAG_NAMES, EnsembleRequest, EnsembleResult, run_ensemble
 from nqsim.observers import (
@@ -251,14 +251,14 @@ def test_level_statistics_match_reference_definitions(kind, m):
     rng = np.random.default_rng(m)
     xi = rng.integers(1, 3, size=(200, m)) * (rng.random((200, m)) < rng.random((200, 1)))
     u = np.array([potentials(tuple(row), kind) for row in xi.tolist()]).T
-    pos, stats, centers, flag_bits = ensemble._level_statistics(
-        u, u.min(axis=0), u.sum(axis=0), ensemble._window_code_matrix(m), True
+    pos, stats, centers, flag_bits = levels.level_statistics(
+        u, u.min(axis=0), u.sum(axis=0), True, np.arange(len(xi))
     )
     for r in range(xi.shape[0]):
         v = reduce_potential(tuple(u[:, r].tolist()))
         sig = pattern(v)
         assert tuple(pos[:, r].astype(int).tolist()) == sig
-        assert stats[:, r].tolist() == [stat_S(v), stat_Q(v), stat_W(v)]
+        assert [int(x[r]) for x in stats] == [stat_S(v), stat_Q(v), stat_W(v)]
         # row k marks a centre at site k + 1
         assert set(np.flatnonzero(np.roll(centers[:, r], 1)).tolist()) == isolated_zero_centers(sig)
         flags = _window_flags(sig)
@@ -286,6 +286,116 @@ def test_final_half_flags_match_single_chain_log(m, steps):
         assert res.final_half_flags[r].tolist() == [expected[name] > 0 for name in FLAG_NAMES], r
     if steps <= 1:
         assert res.final_half_flags.any()
+
+
+class _EngineLevelLog(LevelLog):
+    """LevelLog that also reads what the engine reports beyond it: the step of
+    the first S violation, and the levels lacking a required centre (the
+    engine counts such a level once; LevelLog counts each lost centre)."""
+
+    def __init__(self, kind):
+        super().__init__(kind)
+        self.first_s_violation_step = -1
+        self.levels_losing_centers = 0
+
+    def _open_level(self, record):
+        s_before, required = self.s_increase_violations, self._required_centers
+        super()._open_level(record)
+        if self.first_s_violation_step < 0 and self.s_increase_violations > s_before:
+            self.first_s_violation_step = record.t
+        self.levels_losing_centers += not required <= self._shapes[pattern(record.v)][3]
+
+
+def _level_requests(kind, m):
+    """Empty and random starts at T in {0, 1, 2, 37, 3000} and R in {1, 3, 200}."""
+    rng = np.random.default_rng(m)
+    start = tuple(int(x) for x in rng.integers(0, 4, m) * (rng.random(m) < 0.6))
+    cases = ((None, 0, 3), (start, 1, 200), (None, 2, 1), (start, 37, 3), (None, 37, 200), (start, 3000, 3))
+    for init, steps, replicas in cases:
+        yield EnsembleRequest(
+            m=m, kind=kind, rule=MinRule(), steps=steps, replicas=replicas, seed=31 * m + steps,
+            init=init, track_levels=True, store_level_flags=True,
+        )
+
+
+def _level_log(req, r):
+    log = _EngineLevelLog(req.kind)
+    start = ChainState.from_occupancy(req.init, req.kind) if req.init else ChainState.empty(req.m, req.kind)
+    run(start, MinRule(), req.steps, RandomStream(req.seed, r), observers=[log])
+    return log
+
+
+@pytest.mark.parametrize("kind", [ASYM, SYM])
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10, 70])
+def test_level_blocks_change_no_result(monkeypatch, kind, m):
+    # A flush resolves whatever the buffer holds, so where the blocks end must
+    # change no level field: a flush after every opening lock-step (1 cell),
+    # one every level or two (7 cells) and the default budget.
+    for req in _level_requests(kind, m):
+        runs = []
+        for cells in (1, 7, levels.LEVEL_BLOCK_CELLS):
+            monkeypatch.setattr(levels, "LEVEL_BLOCK_CELLS", cells)
+            runs.append(run_ensemble(req))
+        res = runs[-1]
+        R = req.replicas
+        for name in _LEVEL_FIELDS | {"final_half_flags"}:
+            value = getattr(res, name)
+            want = ((R, len(FLAG_NAMES)), bool) if name == "final_half_flags" else ((R,), np.int64)
+            assert (value.shape, value.dtype) == want, name
+            for other in runs[:-1]:
+                got = getattr(other, name)
+                assert got.dtype == value.dtype and np.array_equal(got, value), name
+        for r in {0, R - 1}:
+            log = _level_log(req, r)
+            flags = log.flag_counts(log.level_count // 2)
+            assert [int(getattr(res, name)[r]) for name in (
+                "level_counts", "s_violations", "q_violations", "w_violations",
+                "persistence_violations", "first_s_violation_step", "run_length",
+                "run_started_level",
+            )] == [
+                log.level_count, log.s_increase_violations, log.q_decrease_violations,
+                log.w_increase_violations, log.levels_losing_centers,
+                log.first_s_violation_step, log.run_length, log.run_started_level,
+            ], (req, r)
+            assert res.final_half_flags[r].tolist() == [flags[n] > 0 for n in FLAG_NAMES]
+
+
+def test_level_block_cases_have_teeth():
+    # The cases above reach every monitor: the symmetric runs raise S (and W),
+    # the asymmetric ones lower Q, raise W and lose required centres.
+    totals = dict.fromkeys(("s_violations", "q_violations", "w_violations", "persistence_violations"), 0)
+    for kind in (ASYM, SYM):
+        for req in _level_requests(kind, 6):
+            res = run_ensemble(req)
+            for name in totals:
+                totals[name] += int(getattr(res, name).sum())
+    assert all(totals.values()), totals
+
+
+def test_level_buffer_bounds_peak_memory():
+    import tracemalloc
+
+    # Fixed before the run: 4.49 MiB at the per-lock-step tracker this replaced
+    # (mostly the 4 MiB uniform block), plus at most 1 MiB for the level buffer
+    # and one flush.  A buffer sized in lock-steps would reach tens of MiB.
+    bound = 5.5 * 2**20
+    req = EnsembleRequest(
+        m=5, kind=SYM, rule=MinRule(), steps=2000, replicas=500, seed=3, track_levels=True,
+        store_level_flags=True,
+    )
+    # The first engine run in a process also allocates caches of its own.
+    run_ensemble(dataclasses.replace(req, steps=10))
+    peaks = []
+    for steps in (2000, 20000):
+        tracemalloc.start()
+        try:
+            run_ensemble(dataclasses.replace(req, steps=steps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < bound
+    # ten times the steps, the same buffer
+    assert abs(peaks[1] - peaks[0]) < 0.25 * 2**20
 
 
 def test_renewals_match_parity_gap_series():
@@ -597,6 +707,17 @@ def test_size_guard_refuses_before_allocating(monkeypatch):
     # the (M, M) helpers are counted
     with pytest.raises(ValueError, match="MiB limit"):
         run_ensemble(dataclasses.replace(req, m=200, init=None, replicas=1))
+    # the level buffer is counted: an int64 potential per cell, an id and a step per column
+    with_levels = dataclasses.replace(req, track_levels=True)
+    need = ensemble._footprint_bytes(with_levels, 5)
+    assert need == ensemble._footprint_bytes(req, 5) + 8 * (5 + 2) * levels.buffer_columns(5, 20)
+    monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", need - 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(ensemble, "LevelTracker", None)  # refused before the tracker is built
+        with pytest.raises(ValueError, match="MiB limit"):
+            run_ensemble(with_levels)
+    monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", need)
+    run_ensemble(with_levels)
 
 
 def _assert_identical(a: EnsembleResult, b: EnsembleResult) -> None:

@@ -3,18 +3,23 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from nqsim.dynamics import ChainState, MinRule, RandomStream, TrajectoryRecord, run
 from nqsim.ensemble import FLAG_NAMES
 from nqsim.limits import enumerate_limits
 from nqsim.observers import (
+    MATCH_TOLERANCE,
     LevelLog,
     ParityGapSeries,
     RenewalCounter,
     _window_flags,
     detect_convergence,
     isolated_zero_centers,
+    limit_floats,
+    match_limit,
+    nearest_limit,
     parity_gap,
     pattern,
     pattern_str,
@@ -322,3 +327,47 @@ def test_observers_run_in_flat_memory(kind, m, observe_parity):
     peak(4500)  # warm-up: first-call caches are not the observers' memory
     short, long = peak(4500), peak(16000)
     assert abs(long - short) < bound
+
+
+def _scan_limits(empirical, limits, tolerance=MATCH_TOLERANCE):
+    """The per-configuration scan `nearest_limit` replaced: (first minimiser's index, distance)."""
+    best = best_dist = None
+    for i, config in enumerate(limits):
+        dist = max(abs(e - x) for e, x in zip(empirical, config.x_float))
+        if best_dist is None or dist < best_dist:
+            best, best_dist = i, dist
+    if best is not None and best_dist <= tolerance:
+        return best, best_dist
+    return None, best_dist
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_nearest_limit_matches_the_scan(m):
+    limits = enumerate_limits(m)
+    x = limit_floats(limits)
+    rng = np.random.default_rng(m)
+    vectors = list(rng.dirichlet(np.ones(m), size=40))  # random fractions
+    vectors += list(x)  # the limits themselves, at distance 0
+    for row in x:
+        # a few ulps around the tolerance, on one coordinate of a limit
+        v = row.copy()
+        v[0] = row[0] + MATCH_TOLERANCE
+        for _ in range(4):
+            v[0] = np.nextafter(v[0], -1.0)
+        for _ in range(8):
+            vectors.append(v.copy())
+            v[0] = np.nextafter(v[0], 2.0)
+    outcomes = set()
+    for v in vectors:
+        for empirical in (v, v.tolist()):
+            want = _scan_limits(empirical, limits)
+            assert nearest_limit(empirical, x) == want
+            config, dist = match_limit(empirical, limits)
+            assert (config, dist) == (None if want[0] is None else limits[want[0]], want[1])
+        outcomes.add(want[0] is None)
+    assert outcomes == {False, True}  # matched and unmatched vectors both occur
+    # Every configuration twice: each vector's minimum is a tie, won by the first copy.
+    doubled = limits + limits
+    for v in vectors[:60]:
+        assert nearest_limit(v, limit_floats(doubled)) == _scan_limits(v, doubled)
+    assert nearest_limit(x[0], x[:0]) == _scan_limits(x[0], []) == (None, None)
