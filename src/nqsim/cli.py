@@ -2,13 +2,12 @@
 
 Every command is a deterministic function of its flags and seed; repeated
 invocations write byte-identical files.  Exit codes: 0 success, 1 usage or
-configuration error, out of memory or (scaling only) scipy missing, 2 invariant
-violation, 3 I/O error.
+configuration error, or a run too large for memory, 2 invariant violation,
+3 I/O error.
 """
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import sys
@@ -30,9 +29,7 @@ from .observers import (
     pattern_str,
 )
 from .ring import Neighborhood
-from .scaling import (
-    MIN_REPLICAS_FOR_KS, SCIPY_MISSING, estimate_sigma, zeta_sign_test, zeta_tail_check,
-)
+from .scaling import MIN_REPLICAS_FOR_KS, estimate_sigma, zeta_sign_test, zeta_tail_check
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -313,20 +310,19 @@ def cmd_scaling(args, config_file) -> int:
         )
     if steps < 1024:
         raise ValueError("scaling needs at least 2^10 steps")
+    checkpoints = []
+    t = 1024
+    while t <= steps:
+        checkpoints.append(t)
+        t *= 2
+    estimate, ensemble = estimate_sigma(m, replicas, checkpoints, seed)
+    # after the run, so that a refused request prints only its error
     if replicas < MIN_REPLICAS_FOR_KS:
         print(
             f"scaling: warning: {replicas} replicas is below the minimum "
             f"{MIN_REPLICAS_FOR_KS} for the normality check; KS skipped",
             file=sys.stderr,
         )
-    checkpoints = []
-    t = 1024
-    while t <= steps:
-        checkpoints.append(t)
-        t *= 2
-    if importlib.util.find_spec("scipy") is None:  # fail before the ensemble, not after it
-        raise ImportError(SCIPY_MISSING)
-    estimate, ensemble = estimate_sigma(m, replicas, checkpoints, seed)
     sign_p = zeta_sign_test(ensemble.zeta_positive, ensemble.zeta_negative)
     tail_ok, tail_ratios = zeta_tail_check(ensemble.zeta_tail.tolist())
     payload = {
@@ -413,9 +409,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"nqsim {args.command}: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ImportError as exc:  # scipy, for the sign test of `scaling`
-        print(f"nqsim {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"nqsim {args.command}: error: out of memory{detail}", file=sys.stderr)

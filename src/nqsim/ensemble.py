@@ -79,7 +79,9 @@ add 4 MiB per array to the peak memory.  Every other request runs the
 lock-step loop.
 
 `run_ensemble` estimates the bytes of its large arrays before allocating and
-refuses a request above MAX_ENSEMBLE_BYTES with a ValueError.
+refuses a request above MAX_ENSEMBLE_BYTES with a ValueError.  A request that
+may take the state-table path is first checked against the worst case of the
+state search (`_search_bytes`), before the search runs.
 """
 from __future__ import annotations
 
@@ -211,6 +213,16 @@ def absorbed_max_ties(u: np.ndarray, kind: Neighborhood) -> tuple[np.ndarray, np
     return absorbed, mask.argmax(axis=0), m - 1 - mask[::-1].argmax(axis=0)
 
 
+def _search_bytes(m: int) -> int:
+    """Worst-case bytes of the state-table search and the threshold table it is given.
+
+    The search keeps up to _TABLE_MAX_STATES tuples of M entries, with their
+    index and successor entries about 8 M + 192 bytes each (measured at M = 12
+    to 3000).  Building THR holds two (M+1)^2 float64 arrays and a bool one.
+    """
+    return _TABLE_MAX_STATES * (8 * m + 192) + 17 * (m + 1) ** 2
+
+
 def _footprint_bytes(req: EnsembleRequest, m: int, table_states: int = 0) -> int:
     """Estimated bytes of run_ensemble's large arrays for this request.
 
@@ -255,26 +267,32 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     if any(not 0 <= t <= T for t in req.h_checkpoints):
         raise ValueError(f"h checkpoints must lie in steps 0..{T}, got {tuple(req.h_checkpoints)}")
     rule = req.rule
-    u0 = potentials(init, req.kind)
+
+    def refuse_above_limit(need: int) -> None:
+        if need > MAX_ENSEMBLE_BYTES:
+            raise ValueError(
+                f"M={m}, {R} replicas and {T} steps need about {need / 2**20:.0f} MiB, "
+                f"above the {MAX_ENSEMBLE_BYTES / 2**20:.0f} MiB limit"
+            )
+
     # Checks that read the full potentials every step keep the lock-step loop.
     per_step = (
         req.track_levels or req.check_parity or req.check_comb_final_half
         or req.check_residual_final_half
     )
     freezable = isinstance(rule, MaxRule) and not (per_step or req.track_renewals)
-    reachable = None
-    if isinstance(rule, MinRule) and req.kind is Neighborhood.ASYMMETRIC and not (
+    searched = isinstance(rule, MinRule) and req.kind is Neighborhood.ASYMMETRIC and not (
         per_step or req.track_last_seen
-    ):
+    )
+    if searched:
+        refuse_above_limit(_search_bytes(m))
+    u0 = potentials(init, req.kind)
+    reachable = None
+    if searched:
         from . import statetable  # imported by the requests that may take this path
 
         reachable = statetable.min_rule_states(reduce_potential(u0), req.kind, _TABLE_MAX_STATES)
-    need = _footprint_bytes(req, m, len(reachable[0]) if reachable else 0)
-    if need > MAX_ENSEMBLE_BYTES:
-        raise ValueError(
-            f"M={m}, {R} replicas and {T} steps need about {need / 2**20:.0f} MiB, "
-            f"above the {MAX_ENSEMBLE_BYTES / 2**20:.0f} MiB limit"
-        )
+    refuse_above_limit(_footprint_bytes(req, m, len(reachable[0]) if reachable else 0))
     tab = statetable.state_table(*reachable, _threshold_table(m)) if reachable else None
     del reachable  # the table holds all the state-table path reads
 

@@ -217,7 +217,7 @@ class LevelTracker:
             self.res.first_s_violation_step[first[unset]] = ts[unset]
 
     def _persistence(self, centers, blk: _Block) -> None:
-        """A level lacking a centre that an earlier level required violates persistence.
+        """Each centre an earlier level required and a level lacks is one persistence violation.
 
         seen: the inclusive prefix-OR of the centres in each segment, by
         doubling steps; the centres carried in are ORed in afterwards.
@@ -230,8 +230,8 @@ class LevelTracker:
             step *= 2
         before = np.repeat(carried, blk.last + 1 - blk.starts, axis=1)
         before[:, 1:] |= seen[:, :-1] & ~blk.head[1:]
-        lost = (before > centers).any(axis=0)
-        self.res.persistence_violations += np.bincount(blk.rep[lost], minlength=self.required.shape[1])
+        lost = np.add.reduce(before > centers, axis=0, dtype=np.int64)
+        self.res.persistence_violations[blk.r0] += np.add.reduceat(lost, blk.starts)
         self.required[:, blk.r0] = seen.take(blk.last, axis=1) | carried
 
     def _runs(self, pos, blk: _Block) -> None:

@@ -412,6 +412,19 @@ class TestVerifyCommand:
         counts = json.loads(out)["invariants"][0]["detail"]["counts"]
         assert counts == {"single": 20, "pair": 0, "unfrozen": 0}
 
+    def test_symmetric_appendix_pair_shares_pass_at_500_steps(self, capsys):
+        # The share deviation 0.058 exceeded a fixed 0.05; the tolerance for
+        # 20 replicas of 500 steps is 0.124 (`verify.pair_share_tolerance`).
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--suite", "appendix", "--m", "6", "--neighborhood", "sym",
+            "--replicas", "20", "--steps", "500", "--seed", "4",
+        )
+        assert code == 0
+        detail = json.loads(out)["invariants"][1]["detail"]
+        assert detail["tolerance"] == 0.124
+        assert 0.05 < detail["max_share_deviation"] <= 0.124
+
     def test_wrong_parity_suite_exits_1(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -440,6 +453,25 @@ class TestScalingCommand:
         assert payload["ks_p"] is None
         assert payload["sigma_hat"] > 0
         assert payload["config"]["checkpoints"] == [1024, 2048]
+
+    def test_one_replica_exits_1_with_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "scaling", "--m", "4", "--replicas", "1", "--steps", "1024")
+        assert code == 1
+        assert out == ""
+        assert err == "nqsim scaling: error: need at least 2 replicas to estimate a variance, got 1\n"
+
+    def test_huge_ring_refused_before_the_state_search(self, capsys, monkeypatch):
+        # The search would keep up to 8192 tuples of 4 000 000 entries; it is
+        # refused from its worst case before it starts.
+        def no_search(*args):
+            raise AssertionError("the state search ran")
+
+        monkeypatch.setattr("nqsim.statetable.min_rule_states", no_search)
+        code, out, err = run_cli(capsys, "scaling", "--m", "4000000", "--replicas", "2", "--steps", "1024")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("nqsim scaling: error: M=4000000, 2 replicas and 1024 steps need about ")
+        assert err.endswith("MiB limit\n") and err.count("\n") == 1
 
     def test_unknown_command_usage(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate", "--m", "4")

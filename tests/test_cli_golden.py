@@ -6,7 +6,7 @@ byte-identical files, across refactors of the engine and the front end.  The
 scaling output is hashed without `ks_stat`/`ks_p`.  nqsim computes both itself
 (`scaling.ks_statistic`, `scaling.kolmogorov_cdf`), but their last bits follow
 the platform's `math.erfc` and BLAS, so they stay out of the hash;
-`sign_test_p`, from scipy's `binomtest`, is pinned.
+`sign_test_p`, from `scaling.sign_test_p`, is pinned.
 """
 import hashlib
 import json
@@ -104,7 +104,7 @@ CASES = [
         "verify-appendix-sym-m6",
         ["verify", "--suite", "appendix", "--m", "6", "--neighborhood", "sym", "--replicas", "20",
          "--steps", "2000", "--seed", "4"],
-        {"--out": "67d1b91e9083f762f9dac763fd352c5115e5bd7942ce402254e803856f8e170f"},
+        {"--out": "5a482b5082f403834bda57b9886de83d73ec98892d1e17f26053b0cf9239b455"},
     ),
     (
         "verify-appendix-asym-m5",
@@ -120,7 +120,7 @@ CASES = [
     (
         "scaling-m4",
         ["scaling", "--m", "4", "--replicas", "100", "--steps", "2048", "--seed", "7"],
-        {"--out": "536b509fd87851807315ca8bed531d73670e469fc55c3eca63cdee02ce3c422b"},
+        {"--out": "28cbee96dde65e9ec46796c0ad807062fabb1eeb6ecea5272a621cadceca5257"},
     ),
 ]
 

@@ -289,21 +289,17 @@ def test_final_half_flags_match_single_chain_log(m, steps):
 
 
 class _EngineLevelLog(LevelLog):
-    """LevelLog that also reads what the engine reports beyond it: the step of
-    the first S violation, and the levels lacking a required centre (the
-    engine counts such a level once; LevelLog counts each lost centre)."""
+    """LevelLog that also reads the step of the first S violation, which the engine reports beyond it."""
 
     def __init__(self, kind):
         super().__init__(kind)
         self.first_s_violation_step = -1
-        self.levels_losing_centers = 0
 
     def _open_level(self, record):
-        s_before, required = self.s_increase_violations, self._required_centers
+        s_before = self.s_increase_violations
         super()._open_level(record)
         if self.first_s_violation_step < 0 and self.s_increase_violations > s_before:
             self.first_s_violation_step = record.t
-        self.levels_losing_centers += not required <= self._shapes[pattern(record.v)][3]
 
 
 def _level_requests(kind, m):
@@ -354,7 +350,7 @@ def test_level_blocks_change_no_result(monkeypatch, kind, m):
                 "run_started_level",
             )] == [
                 log.level_count, log.s_increase_violations, log.q_decrease_violations,
-                log.w_increase_violations, log.levels_losing_centers,
+                log.w_increase_violations, log.persistence_violations,
                 log.first_s_violation_step, log.run_length, log.run_started_level,
             ], (req, r)
             assert res.final_half_flags[r].tolist() == [flags[n] > 0 for n in FLAG_NAMES]
@@ -370,6 +366,18 @@ def test_level_block_cases_have_teeth():
             for name in totals:
                 totals[name] += int(getattr(res, name).sum())
     assert all(totals.values()), totals
+
+
+def test_persistence_counts_each_lost_centre_as_the_single_chain_log_does():
+    # A level lacking several required centres counts each of them; here
+    # 5532 lost centres fall on fewer levels (the engine counted 595 levels).
+    m, steps, seed = 10, 3000, 4000
+    res = run_ensemble(
+        EnsembleRequest(m=m, kind=ASYM, rule=MinRule(), steps=steps, replicas=1, seed=seed, track_levels=True)
+    )
+    log = LevelLog(ASYM)
+    run(ChainState.empty(m, ASYM), MinRule(), steps, RandomStream(seed, 0), observers=[log])
+    assert int(res.persistence_violations[0]) == log.persistence_violations == 5532
 
 
 def test_level_buffer_bounds_peak_memory():
@@ -905,13 +913,15 @@ def test_renewal_rate_matches_exact_mean_renewal_time():
 
 def test_size_guard_counts_the_state_table(monkeypatch):
     req = EnsembleRequest(
-        m=8, kind=ASYM, rule=MinRule(), steps=5000, replicas=20, seed=0, track_renewals=True,
+        m=8, kind=ASYM, rule=MinRule(), steps=5000, replicas=100, seed=0, track_renewals=True,
     )
     table = ensemble._footprint_bytes(req, 8, 473)
+    # Above the search's worst case, so the limits below reach the table's check.
+    assert table > ensemble._search_bytes(8)
     # each state's 2 * grid entries are counted, and the per-slice records
     per_state = statetable.TABLE_ENTRY_BYTES * 2 * statetable.table_grid(8)
     assert table - ensemble._footprint_bytes(req, 8, 472) == per_state
-    per_slice = statetable.SLICE_CELL_BYTES * statetable.SLICE_STEPS * 20
+    per_slice = statetable.SLICE_CELL_BYTES * statetable.SLICE_STEPS * 100
     with monkeypatch.context() as mp:
         mp.setattr(statetable, "SLICE_STEPS", 2 * statetable.SLICE_STEPS)
         assert ensemble._footprint_bytes(req, 8, 473) - table == per_slice
@@ -926,3 +936,31 @@ def test_size_guard_counts_the_state_table(monkeypatch):
     with pytest.raises(ValueError, match="MiB limit"):
         run_ensemble(req)
 
+
+def test_size_guard_counts_the_state_search_before_it_runs(monkeypatch):
+    # The search keeps up to _TABLE_MAX_STATES tuples of M entries: at M = 200
+    # it gives up past the cap, and the lock-step loop runs instead.
+    req = EnsembleRequest(m=200, kind=ASYM, rule=MinRule(), steps=2, replicas=1, seed=0)
+    need = ensemble._search_bytes(200)
+    assert need > ensemble._TABLE_MAX_STATES * 8 * 200 > ensemble._footprint_bytes(req, 200)
+
+    def no_search(*args):
+        raise AssertionError("the state search ran")
+
+    monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", need - 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(statetable, "min_rule_states", no_search)
+        with pytest.raises(ValueError, match="MiB limit"):
+            run_ensemble(req)
+    # Requests that cannot take the state-table path are not charged for it.
+    run_ensemble(dataclasses.replace(req, check_parity=True))
+    monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", need)
+    searches = []
+
+    def recording_search(*args):
+        searches.append(args[2])
+        return None  # gave up past the cap
+
+    monkeypatch.setattr(statetable, "min_rule_states", recording_search)
+    assert run_ensemble(req).xi.sum() == 2
+    assert searches == [ensemble._TABLE_MAX_STATES]

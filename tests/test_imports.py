@@ -1,8 +1,9 @@
-"""Which commands need scipy.
+"""No command needs scipy.
 
-scipy is imported only by `scaling.zeta_sign_test`.  Each check runs a fresh
-interpreter, some with `sys.modules["scipy"] = None`, which makes every
-`import scipy` fail as if scipy were not installed; nothing is uninstalled.
+nqsim computes the KS and sign-test p-values itself; scipy is a test-only
+oracle.  Each check runs a fresh interpreter, one with
+`sys.modules["scipy"] = None`, which makes every `import scipy` fail as if
+scipy were not installed; nothing is uninstalled.
 """
 import json
 import os
@@ -16,7 +17,7 @@ from nqsim.cli import main
 SRC = str(Path(nqsim.__file__).resolve().parents[1])
 BLOCK_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
 
-# Every command but scaling, with the outputs it writes.
+# Every command, with the outputs it writes.
 COMMANDS = [
     ("simulate", "--m", "5", "--neighborhood", "sym", "--steps", "2000", "--seed", "11",
      "--trajectory", "{dir}/sim-sym.jsonl", "--out", "{dir}/sim-sym.json"),
@@ -36,6 +37,8 @@ COMMANDS = [
      "--steps", "2000", "--seed", "5", "--out", "{dir}/appendix-asym.json"),
     ("verify", "--suite", "algebra", "--m", "7", "--trials", "50", "--seed", "6",
      "--out", "{dir}/algebra.json"),
+    ("scaling", "--m", "4", "--replicas", "100", "--steps", "2048", "--seed", "7",
+     "--out", "{dir}/scaling.json"),
 ]
 
 
@@ -59,17 +62,15 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
-def test_only_the_sign_test_imports_scipy():
+def test_no_command_imports_scipy(tmp_path):
     proc = _python(
-        "import sys\n"
-        "from nqsim.scaling import estimate_sigma, zeta_sign_test\n"
-        "est, _ = estimate_sigma(4, 128, (256, 512, 1024), seed=5)\n"
-        "print(est.ks_p is not None, 'scipy' in sys.modules)\n"
-        "zeta_sign_test(30, 20)\n"
-        "print('scipy.stats' in sys.modules)"
+        "import json, sys\nfrom nqsim.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
+        json.dumps(_argvs(tmp_path)),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False", "True"]
+    assert json.loads(proc.stdout) == [[0] * len(COMMANDS), []]
 
 
 def test_commands_without_scipy_write_the_same_bytes(tmp_path, capsys):
@@ -88,27 +89,6 @@ def test_commands_without_scipy_write_the_same_bytes(tmp_path, capsys):
     assert sorted(p.name for p in blocked.iterdir()) == names
     for name in names:
         assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name
-
-
-def test_scaling_without_scipy_exits_1_with_one_line(tmp_path):
-    # The missing scipy is reported before the ensemble runs: here the
-    # ensemble raises if it is called at all.
-    out = tmp_path / "scaling.json"
-    proc = _python(
-        BLOCK_SCIPY + "import nqsim.scaling\n"
-        "def no_ensemble(req):\n"
-        "    raise AssertionError('the ensemble ran')\n"
-        "nqsim.scaling.run_ensemble = no_ensemble\n"
-        "from nqsim.cli import main\n"
-        f"sys.exit(main(['scaling', '--m', '4', '--replicas', '100', '--steps', '1024', "
-        f"'--out', {str(out)!r}]))"
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("nqsim scaling: error: ")
-    assert "scipy" in lines[0]
-    assert not out.exists()
 
 
 def test_sym_and_appendix_suites_leave_the_state_table_out():

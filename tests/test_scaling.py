@@ -1,4 +1,7 @@
+import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from nqsim.scaling import (
     kolmogorov_cdf,
     ks_statistic,
     potential_gap,
+    sign_test_p,
     total_variation,
     zeta_sign_test,
     zeta_tail_check,
@@ -147,6 +151,75 @@ class TestKolmogorovDistribution:
             ref = stats.kstest(z, "norm").pvalue
             got = 1.0 - kolmogorov_cdf(n, ks_statistic(z))
             assert got == pytest.approx(ref, rel=rel, abs=1e-12)
+
+
+def _exact_sign_p(n: int, ks) -> dict[int, float]:
+    """For each k, min(1, 2 P(X <= min(k, n - k))), X ~ Bin(n, 1/2): an exact Fraction rounded once."""
+    want = {}
+    edges = {k: min(k, n - k) for k in ks}
+    c = total = 1
+    for i in range(max(edges.values()) + 1):
+        if i:
+            c = c * (n - i + 1) // i
+            total += c
+        for k, j in edges.items():
+            if j == i:
+                want[k] = 1.0 if 2 * j >= n else float(Fraction(total, 2 ** (n - 1)))
+    return want
+
+
+class TestSignTestP:
+    # sign_test_p states this relative error where the p-value is a normal float.
+    REL = 1e-12
+
+    def test_every_case_up_to_200_trials_is_the_rounded_exact_sum(self):
+        for n in range(201):
+            cum = list(itertools.accumulate(math.comb(n, i) for i in range(n + 1)))
+            for k in range(n + 1):
+                j = min(k, n - k)
+                want = 1.0 if 2 * j >= n else float(Fraction(cum[j], 2 ** (n - 1)))
+                assert sign_test_p(k, n) == want, (k, n)
+
+    def test_near_the_centre_up_to_2000_trials_is_the_rounded_exact_sum(self):
+        for n in list(range(201, 2001, 53)) + [1999, 2000]:
+            ks = {n // 2 + d for d in range(-4 * math.isqrt(n), 4 * math.isqrt(n) + 1, 3)}
+            for k, want in _exact_sign_p(n, ks).items():
+                assert sign_test_p(k, n) == want, (k, n)
+
+    @pytest.mark.parametrize("n", [2001, 2002, 4001, 8000, 20_000])
+    def test_saddle_point_tail_against_exact_sums(self, n):
+        # centre to far tail, through Loader's series and log branches, down
+        # to where the p-value leaves the normal floats
+        sigma = math.sqrt(n) / 2
+        ks = {n // 2 - int(z * sigma) for z in (0, 0.1, 0.5, 1, 2, 3, 5, 8, 13, 21, 30, 36)}
+        ks |= {16, 17, n // 7, n // 5, n // 3, n - 1 - n // 2}
+        for k, want in _exact_sign_p(n, ks).items():
+            got = sign_test_p(k, n)
+            if want >= 2.0**-1022:
+                assert abs(got - want) <= self.REL * want, (k, n)
+            else:
+                assert got < 2.0**-1022, (k, n)
+
+    @pytest.mark.parametrize("k, n", [
+        # the asymmetric-diffusion benchmark's counts, and the golden scaling-m4 run's
+        (341_356, 682_995), (341_639, 682_995), (34_654, 68_792), (34_138, 68_792),
+        (17_179, 34_220), (17_041, 34_220),
+        (50_000, 10**5), (49_000, 10**5), (499_000, 10**6), (497_000, 10**6),
+        (7_999_000, 16 * 10**6), (7_994_000, 16 * 10**6),
+    ])
+    def test_large_n_against_scipy(self, k, n):
+        # scipy's binomtest is a test-only oracle; in farther tails its own
+        # error passes 1e-12 (1.7e-12 at k = 490 000, n = 10^6, against an exact sum)
+        assert sign_test_p(k, n) == pytest.approx(stats.binomtest(k, n, 0.5).pvalue, rel=self.REL, abs=0)
+
+    def test_symmetric_in_k(self):
+        for k, n in [(3, 10), (700, 1500), (2100, 5000), (341_356, 682_995)]:
+            assert sign_test_p(k, n) == sign_test_p(n - k, n)
+
+    @pytest.mark.parametrize("k, n", [(-1, 5), (6, 5), (0, -1)])
+    def test_refuses_counts_outside_the_trials(self, k, n):
+        with pytest.raises(ValueError):
+            sign_test_p(k, n)
 
 
 class TestZetaDiagnostics:
@@ -323,6 +396,40 @@ class TestClassifyFinalTies:
                 tracemalloc.stop()
         assert all(req.track_last_seen and not req.record_sites for req in requests)
         assert abs(peaks[1] - peaks[0]) < 2**20
+
+
+class TestPairShareTolerance:
+    @staticmethod
+    def _false_alarm(steps: int, replicas: int, d: int) -> Fraction:
+        """R P(|Bin(T, 1/2) - T/2| >= d), exactly."""
+        hits = sum(math.comb(steps, x) for x in range(steps + 1) if abs(2 * x - steps) >= 2 * d)
+        return replicas * Fraction(hits, 2**steps)
+
+    def test_values(self):
+        assert verify.pair_share_tolerance(500, 20) == 0.124
+        assert verify.pair_share_tolerance(2000, 20) == 0.0615
+        # criterion 09's and the max-freeze benchmark's sizes keep 0.05
+        assert verify.pair_share_tolerance(10_000, 500) == 0.05
+        assert verify.pair_share_tolerance(4000, 500) == 0.05
+
+    @pytest.mark.parametrize("steps, replicas", [(1, 1), (10, 3), (19, 500), (37, 1000), (500, 20), (2000, 20)])
+    def test_d_is_the_least_integer_within_the_false_alarm_rate(self, steps, replicas):
+        tolerance = verify.pair_share_tolerance(steps, replicas)
+        d = round(tolerance * steps)
+        assert tolerance == d / steps > 0.05
+        limit = Fraction(verify.PAIR_SHARE_FALSE_ALARM)
+        assert self._false_alarm(steps, replicas, d) <= limit < self._false_alarm(steps, replicas, d - 1)
+
+    def test_one_tail_evaluation_decides_that_005_stands(self, monkeypatch):
+        calls = []
+
+        def counting(k, n):
+            calls.append((k, n))
+            return sign_test_p(k, n)
+
+        monkeypatch.setattr(verify, "sign_test_p", counting)
+        assert verify.pair_share_tolerance(4000, 500) == 0.05
+        assert calls == [(1800, 4000)]
 
 
 class TestFreezeLawsFromEmpty:
