@@ -54,7 +54,6 @@ from .observers import (
 )
 from .ring import (
     Neighborhood,
-    min_potential,
     neighborhood,
     potentials,
     reduce_potential,
@@ -64,7 +63,6 @@ from .scaling import (
     SigmaEstimate,
     classify_freeze,
     estimate_sigma,
-    kernel_limit_check,
     total_variation,
 )
 from .verify import VerificationReport, run_suite

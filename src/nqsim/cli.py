@@ -58,9 +58,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 # The type a config-file value must have, by key, and how a usage error names it.
+# No other key is accepted; --m is a required flag, so M is never read from a file.
 _CONFIG_TYPES = {
     **dict.fromkeys(
-        ("m", "steps", "replicas", "seed", "stream", "sample_every", "trials"), (int, "an integer")
+        ("steps", "replicas", "seed", "stream", "sample_every", "trials"), (int, "an integer")
     ),
     "beta": ((int, float), "a number"),
     **dict.fromkeys(("rule", "neighborhood", "init", "format"), (str, "a string")),
@@ -93,6 +94,9 @@ def _load_config_file(path: str | None) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    for key in data:
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"config file {path} has an unknown key {key!r}")
     return data
 
 
@@ -118,8 +122,8 @@ def _parse_init(text: str, m: int) -> tuple[int, ...]:
 
 
 def cmd_simulate(args, config_file) -> int:
-    keys = ("m", "neighborhood", "rule", "beta", "steps", "seed", "stream", "init", "sample_every")
-    config = {key: _resolve(args, key, config_file) for key in keys}
+    keys = ("neighborhood", "rule", "beta", "steps", "seed", "stream", "init", "sample_every")
+    config = {"m": args.m, **{key: _resolve(args, key, config_file) for key in keys}}
     if config["rule"] != "softmax" and config["beta"] is not None:
         raise ValueError("--beta applies only to the softmax rule")
     m = config["m"]
@@ -199,7 +203,7 @@ def cmd_simulate(args, config_file) -> int:
 
 
 def cmd_enumerate(args, config_file) -> int:
-    m = _resolve(args, "m", config_file)
+    m = args.m
     fmt = _resolve(args, "format", config_file)
     configs = enumerate_limits(m)
     shown = [c for c in configs if c.achievable_from_empty] if args.from_empty else list(configs)
@@ -277,7 +281,7 @@ def cmd_enumerate(args, config_file) -> int:
 
 def cmd_verify(args, config_file) -> int:
     suite = args.suite
-    m = _resolve(args, "m", config_file)
+    m = args.m
     steps = _resolve(args, "steps", config_file)
     replicas = _resolve(args, "replicas", config_file)
     seed = _resolve(args, "seed", config_file)
@@ -300,7 +304,7 @@ def cmd_verify(args, config_file) -> int:
 
 
 def cmd_scaling(args, config_file) -> int:
-    m = _resolve(args, "m", config_file)
+    m = args.m
     steps = _resolve(args, "steps", config_file)
     replicas = _resolve(args, "replicas", config_file)
     seed = _resolve(args, "seed", config_file)

@@ -90,10 +90,6 @@ class ChainState:
     def min_potential(self) -> int:
         return min(self.u)
 
-    @property
-    def size(self) -> int:
-        return len(self.xi)
-
     @classmethod
     def from_occupancy(cls, counts: Iterable[int], kind: Neighborhood) -> "ChainState":
         xi = validate_occupancy(counts, kind)

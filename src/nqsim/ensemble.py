@@ -1,17 +1,19 @@
 """Vectorised replica ensemble: R chains stepped in lock-step, stored site-major.
 
-Replica r draws from RandomStream(seed, stream=r) and reproduces the
-single-chain driver bit for bit (the uniform variates, the inverse-CDF site
-choice and the float arithmetic of the kernels are identical; tests pin this).
-Reports are therefore independent of any batching and stay in replica order.
+The engine runs the min and max rules; the softmax kernel is simulated one
+chain at a time (`dynamics.run`) only.  Replica r draws from
+RandomStream(seed, stream=r) and reproduces `dynamics.run` on that stream bit
+for bit (the uniform variates, the inverse-CDF site choice and the float
+arithmetic of the kernels are identical; tests pin this).  Reports are
+therefore independent of any batching and stay in replica order.
 
 Layout: occupancies and potentials are held site-major, as (M, R) int64
 arrays with one contiguous R-vector per site, so each per-step reduction over
 the sites runs along axis 0.  Results are returned replica-major, (R, M).
-The tie-set ranks and the level window codes below are (M, M) @ (M, R)
-products, O(M^2 R) per lock-step.  At the small rings the suites run that
-beats numpy's slow axis-0 cumsum, but the cost grows quadratically: from
-about M = 70, replica-major (R, M) arrays reduced along axis 1 are faster.
+The tie-set ranks below are an (M, M) @ (M, R) product, O(M^2 R) per
+lock-step.  At the small rings the suites run that beats numpy's slow axis-0
+cumsum, but the cost grows quadratically: from about M = 70, replica-major
+(R, M) arrays reduced along axis 1 are faster.
 
 Site draw: the single chain takes the first site with U < c, where
 c = cumsum(mask / n) over the n-member min (or max) tie set.  At a site with
@@ -20,9 +22,7 @@ added left to right.  Those sums are tabulated once as THR[n, k], so the
 engine gathers c = THR[n, k] instead of dividing and summing each step.
 THR[n, n] is 1.0: c is clamped to 1 from the last member of the tie set
 onward, the rule `dynamics.sample_site` applies, so a draw never lands
-outside the tie set when n copies of 1/n add up to less than 1.  Softmax keeps
-its float weights, normalised in the single chain's summation order and
-clamped from each replica's last site of positive probability.
+outside the tie set when n copies of 1/n add up to less than 1.
 
 The engine optionally tracks, fully vectorised:
   * per-level statistics (S, Q, W, signatures) with monotonicity, persistence
@@ -34,8 +34,9 @@ The engine optionally tracks, fully vectorised:
     order from the state carried between blocks,
   * renewal times (reduced potential identically zero) and the parity-gap
     increments between them,
-  * the even/odd potential-sum identity each step,
-  * neighbour-difference and residual bounds over the final half of the run,
+  * the bounds of `check_bounds`: the even/odd potential-sum identity each
+    step (even M only; it fails at odd M), and the neighbour-difference and
+    residual bounds over the final half of the run,
   * parity-gap checkpoints, raw allocation sites and, per site, the last step
     at which it received a particle (`last_seen`, (R, M), 0 if never).
 
@@ -49,20 +50,21 @@ engine and the appendix freeze classifier alike.  A replica on an absorbing
 pair picks its higher-index member exactly when U >= THR[2, 1] (= 0.5), the
 comparison the lock-step draw makes, and a replica on a single site always
 picks it.  So once every replica's tie set is absorbing, a max-rule request
-that tracks nothing per step (no levels, renewals, parity, comb or residual
-checks) advances the rest of each uniform block at once: occupancies,
-potentials and the parity gap from per-site pick counts, and sites,
-checkpoints and `last_seen` from the same (R, steps) bool picks.
+that tracks nothing per step (no levels, renewals or bounds) advances the rest
+of each uniform block at once: occupancies, potentials and the parity gap
+from per-site pick counts, and sites, checkpoints and `last_seen` from the
+same (R, steps) bool picks.
 
 State table (asymmetric min rule).  Under the min rule the reduced potentials
 v = u - min u form a Markov chain of their own, with a finite reachable set
 under the asymmetric window: 9, 70, 473 and 3111 states from empty at
 M = 4, 6, 8 and 10 (Kemeny & Snell, ch. 3).  An asymmetric min-rule request
-that asks for nothing read off the full potentials each step (no levels,
-parity, comb or residual checks, and no `last_seen`) searches that set from
-its initial v (`statetable.min_rule_states`).  If it has at most
-_TABLE_MAX_STATES states (8192, so every M <= 10 from empty; the search gives
-up past the cap), the chain runs on a table instead of the lock-step draw.
+at M <= 10 that asks for nothing read off the full potentials each step (no
+levels or bounds, and no `last_seen`) searches that set from its initial v
+(`statetable.min_rule_states`).  From empty every M <= 10 has at most
+_TABLE_MAX_STATES states (8192) and M = 11 already has 37 555, so larger
+rings are not searched; the search gives up past the cap.  If it succeeds,
+the chain runs on a table instead of the lock-step draw.
 A draw U falls in grid cell g = floor(U * G), G the smallest power of two
 above M.  The n - 1 breakpoints THR[n, 1..n-1] of an n-member tie set lie
 about 1/n apart, so a cell holds at most one of them, and the entry for
@@ -79,9 +81,8 @@ add 4 MiB per array to the peak memory.  Every other request runs the
 lock-step loop.
 
 `run_ensemble` estimates the bytes of its large arrays before allocating and
-refuses a request above MAX_ENSEMBLE_BYTES with a ValueError.  A request that
-may take the state-table path is first checked against the worst case of the
-state search (`_search_bytes`), before the search runs.
+refuses a request above MAX_ENSEMBLE_BYTES with a ValueError.  The state
+search runs before that estimate; at M <= 10 it holds at most about 2 MB.
 """
 from __future__ import annotations
 
@@ -89,14 +90,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
-    MAX_TOTAL_PARTICLES,
-    AllocationRule,
-    MaxRule,
-    MinRule,
-    RandomStream,
-    Softmax,
-)
+from .dynamics import MAX_TOTAL_PARTICLES, AllocationRule, MaxRule, MinRule, RandomStream
 from .levels import FLAG_NAMES, LevelTracker, buffer_columns
 from .ring import (
     Neighborhood,
@@ -115,8 +109,10 @@ _UNIF_BLOCK_CELLS = 2**19
 # before anything is allocated: 4 GiB.
 MAX_ENSEMBLE_BYTES = 2**32
 # Largest reachable reduced-potential set the state-table path steps; 8192
-# covers every M <= 10 from empty (3111 states at M = 10, 5266 at M = 9).
+# covers every M <= 10 from empty (3111 states at M = 10, 5266 at M = 9), and
+# no larger ring is searched (37 555 states at M = 11).
 _TABLE_MAX_STATES = 8192
+_TABLE_MAX_M = 10
 
 
 @dataclass
@@ -132,9 +128,9 @@ class EnsembleRequest:
     track_levels: bool = False
     store_level_flags: bool = False
     track_renewals: bool = False
-    check_parity: bool = False
-    check_comb_final_half: bool = False
-    check_residual_final_half: bool = False
+    # the even/odd potential-sum identity each step (even M only), and the
+    # neighbour-difference and residual bounds over the final half
+    check_bounds: bool = False
     record_sites: bool = False
     track_last_seen: bool = False
     chunk_steps: int = 4096
@@ -213,16 +209,6 @@ def absorbed_max_ties(u: np.ndarray, kind: Neighborhood) -> tuple[np.ndarray, np
     return absorbed, mask.argmax(axis=0), m - 1 - mask[::-1].argmax(axis=0)
 
 
-def _search_bytes(m: int) -> int:
-    """Worst-case bytes of the state-table search and the threshold table it is given.
-
-    The search keeps up to _TABLE_MAX_STATES tuples of M entries, with their
-    index and successor entries about 8 M + 192 bytes each (measured at M = 12
-    to 3000).  Building THR holds two (M+1)^2 float64 arrays and a bool one.
-    """
-    return _TABLE_MAX_STATES * (8 * m + 192) + 17 * (m + 1) ** 2
-
-
 def _footprint_bytes(req: EnsembleRequest, m: int, table_states: int = 0) -> int:
     """Estimated bytes of run_ensemble's large arrays for this request.
 
@@ -231,7 +217,9 @@ def _footprint_bytes(req: EnsembleRequest, m: int, table_states: int = 0) -> int
     bytes (the state and the per-step temporaries), last_seen and the level
     buffer (an int64 potential per cell, a replica id and a step per column).
     The state-table path (table_states > 0) adds two (M, R) arrays (xi and u),
-    the table and the per-slice records.
+    the table and the per-slice records.  The state search that precedes the
+    estimate is not counted: it runs at M <= 10 only, and holds at most
+    _TABLE_MAX_STATES tuples, about 2 MB.
     """
     R, T = req.replicas, req.steps
     block = R * max(1, min(req.chunk_steps, T, max(1, _UNIF_BLOCK_CELLS // R)))
@@ -251,6 +239,9 @@ def _footprint_bytes(req: EnsembleRequest, m: int, table_states: int = 0) -> int
 
 
 def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
+    rule = req.rule
+    if not isinstance(rule, (MinRule, MaxRule)):
+        raise ValueError(f"the replica engine runs the min and max rules only, got {rule}")
     m = check_ring_size(req.m, req.kind)
     R, T = req.replicas, req.steps
     if R < 1:
@@ -266,34 +257,28 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         raise ValueError("level flags require track_levels")
     if any(not 0 <= t <= T for t in req.h_checkpoints):
         raise ValueError(f"h checkpoints must lie in steps 0..{T}, got {tuple(req.h_checkpoints)}")
-    rule = req.rule
-
-    def refuse_above_limit(need: int) -> None:
-        if need > MAX_ENSEMBLE_BYTES:
-            raise ValueError(
-                f"M={m}, {R} replicas and {T} steps need about {need / 2**20:.0f} MiB, "
-                f"above the {MAX_ENSEMBLE_BYTES / 2**20:.0f} MiB limit"
-            )
 
     # Checks that read the full potentials every step keep the lock-step loop.
-    per_step = (
-        req.track_levels or req.check_parity or req.check_comb_final_half
-        or req.check_residual_final_half
-    )
-    freezable = isinstance(rule, MaxRule) and not (per_step or req.track_renewals)
-    searched = isinstance(rule, MinRule) and req.kind is Neighborhood.ASYMMETRIC and not (
+    per_step = req.track_levels or req.check_bounds
+    is_min = isinstance(rule, MinRule)
+    freezable = not is_min and not (per_step or req.track_renewals)
+    searched = is_min and req.kind is Neighborhood.ASYMMETRIC and m <= _TABLE_MAX_M and not (
         per_step or req.track_last_seen
     )
-    if searched:
-        refuse_above_limit(_search_bytes(m))
     u0 = potentials(init, req.kind)
     reachable = None
     if searched:
         from . import statetable  # imported by the requests that may take this path
 
         reachable = statetable.min_rule_states(reduce_potential(u0), req.kind, _TABLE_MAX_STATES)
-    refuse_above_limit(_footprint_bytes(req, m, len(reachable[0]) if reachable else 0))
-    tab = statetable.state_table(*reachable, _threshold_table(m)) if reachable else None
+    need = _footprint_bytes(req, m, len(reachable[0]) if reachable else 0)
+    if need > MAX_ENSEMBLE_BYTES:
+        raise ValueError(
+            f"M={m}, {R} replicas and {T} steps need about {need / 2**20:.0f} MiB, "
+            f"above the {MAX_ENSEMBLE_BYTES / 2**20:.0f} MiB limit"
+        )
+    thr = _threshold_table(m)
+    tab = statetable.state_table(*reachable, thr) if reachable else None
     del reachable  # the table holds all the state-table path reads
 
     # Site-major state: row i is site i across all replicas.  The result holds
@@ -303,7 +288,6 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     m_cur = u.min(axis=0)
     res = EnsembleResult(request=req, t=T, xi=xi, u=u)
 
-    beta = rule.beta if isinstance(rule, Softmax) else None
     # gain[:, k]: the potentials that rise by 1 when site k receives a particle
     eye = np.eye(m, dtype=np.int64)
     gain = sum(np.roll(eye, -d, axis=0) for d in req.kind.offsets)
@@ -348,10 +332,10 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
 
         handle_renewals((u.max(axis=0) == m_cur)[None], D[None])
 
-    if req.check_comb_final_half:
+    check_parity = req.check_bounds and m % 2 == 0
+    if req.check_bounds:
         res.comb_violations = np.zeros(R, dtype=np.int64)
         two_on = (np.arange(m) + 2) % m
-    if req.check_residual_final_half:
         res.residual_violations = np.zeros(R, dtype=np.int64)
         resid_sign = parity_sign[:, None] if m % 2 == 0 else np.zeros((m, 1), dtype=np.int64)
     half_start = T - T // 2
@@ -366,29 +350,14 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         res.h_checkpoints[0] = D / m
     # Each draw returns the first site whose cumulative value c exceeds U.  c is
     # nondecreasing down a column and ends at 1 > U, so that is #{sites: c <= U}.
-    if isinstance(rule, (MinRule, MaxRule)):
-        thr = _threshold_table(m)
-        thr_flat = thr.ravel()
-        # (table_index @ mask)[i] = (m + 1) * n + (tie-set members at sites <= i)
-        table_index = np.tril(np.ones((m, m))) + (m + 1)
-        is_min = isinstance(rule, MinRule)
+    thr_flat = thr.ravel()
+    # (table_index @ mask)[i] = (m + 1) * n + (tie-set members at sites <= i)
+    table_index = np.tril(np.ones((m, m))) + (m + 1)
 
-        def draw(U: np.ndarray) -> np.ndarray:
-            mask = u == (m_cur if is_min else u.max(axis=0))
-            c = thr_flat.take((table_index @ mask).astype(np.intp))
-            return (c <= U).sum(axis=0)
-    else:
-        rows = np.arange(m)[:, None]
-
-        def draw(U: np.ndarray) -> np.ndarray:
-            anchor = m_cur if beta < 1.0 else u.max(axis=0)
-            w = np.power(beta, (u - anchor).astype(np.float64))
-            # normalised over each replica's contiguous sites, in the single chain's summation order
-            p = w / np.ascontiguousarray(w.T).sum(axis=1)
-            c = np.cumsum(p, axis=0)
-            # clamp from each replica's last site of positive probability
-            c[rows >= m - 1 - (p[::-1] > 0).argmax(axis=0)] = 1.0
-            return (c <= U).sum(axis=0)
+    def draw(U: np.ndarray) -> np.ndarray:
+        mask = u == (m_cur if is_min else u.max(axis=0))
+        c = thr_flat.take((table_index @ mask).astype(np.intp))
+        return (c <= U).sum(axis=0)
 
     if tab is not None:
         base = np.zeros(R, dtype=np.intp)  # each replica's state's first entry; v0 is state 0
@@ -433,20 +402,18 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             m_cur = m_new
             if req.track_renewals:
                 handle_renewals((u.max(axis=0) == m_new)[None], D[None])
-            if req.check_parity:
+            if check_parity:
                 bad = u[0::2].sum(axis=0) != u[1::2].sum(axis=0)
                 if bad.any():
                     res.parity_violations += int(bad.sum())
                     if res.first_parity_violation_step is None:
                         res.first_parity_violation_step = t
-            if t >= half_start:
-                if req.check_comb_final_half:
-                    dev = np.abs(xi - xi[two_on]).max(axis=0)
-                    res.comb_max_seen = max(res.comb_max_seen, int(dev.max()))
-                    res.comb_violations += dev > 2
-                if req.check_residual_final_half:
-                    resid = np.abs(m * xi - t - resid_sign * D).max(axis=0)
-                    res.residual_violations += resid > 2 * m * m
+            if req.check_bounds and t >= half_start:
+                dev = np.abs(xi - xi[two_on]).max(axis=0)
+                res.comb_max_seen = max(res.comb_max_seen, int(dev.max()))
+                res.comb_violations += dev > 2
+                resid = np.abs(m * xi - t - resid_sign * D).max(axis=0)
+                res.residual_violations += resid > 2 * m * m
             if t in res.h_checkpoints:
                 res.h_checkpoints[t] = D / m
             if req.record_sites:

@@ -71,15 +71,6 @@ def potentials(xi: Sequence, kind: Neighborhood) -> tuple:
     return tuple(xi[(i - 1) % m] + xi[i] + xi[(i + 1) % m] for i in range(m))
 
 
-def min_potential(u: Sequence) -> tuple:
-    """Minimum value of u, the 1-based set of minimising sites, and its size."""
-    if len(u) == 0:
-        raise ValueError("empty potential vector")
-    lo = min(u)
-    argmin = frozenset(i + 1 for i, val in enumerate(u) if val == lo)
-    return lo, argmin, len(argmin)
-
-
 def reduce_potential(u: Sequence) -> tuple:
     """Excess of each potential over the minimum; always has a zero entry."""
     if len(u) < 3:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ChainState, MaxRule, MinRule, transition_distribution
+from .dynamics import MinRule
 from .ensemble import EnsembleRequest, EnsembleResult, absorbed_max_ties, run_ensemble
 from .ring import Neighborhood, neighborhood, potentials
 
@@ -369,31 +369,3 @@ def classify_final_ties(u: np.ndarray, last_seen: np.ndarray, kind: Neighborhood
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
-
-
-def potential_gap(u: Sequence[int], side: str) -> int | None:
-    """Distance from the extreme potential to the nearest other value."""
-    distinct = sorted(set(u))
-    if len(distinct) < 2:
-        return None
-    return distinct[1] - distinct[0] if side == "min" else distinct[-1] - distinct[-2]
-
-
-def kernel_limit_check(
-    state: ChainState, beta_small: float = 1e-4, beta_large: float = 1e4
-) -> dict:
-    """Total-variation distances of the softmax kernel to its two limits."""
-    from .dynamics import Softmax
-
-    p_min = transition_distribution(state, MinRule())
-    p_max = transition_distribution(state, MaxRule())
-    tv_min = total_variation(transition_distribution(state, Softmax(beta_small)), p_min)
-    tv_max = total_variation(transition_distribution(state, Softmax(beta_large)), p_max)
-    return {
-        "beta_small": beta_small,
-        "beta_large": beta_large,
-        "tv_to_min": tv_min,
-        "tv_to_max": tv_max,
-        "gap_min": potential_gap(state.u, "min"),
-        "gap_max": potential_gap(state.u, "max"),
-    }

@@ -121,9 +121,7 @@ def _suite_asym(m: int, steps: int, replicas: int, seed: int, suite: str) -> Ver
             seed=seed,
             track_levels=True,
             track_renewals=True,
-            check_parity=even,
-            check_comb_final_half=True,
-            check_residual_final_half=True,
+            check_bounds=True,
         )
     )
     invariants = [

@@ -129,7 +129,7 @@ def test_criterion_05_asymmetric_odd_m5():
     result = run_ensemble(
         EnsembleRequest(
             m=m, kind=ASYM, rule=MinRule(), steps=steps, replicas=replicas, seed=505,
-            check_comb_final_half=True, check_residual_final_half=True,
+            check_bounds=True,
         )
     )
     comb_ok = int(result.comb_violations.sum()) == 0
@@ -147,7 +147,7 @@ def test_criterion_06_asymmetric_even_m6():
     result = run_ensemble(
         EnsembleRequest(
             m=6, kind=ASYM, rule=MinRule(), steps=50_000, replicas=50, seed=606,
-            track_levels=True, track_renewals=True, check_parity=True,
+            track_levels=True, track_renewals=True, check_bounds=True,
         )
     )
     parity_ok = result.parity_violations == 0

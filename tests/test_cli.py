@@ -227,6 +227,18 @@ class TestSimulateCommand:
         assert f"config key {next(iter(config))!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "config, key", [({"stesp": 7, "m": "five"}, "stesp"), ({"m": 5}, "m")], ids=["typo", "m"]
+    )
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys, config, key):
+        # --m is a required flag, so a config file has no "m" key to give.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--m", "4", "--steps", "3", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == f"nqsim simulate: error: config file {cfg} has an unknown key {key!r}\n"
+
 
 # The flags each verify suite reads; every other suite flag is a usage error.
 SUITE_FLAGS = {

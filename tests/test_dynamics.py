@@ -19,7 +19,7 @@ from nqsim.dynamics import (
     step,
     transition_distribution,
 )
-from nqsim.ring import Neighborhood, min_potential, potentials, reduce_potential
+from nqsim.ring import Neighborhood, potentials, reduce_potential
 from nqsim.scaling import total_variation
 
 ASYM = Neighborhood.ASYMMETRIC
@@ -90,10 +90,10 @@ class TestTransitionDistribution:
     def test_min_rule_zero_off_the_minimum(self, data):
         s = occupancy_states(data)
         p = transition_distribution(s, MinRule())
-        _, argmin, n_min = min_potential(s.u)
-        for i in range(s.size):
-            if i + 1 in argmin:
-                assert p[i] == 1.0 / n_min
+        argmin = [i for i, x in enumerate(s.u) if x == min(s.u)]
+        for i in range(len(s.xi)):
+            if i in argmin:
+                assert p[i] == 1.0 / len(argmin)
             else:
                 assert p[i] == 0.0
 
@@ -107,17 +107,20 @@ class TestTransitionDistribution:
 
     @given(st.data())
     def test_softmax_limits_approach_min_and_max(self, data):
-        s = occupancy_states(data)
-        if min(s.u) == max(s.u):
-            return  # degenerate: all kernels uniform
-        tv_min = total_variation(
-            transition_distribution(s, Softmax(1e-4)), transition_distribution(s, MinRule())
-        )
-        tv_max = total_variation(
-            transition_distribution(s, Softmax(1e4)), transition_distribution(s, MaxRule())
-        )
-        assert tv_min <= 1e-3
-        assert tv_max <= 1e-3
+        # The drawn state, and one whose potentials are all equal: there every
+        # kernel is uniform, so both distances are exactly 0.
+        for s in (occupancy_states(data), ChainState.from_occupancy((1, 0, 1, 0, 1, 0), ASYM)):
+            tv_min = total_variation(
+                transition_distribution(s, Softmax(1e-4)), transition_distribution(s, MinRule())
+            )
+            tv_max = total_variation(
+                transition_distribution(s, Softmax(1e4)), transition_distribution(s, MaxRule())
+            )
+            if min(s.u) == max(s.u):
+                assert tv_min == tv_max == 0.0
+            else:
+                assert tv_min <= 1e-3
+                assert tv_max <= 1e-3
 
 
 class TestSampleSite:
@@ -168,7 +171,7 @@ class TestStep:
         for _ in range(25):
             state, site = step(state, rule, gen)
             assert state.u == potentials(state.xi, state.kind)
-            assert 1 <= site <= state.size
+            assert 1 <= site <= len(state.xi)
 
     def test_total_grows_by_one(self):
         state = ChainState.empty(5, SYM)

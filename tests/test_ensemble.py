@@ -22,9 +22,7 @@ from nqsim.ring import Neighborhood, potentials, reduce_potential
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC
 
-RULES = [MinRule(), MaxRule(), Softmax(0.5), Softmax(1.0), Softmax(2.0)]
-# beta**2 underflows to 0, so a potential gap of 2 gives a site probability 0
-UNDERFLOW = Softmax(1e-300)
+RULES = [MinRule(), MaxRule()]
 
 
 @pytest.mark.parametrize("kind", [ASYM, SYM])
@@ -47,7 +45,7 @@ def _random_init(m: int, seed: int) -> tuple[int, ...]:
 # M = 7 and 9 reach min/max tie sets of 6 and 7 sites, whose float thresholds
 # n * (1/n) fall short of 1.
 @pytest.mark.parametrize("kind", [ASYM, SYM])
-@pytest.mark.parametrize("rule", RULES + [UNDERFLOW], ids=str)
+@pytest.mark.parametrize("rule", RULES, ids=str)
 @pytest.mark.parametrize("m", [7, 9])
 @pytest.mark.parametrize("random_init", [False, True], ids=["empty", "random"])
 def test_sites_match_single_chain_step_by_step(kind, rule, m, random_init):
@@ -65,6 +63,17 @@ def test_sites_match_single_chain_step_by_step(kind, rule, m, random_init):
         assert res.sites[r].tolist() == [rec.site for rec in out.records[1:]]
         assert tuple(res.xi[r]) == out.final.xi
         assert tuple(res.u[r]) == out.final.u
+
+
+def test_softmax_is_refused_before_any_stream_is_made(monkeypatch):
+    # The softmax kernel is simulated one chain at a time (`dynamics.run`) only.
+    def no_stream(*args):
+        raise AssertionError("a stream was made")
+
+    monkeypatch.setattr(ensemble, "RandomStream", no_stream)
+    req = EnsembleRequest(m=6, kind=ASYM, rule=Softmax(0.5), steps=10, replicas=2, seed=0)
+    with pytest.raises(ValueError, match="min and max rules only"):
+        run_ensemble(req)
 
 
 def test_sites_match_single_chain_when_chunks_do_not_divide_steps():
@@ -112,7 +121,7 @@ def _same_result(a, b) -> bool:
 
 @pytest.mark.parametrize("block_cells", [1, 7])
 @pytest.mark.parametrize("kind", [ASYM, SYM])
-@pytest.mark.parametrize("rule", [MinRule(), MaxRule(), Softmax(0.5)], ids=str)
+@pytest.mark.parametrize("rule", RULES, ids=str)
 def test_uniform_blocks_change_no_result(monkeypatch, kind, rule, block_cells):
     # The default run draws all 301 steps in one block; with block_cells // R
     # steps per block (1 or 2 at R = 3) every block is split.  Philox gives one
@@ -120,8 +129,8 @@ def test_uniform_blocks_change_no_result(monkeypatch, kind, rule, block_cells):
     # be unchanged.
     req = EnsembleRequest(
         m=6, kind=kind, rule=rule, steps=301, replicas=3, seed=99, h_checkpoints=(1, 150, 301),
-        track_levels=True, store_level_flags=True, track_renewals=True, check_parity=True,
-        check_comb_final_half=True, check_residual_final_half=True, record_sites=True,
+        track_levels=True, store_level_flags=True, track_renewals=True, check_bounds=True,
+        record_sites=True,
     )
     monkeypatch.setattr(ensemble, "RandomStream", _RecordingStream)
     monkeypatch.setattr(_RecordingStream, "sizes", [])
@@ -163,15 +172,13 @@ class _FixedUniforms:
         return self.value if size is None else np.full(size, self.value)
 
 
-@pytest.mark.parametrize("rule", [MinRule(), UNDERFLOW], ids=str)
+@pytest.mark.parametrize("rule", [MinRule()], ids=str)
 @pytest.mark.parametrize("m", [8, 9])
 def test_tie_break_stays_inside_tie_set_in_both_drivers(monkeypatch, m, rule):
     # Two particles on the last site of an asymmetric ring: the minimisers are
     # sites 1..M-2, a tie set of 6 (M=8) or 7 (M=9) whose float thresholds
-    # sum to less than 1.  The last two sites sit 2 above the minimum, so under
-    # UNDERFLOW their weights are 0 and the softmax draw meets the same tie set.
-    # Draws at and just below every threshold must agree, and a draw just
-    # below 1 must land on the last tie site, never on site M.
+    # sum to less than 1.  Draws at and just below every threshold must agree,
+    # and a draw just below 1 must land on the last tie site, never on site M.
     init = (0,) * (m - 1) + (2,)
     n = m - 2
     thresholds = np.cumsum(np.full(n, 1.0 / n))
@@ -457,7 +464,7 @@ def test_parity_holds_every_step_from_occupancy_start():
             steps=5000,
             replicas=5,
             seed=1,
-            check_parity=True,
+            check_bounds=True,
         )
     )
     assert res.parity_violations == 0
@@ -542,8 +549,8 @@ _LEVEL_FIELDS = {
     "level_counts", "s_violations", "q_violations", "w_violations", "first_s_violation_step",
     "persistence_violations", "run_length", "run_started_level",
 }
-# Each tracker request and the result fields it fills.  M = 5 for the parity
-# check, whose even/odd identity fails at odd M, so its counters move.
+# Each tracker request and the result fields it fills.  The symmetric window
+# for the bounds, whose even/odd identity fails there, so its counters move.
 _TRACKERS = {
     "levels": ({"track_levels": True}, _LEVEL_FIELDS),
     "level-flags": (
@@ -553,9 +560,11 @@ _TRACKERS = {
         {"track_renewals": True},
         {"renewal_counts", "zeta_positive", "zeta_negative", "zeta_zero", "zeta_tail"},
     ),
-    "parity": ({"check_parity": True, "m": 5}, {"parity_violations", "first_parity_violation_step"}),
-    "comb": ({"check_comb_final_half": True}, {"comb_violations", "comb_max_seen"}),
-    "residual": ({"check_residual_final_half": True}, {"residual_violations"}),
+    "bounds": (
+        {"check_bounds": True, "kind": SYM},
+        {"parity_violations", "first_parity_violation_step", "comb_violations", "comb_max_seen",
+         "residual_violations"},
+    ),
     "sites": ({"record_sites": True}, {"sites"}),
     "last-seen": ({"track_last_seen": True}, {"last_seen"}),
     "checkpoints": ({"h_checkpoints": (0, 7, 400)}, {"h_checkpoints"}),
@@ -610,7 +619,7 @@ def test_absorbed_max_rule_matches_single_chain(monkeypatch, m, kind, steps, blo
     )
     res = run_ensemble(req)
     # A per-step check keeps the request on the lock-step loop throughout.
-    lock = run_ensemble(dataclasses.replace(req, check_parity=True))
+    lock = run_ensemble(dataclasses.replace(req, check_bounds=True))
     assert res.last_seen.shape == (replicas, m) and res.last_seen.dtype == np.int64
     for r in range(replicas):
         out = run(ChainState.from_occupancy(init, kind), MaxRule(), steps, RandomStream(seed, r),
@@ -628,7 +637,7 @@ def test_absorbed_max_rule_matches_single_chain(monkeypatch, m, kind, steps, blo
 
 
 @pytest.mark.parametrize("kind", [ASYM, SYM])
-@pytest.mark.parametrize("rule", [MinRule(), Softmax(0.5)], ids=str)
+@pytest.mark.parametrize("rule", [MinRule()], ids=str)
 @pytest.mark.parametrize("m", [4, 7])
 def test_last_seen_on_lock_step_path(kind, rule, m):
     steps, replicas, seed = 300, 3, 60 + m
@@ -793,10 +802,10 @@ def test_state_table_matches_lock_step(monkeypatch, m, steps, random_init):
                     assert tuple(res.u[r]) == out.final.u
 
 
-def test_state_table_path_guard():
+def test_state_table_path_guard(monkeypatch):
     # Criterion 08's shape (renewals and checkpoints, asymmetric min rule)
     # takes no lock-step draw; a tracker that reads the full potentials, or a
-    # reachable set above the cap, takes one draw per step.
+    # ring above M = 10, takes one draw per step.
     steps = 200
     req = EnsembleRequest(
         m=4, kind=ASYM, rule=MinRule(), steps=steps, replicas=20, seed=31337,
@@ -805,11 +814,18 @@ def test_state_table_path_guard():
     assert _draw_calls(req) == 0
     assert _draw_calls(dataclasses.replace(req, m=10, record_sites=True)) == 0
     assert _draw_calls(dataclasses.replace(req, track_levels=True)) == steps
-    assert _draw_calls(dataclasses.replace(req, check_parity=True)) == steps
+    assert _draw_calls(dataclasses.replace(req, check_bounds=True)) == steps
     last_seen = dataclasses.replace(req, track_renewals=False, track_last_seen=True)
     assert _draw_calls(last_seen) == steps
-    assert _draw_calls(dataclasses.replace(req, m=14)) == steps
     assert _draw_calls(dataclasses.replace(req, kind=SYM)) == steps
+
+    # From empty, M = 11 has 37 555 reachable states: no ring above M = 10 is searched.
+    def no_search(*args):
+        raise AssertionError("the state search ran")
+
+    monkeypatch.setattr(statetable, "min_rule_states", no_search)
+    assert _draw_calls(dataclasses.replace(req, m=11)) == steps
+    assert _draw_calls(dataclasses.replace(req, m=14)) == steps
 
 
 def test_state_search_gives_up_past_the_cap():
@@ -916,8 +932,6 @@ def test_size_guard_counts_the_state_table(monkeypatch):
         m=8, kind=ASYM, rule=MinRule(), steps=5000, replicas=100, seed=0, track_renewals=True,
     )
     table = ensemble._footprint_bytes(req, 8, 473)
-    # Above the search's worst case, so the limits below reach the table's check.
-    assert table > ensemble._search_bytes(8)
     # each state's 2 * grid entries are counted, and the per-slice records
     per_state = statetable.TABLE_ENTRY_BYTES * 2 * statetable.table_grid(8)
     assert table - ensemble._footprint_bytes(req, 8, 472) == per_state
@@ -935,32 +949,3 @@ def test_size_guard_counts_the_state_table(monkeypatch):
     monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", table - 1)
     with pytest.raises(ValueError, match="MiB limit"):
         run_ensemble(req)
-
-
-def test_size_guard_counts_the_state_search_before_it_runs(monkeypatch):
-    # The search keeps up to _TABLE_MAX_STATES tuples of M entries: at M = 200
-    # it gives up past the cap, and the lock-step loop runs instead.
-    req = EnsembleRequest(m=200, kind=ASYM, rule=MinRule(), steps=2, replicas=1, seed=0)
-    need = ensemble._search_bytes(200)
-    assert need > ensemble._TABLE_MAX_STATES * 8 * 200 > ensemble._footprint_bytes(req, 200)
-
-    def no_search(*args):
-        raise AssertionError("the state search ran")
-
-    monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", need - 1)
-    with monkeypatch.context() as mp:
-        mp.setattr(statetable, "min_rule_states", no_search)
-        with pytest.raises(ValueError, match="MiB limit"):
-            run_ensemble(req)
-    # Requests that cannot take the state-table path are not charged for it.
-    run_ensemble(dataclasses.replace(req, check_parity=True))
-    monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", need)
-    searches = []
-
-    def recording_search(*args):
-        searches.append(args[2])
-        return None  # gave up past the cap
-
-    monkeypatch.setattr(statetable, "min_rule_states", recording_search)
-    assert run_ensemble(req).xi.sum() == 2
-    assert searches == [ensemble._TABLE_MAX_STATES]

@@ -27,7 +27,7 @@ from nqsim.observers import (
     stat_S,
     stat_W,
 )
-from nqsim.ring import Neighborhood, min_potential, potentials, reduce_potential
+from nqsim.ring import Neighborhood, potentials, reduce_potential
 
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC
@@ -126,8 +126,8 @@ class TestLevelLog:
             sites = []
             for c in choices:
                 u = potentials(xi, ASYM)
-                lo, argmin, n_min = min_potential(u)
-                site = sorted(argmin)[c % n_min]
+                argmin = [i + 1 for i, x in enumerate(u) if x == min(u)]
+                site = argmin[c % len(argmin)]
                 sites.append(site)
                 xi[site - 1] += 1
             paths.add(tuple(sites))

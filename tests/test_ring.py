@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from nqsim.ring import (
     Neighborhood,
     check_ring_size,
-    min_potential,
     neighborhood,
     potentials,
     reduce_potential,
@@ -91,21 +90,6 @@ class TestPotentials:
     @given(occupancies(), st.sampled_from([ASYM, SYM]))
     def test_total_counted_window_times(self, xi, kind):
         assert sum(potentials(xi, kind)) == kind.window * sum(xi)
-
-
-class TestMinPotential:
-    def test_example(self):
-        assert min_potential((2, 3, 1, 1, 2)) == (1, frozenset({3, 4}), 2)
-
-    def test_all_equal(self):
-        assert min_potential((0, 0, 0)) == (0, frozenset({1, 2, 3}), 3)
-
-    def test_unique(self):
-        assert min_potential((5, 7, 6, 9)) == (5, frozenset({1}), 1)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            min_potential(())
 
 
 class TestReducePotential:

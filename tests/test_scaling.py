@@ -19,10 +19,8 @@ from nqsim.scaling import (
     classify_freeze,
     estimate_sigma,
     fit_variance_line,
-    kernel_limit_check,
     kolmogorov_cdf,
     ks_statistic,
-    potential_gap,
     sign_test_p,
     total_variation,
     zeta_sign_test,
@@ -485,24 +483,3 @@ class TestKernelLimits:
         s = ChainState.from_occupancy((4, 0, 2, 1, 0), SYM)
         p = transition_distribution(s, Softmax(1.0))
         assert total_variation(p, np.full(5, 0.2)) == 0.0
-
-    def test_gap_helper(self):
-        assert potential_gap((2, 3, 1, 1, 2), "min") == 1
-        assert potential_gap((2, 3, 1, 1, 2), "max") == 1
-        assert potential_gap((4, 4, 4), "min") is None
-
-    @given(st.data())
-    @settings(max_examples=40)
-    def test_limits_within_tolerance_on_random_states(self, data):
-        kind = data.draw(st.sampled_from([ASYM, SYM]))
-        m = data.draw(st.integers(kind.min_sites, 8))
-        xi = data.draw(st.lists(st.integers(0, 10), min_size=m, max_size=m))
-        state = ChainState.from_occupancy(xi, kind)
-        report = kernel_limit_check(state)
-        if report["gap_min"] is not None and report["gap_min"] >= 1:
-            assert report["tv_to_min"] <= 1e-3
-        if report["gap_max"] is not None and report["gap_max"] >= 1:
-            assert report["tv_to_max"] <= 1e-3
-        if report["gap_min"] is None:  # all potentials equal: both limits uniform
-            assert report["tv_to_min"] == 0.0
-            assert report["tv_to_max"] == 0.0
