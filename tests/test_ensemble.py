@@ -25,10 +25,13 @@ SYM = Neighborhood.SYMMETRIC
 RULES = [MinRule(), MaxRule()]
 
 
+# Asymmetric min-rule runs from empty take the state table at M <= 10 and
+# the lock-step loop at M = 11.
+@pytest.mark.parametrize("m", [4, 6, 11])
 @pytest.mark.parametrize("kind", [ASYM, SYM])
 @pytest.mark.parametrize("rule", RULES, ids=str)
-def test_matches_single_chain_bit_for_bit(kind, rule):
-    m, steps, replicas, seed = 6, 400, 3, 314
+def test_matches_single_chain_bit_for_bit(kind, rule, m):
+    steps, replicas, seed = 400, 3, 314
     res = run_ensemble(
         EnsembleRequest(m=m, kind=kind, rule=rule, steps=steps, replicas=replicas, seed=seed)
     )
@@ -43,10 +46,11 @@ def _random_init(m: int, seed: int) -> tuple[int, ...]:
 
 
 # M = 7 and 9 reach min/max tie sets of 6 and 7 sites, whose float thresholds
-# n * (1/n) fall short of 1.
+# n * (1/n) fall short of 1.  M = 10 and 11 sit on either side of the largest
+# ring whose reachable states are searched; M = 8 adds an even ring.
 @pytest.mark.parametrize("kind", [ASYM, SYM])
 @pytest.mark.parametrize("rule", RULES, ids=str)
-@pytest.mark.parametrize("m", [7, 9])
+@pytest.mark.parametrize("m", [7, 8, 9, 10, 11])
 @pytest.mark.parametrize("random_init", [False, True], ids=["empty", "random"])
 def test_sites_match_single_chain_step_by_step(kind, rule, m, random_init):
     steps, replicas, seed = 300, 3, 2024 + m
@@ -74,6 +78,26 @@ def test_softmax_is_refused_before_any_stream_is_made(monkeypatch):
     req = EnsembleRequest(m=6, kind=ASYM, rule=Softmax(0.5), steps=10, replicas=2, seed=0)
     with pytest.raises(ValueError, match="min and max rules only"):
         run_ensemble(req)
+
+
+@pytest.mark.parametrize("steps", [0, 5])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["shorter", "longer"])
+@pytest.mark.parametrize("kind", [ASYM, SYM], ids=str)
+@pytest.mark.parametrize("rule", [Softmax(0.5), Softmax(1.0), Softmax(2.0)], ids=str)
+def test_softmax_is_refused_before_the_init_length_check(monkeypatch, rule, kind, extra, steps):
+    # The rule is checked first: an init of the wrong length does not change
+    # the error, and nothing past the checks runs.
+    def not_reached(*args):
+        raise AssertionError("ran past the rule check")
+
+    for name in ("RandomStream", "_footprint_bytes", "check_ring_size"):
+        monkeypatch.setattr(ensemble, name, not_reached)
+    monkeypatch.setattr(statetable, "min_rule_states", not_reached)
+    init = (1,) * (5 + extra)
+    req = EnsembleRequest(m=5, kind=kind, rule=rule, steps=steps, replicas=2, seed=0, init=init)
+    with pytest.raises(ValueError) as err:
+        run_ensemble(req)
+    assert str(err.value) == f"the replica engine runs the min and max rules only, got {rule}"
 
 
 def test_sites_match_single_chain_when_chunks_do_not_divide_steps():
@@ -119,12 +143,13 @@ def _same_result(a, b) -> bool:
     return True
 
 
-@pytest.mark.parametrize("block_cells", [1, 7])
+@pytest.mark.parametrize("block_cells", [1, 7, 10, 600])
 @pytest.mark.parametrize("kind", [ASYM, SYM])
 @pytest.mark.parametrize("rule", RULES, ids=str)
 def test_uniform_blocks_change_no_result(monkeypatch, kind, rule, block_cells):
     # The default run draws all 301 steps in one block; with block_cells // R
-    # steps per block (1 or 2 at R = 3) every block is split.  Philox gives one
+    # steps per block (1, 2, 3 or 200 at R = 3) every block is split, the
+    # last two leaving a shorter final block.  Philox gives one
     # double per draw, so each replica's draws and every tracked output must
     # be unchanged.
     req = EnsembleRequest(
@@ -199,6 +224,35 @@ def test_tie_break_stays_inside_tie_set_in_both_drivers(monkeypatch, m, rule):
         assert res.sites[:, 0].tolist() == [single, single]
         assert 1 <= single <= n
     _, single = step(state, rule, _FixedUniforms(np.nextafter(1.0, 0.0)))
+    assert single == n
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_max_tie_break_stays_inside_tie_set_in_both_drivers(monkeypatch, m):
+    # One particle on each of sites 1..M-2 of an asymmetric ring: the
+    # maximisers are sites 1..M-3 (potential 2), a tie set of 6 (M=9) or
+    # 7 (M=10) whose float thresholds sum to less than 1.  Site M-2 holds
+    # potential 1 and must never be drawn.
+    init = (1,) * (m - 2) + (0, 0)
+    n = m - 3
+    thresholds = np.cumsum(np.full(n, 1.0 / n))
+    assert thresholds[-1] < 1.0
+    draws = [np.nextafter(1.0, 0.0)]
+    for c in thresholds:
+        draws += [c, np.nextafter(c, 0.0)]
+    state = ChainState.from_occupancy(init, ASYM)
+    for U in draws:
+        _, single = step(state, MaxRule(), _FixedUniforms(U))
+        monkeypatch.setattr(ensemble, "RandomStream", lambda seed, stream: _FixedUniforms(U))
+        res = run_ensemble(
+            EnsembleRequest(
+                m=m, kind=ASYM, rule=MaxRule(), steps=1, replicas=2, seed=0, init=init,
+                record_sites=True,
+            )
+        )
+        assert res.sites[:, 0].tolist() == [single, single]
+        assert 1 <= single <= n
+    _, single = step(state, MaxRule(), _FixedUniforms(np.nextafter(1.0, 0.0)))
     assert single == n
 
 
@@ -565,6 +619,11 @@ _TRACKERS = {
         {"parity_violations", "first_parity_violation_step", "comb_violations", "comb_max_seen",
          "residual_violations"},
     ),
+    # The parity identity is checked at even M only.
+    "bounds-odd-m": (
+        {"check_bounds": True, "kind": SYM, "m": 5},
+        {"comb_violations", "comb_max_seen", "residual_violations"},
+    ),
     "sites": ({"record_sites": True}, {"sites"}),
     "last-seen": ({"track_last_seen": True}, {"last_seen"}),
     "checkpoints": ({"h_checkpoints": (0, 7, 400)}, {"h_checkpoints"}),
@@ -638,7 +697,7 @@ def test_absorbed_max_rule_matches_single_chain(monkeypatch, m, kind, steps, blo
 
 @pytest.mark.parametrize("kind", [ASYM, SYM])
 @pytest.mark.parametrize("rule", [MinRule()], ids=str)
-@pytest.mark.parametrize("m", [4, 7])
+@pytest.mark.parametrize("m", [4, 7, 10, 11])
 def test_last_seen_on_lock_step_path(kind, rule, m):
     steps, replicas, seed = 300, 3, 60 + m
     res = run_ensemble(
@@ -826,6 +885,27 @@ def test_state_table_path_guard(monkeypatch):
     monkeypatch.setattr(statetable, "min_rule_states", no_search)
     assert _draw_calls(dataclasses.replace(req, m=11)) == steps
     assert _draw_calls(dataclasses.replace(req, m=14)) == steps
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_state_search_runs_up_to_m_10_only(monkeypatch, m):
+    # An asymmetric min-rule run from empty searches its reachable states and
+    # takes no lock-step draw exactly when M <= 10.
+    steps = 50
+    searches = []
+    search = statetable.min_rule_states
+
+    def recording_search(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(statetable, "min_rule_states", recording_search)
+    req = EnsembleRequest(
+        m=m, kind=ASYM, rule=MinRule(), steps=steps, replicas=4, seed=5, track_renewals=True,
+    )
+    calls = _draw_calls(req)
+    assert len(searches) == (m <= 10)
+    assert calls == (0 if m <= 10 else steps)
 
 
 def test_state_search_gives_up_past_the_cap():
