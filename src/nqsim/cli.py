@@ -28,7 +28,7 @@ from .observers import (
     detect_convergence,
     pattern_str,
 )
-from .ring import Neighborhood
+from .ring import Neighborhood, check_ring_size
 from .scaling import MIN_REPLICAS_FOR_KS, estimate_sigma, zeta_sign_test, zeta_tail_check
 from .verify import SUITE_NAMES, run_suite
 
@@ -121,6 +121,35 @@ def _parse_init(text: str, m: int) -> tuple[int, ...]:
     return counts
 
 
+# Requests whose estimated footprint (`_simulate_bytes`) exceeds this are refused.
+MAX_SIMULATE_BYTES = 2**32
+
+# `_simulate_bytes` per site: the chain's lists, the observers and the summary
+# JSON built at the end (372); per kept record, the xi, u and v tuples of one
+# pointer per site (24) and the record's own objects and fresh ints (700).
+# Measured peaks: 401 MiB at M=1e6 and --steps 2 (two records), and 32 MiB
+# per 1e5 steps of a trajectory at M=5 (about 0.5 records per step).
+_SITE_BYTES = 372
+_RECORD_SITE_BYTES = 24
+_RECORD_BYTES = 700
+
+
+def _simulate_bytes(m: int, steps: int, sample_every: int, kind: Neighborhood,
+                    trajectory: bool, empty_start: bool) -> tuple[int, int]:
+    """Estimated peak bytes of `simulate`, and the records `run` keeps for it.
+
+    `run` keeps the initial and final records and one per `sample_every`
+    steps; for a trajectory it also keeps every level-opening step.  Each
+    opening raises the minimum potential, and the potentials gain
+    `kind.window` in total per step, so from empty at most window * steps / M
+    levels open; from another start the bound is one per step.
+    """
+    kept = 2 + steps // sample_every
+    if trajectory:
+        kept += kind.window * steps // m if empty_start else steps
+    return m * _SITE_BYTES + kept * (m * _RECORD_SITE_BYTES + _RECORD_BYTES), kept
+
+
 def cmd_simulate(args, config_file) -> int:
     keys = ("neighborhood", "rule", "beta", "steps", "seed", "stream", "init", "sample_every")
     config = {"m": args.m, **{key: _resolve(args, key, config_file) for key in keys}}
@@ -129,6 +158,16 @@ def cmd_simulate(args, config_file) -> int:
     m = config["m"]
     kind = Neighborhood.parse(config["neighborhood"])
     rule = parse_rule(config["rule"], config["beta"])
+    check_ring_size(m, kind)
+    steps, sample_every = config["steps"], config["sample_every"]
+    if steps >= 0 and sample_every >= 1:  # else `run` refuses them
+        need, kept = _simulate_bytes(m, steps, sample_every, kind, bool(args.trajectory),
+                                     config["init"] == "empty")
+        if need > MAX_SIMULATE_BYTES:
+            raise ValueError(
+                f"M={m} and {steps} steps keep up to {kept} records and need about "
+                f"{need / 2**20:.0f} MiB, above the {MAX_SIMULATE_BYTES / 2**20:.0f} MiB limit"
+            )
     init = _parse_init(config["init"], m)
 
     state = ChainState.from_occupancy(init, kind)
@@ -155,11 +194,9 @@ def cmd_simulate(args, config_file) -> int:
     )
 
     if args.trajectory:
-        # json.dumps with keywords would build a new encoder for every record
-        encode = json.JSONEncoder(sort_keys=True).encode
         with open(args.trajectory, "w") as fh:
             for rec in result.records:
-                fh.write(encode(rec.to_json_dict()) + "\n")
+                fh.write(rec.to_json_line() + "\n")
 
     # A symmetric chain is matched against the limit set only once it is
     # stable; the enumeration grows fast with M, so it waits until then.

@@ -5,12 +5,20 @@ uniformly over the minimisers of the potential, proportionally to beta^u, or
 uniformly over the maximisers.  Randomness comes from a counter-based Philox
 generator (numpy's philox4x64) keyed by (seed, stream), so trajectories are
 reproducible across platforms and replicas get independent streams.
+
+`step`, built on `_distribution` and `sample_site`, is the literal
+inverse-CDF oracle: it forms the probability vector and walks its running
+sums.  `run`, the single-chain driver, draws the same sites more cheaply
+under the min and max rules (a binary search in the cached running sums of
+1/n, `_TIE_ROWS`); `TestRunReplaysStep` pins it to `step` record by record.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,14 +109,21 @@ class ChainState:
         return cls.from_occupancy((0,) * m, kind)
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
+    """One step of a chain: time, occupancy, potentials, reduced potentials
+    v = u - m, minimum potential m and the 1-based site that received the
+    particle (None for the initial record).
+
+    A tuple, so that `run` builds one per step cheaply; records compare
+    equal field by field, in this order.
+    """
+
     t: int
     xi: tuple[int, ...]
     u: tuple[int, ...]
     v: tuple[int, ...]
     m: int
-    site: int | None  # 1-based allocated site; None for the initial record
+    site: int | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,6 +134,16 @@ class TrajectoryRecord:
             "m": self.m,
             "site": self.site,
         }
+
+    def to_json_line(self) -> str:
+        """`json.JSONEncoder(sort_keys=True).encode(self.to_json_dict())`, built directly.
+
+        The keys are written in sorted order with the encoder's default
+        separators; a list of ints prints as JSON does.
+        """
+        t, xi, u, v, m, site = self
+        site = "null" if site is None else site
+        return f'{{"m": {m}, "site": {site}, "t": {t}, "u": {[*u]}, "v": {[*v]}, "xi": {[*xi]}}}'
 
 
 def _distribution(u: Sequence[int], rule: AllocationRule) -> list[float]:
@@ -169,6 +194,35 @@ def sample_site(probabilities: Sequence[float], uniform: float) -> int:
         if uniform < c:
             return i
     return last
+
+
+class _TieRows(dict):
+    """n -> the n-1 float sums of k copies of 1/n (k = 1..n-1), added left to right.
+
+    These are the running sums `sample_site` forms at the first n-1 members
+    of an n-member tie set (the zero probabilities between members add 0.0),
+    so the member it returns for a variate U is the number of sums <= U:
+    `bisect_right(row, U)`.  A row is built on its first use.  It is kept
+    only while all kept rows hold at most `budget` floats: a chain from
+    empty at M meets a new tie size every two or three steps of its first
+    level, and keeping them all would take O(M^2) floats.
+    """
+
+    def __init__(self, budget: int):
+        super().__init__()
+        self.budget = budget
+        self.size = 0
+
+    def __missing__(self, n: int) -> list[float]:
+        row = list(accumulate(repeat(1.0 / n, n - 1)))
+        if self.size + len(row) <= self.budget:
+            self[n] = row
+            self.size += len(row)
+        return row
+
+
+# About 2 MiB of floats: every tie size up to M = 361.
+_TIE_ROWS = _TieRows(2**16)
 
 
 def _draw_and_place(
@@ -223,8 +277,15 @@ def run(
     identical output.  The chain lives in two lists updated in place; a
     `ChainState` is built only for the final state.
 
-    This pure-Python stepper is the reference oracle for the vectorised
-    engine: replica r of `ensemble.run_ensemble` must reproduce it on stream
+    Under the min and max rules the site is the tie member at
+    `bisect_right(_TIE_ROWS[n], U)`, the site `sample_site` returns for the
+    uniform tie distribution (see `_TieRows`).  The softmax rule draws
+    through `sample_site(_distribution(u, rule), U)` itself.
+    `TestRunReplaysStep` pins every record, under every rule, to a loop of
+    `step`, the literal inverse-CDF oracle.
+
+    This pure-Python stepper is the reference for the vectorised engine:
+    replica r of `ensemble.run_ensemble` must reproduce it on stream
     (seed, r), which the tests and the benchmark's stream check assert.  It
     stays in the package for that check as well as for `nqsim simulate`.
     """
@@ -248,15 +309,29 @@ def run(
     for on_step in notify:
         on_step(rec)
 
+    is_min = isinstance(rule, MinRule)
+    ties = is_min or isinstance(rule, MaxRule)
+    rows = _TIE_ROWS
+    new_record = tuple.__new__  # TrajectoryRecord(...) without its Python-level __new__
+    m = len(u)
     last_t = t + steps
     while t < last_t:
         # Philox gives the same doubles in one block as in scalar calls
         for uniform in gen.random(min(DRAW_BLOCK, last_t - t)).tolist():
-            site0 = _draw_and_place(xi, u, offsets, rule, uniform)
+            if ties:
+                extreme = lo if is_min else max(u)
+                members = [i for i, x in enumerate(u) if x == extreme]
+                site0 = members[bisect_right(rows[len(members)], uniform)]
+            else:
+                site0 = sample_site(_distribution(u, rule), uniform)
+            xi[site0] += 1
+            for d in offsets:  # as in `_draw_and_place`
+                u[(site0 - d) % m] += 1
             t += 1
             prev = lo
             lo = min(u)
-            rec = TrajectoryRecord(t, tuple(xi), tuple(u), tuple([x - lo for x in u]), lo, site0 + 1)
+            v = tuple([x - lo for x in u])
+            rec = new_record(TrajectoryRecord, (t, tuple(xi), tuple(u), v, lo, site0 + 1))
             for on_step in notify:
                 on_step(rec)
             if t % sample_every == 0 or t == last_t or (include_level_steps and lo > prev):

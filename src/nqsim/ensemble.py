@@ -15,14 +15,17 @@ lock-step.  At the small rings the suites run that beats numpy's slow axis-0
 cumsum, but the cost grows quadratically: from about M = 70, replica-major
 (R, M) arrays reduced along axis 1 are faster.
 
-Site draw: the single chain takes the first site with U < c, where
-c = cumsum(mask / n) over the n-member min (or max) tie set.  At a site with
-k tie-set members at or before it, c holds the float sum of k copies of 1/n
-added left to right.  Those sums are tabulated once as THR[n, k], so the
-engine gathers c = THR[n, k] instead of dividing and summing each step.
-THR[n, n] is 1.0: c is clamped to 1 from the last member of the tie set
-onward, the rule `dynamics.sample_site` applies, so a draw never lands
-outside the tie set when n copies of 1/n add up to less than 1.
+Site draw: the oracle, `dynamics.step` through `dynamics.sample_site`, takes
+the first site with U < c, where c = cumsum(mask / n) over the n-member min
+(or max) tie set.  At a site with k tie-set members at or before it, c holds
+the float sum of k copies of 1/n added left to right.  Those sums are
+tabulated once as THR[n, k], so the engine gathers c = THR[n, k] instead of
+dividing and summing each step.  THR[n, n] is 1.0: c is clamped to 1 from the
+last member of the tie set onward, the rule `sample_site` applies, so a draw
+never lands outside the tie set when n copies of 1/n add up to less than 1.
+The single-chain driver `dynamics.run` reads the same sums from rows it
+builds per tie size on first use, and bisects them; `TestRunReplaysStep`
+pins it to `step`.
 
 The engine optionally tracks, fully vectorised:
   * per-level statistics (S, Q, W, signatures) with monotonicity, persistence

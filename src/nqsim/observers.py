@@ -38,7 +38,7 @@ MATCH_TOLERANCE = 0.02
 
 def stat_S(v: Sequence[int]) -> int:
     """Sum of entries >= 2 (entries 0 or 1 contribute nothing)."""
-    return sum(x for x in v if x >= 2)
+    return sum([x for x in v if x >= 2])
 
 
 def stat_Q(v: Sequence[int]) -> int:
@@ -59,7 +59,7 @@ def stat_W(v: Sequence[int]) -> int:
 
 def pattern(v: Sequence[int]) -> tuple[int, ...]:
     """Zero/positive signature of v: 0 stays 0, anything positive becomes 1."""
-    return tuple(1 if x > 0 else 0 for x in v)
+    return tuple([1 if x > 0 else 0 for x in v])
 
 
 def pattern_str(signature: Sequence[int]) -> str:
@@ -224,12 +224,16 @@ class ParityGapSeries:
         self._d_at_last_renewal: int | None = None
 
     def on_step(self, record: "TrajectoryRecord") -> None:
+        renewal = not any(record.v)
+        sampled = record.t in self.sample_times
+        if not (renewal or sampled):
+            return
         # H times M as an integer; the Fraction is built only where it is kept.
         xi = record.xi
         d = sum(xi[1::2]) - sum(xi[0::2])
-        if record.t in self.sample_times:
+        if sampled:
             self.samples[record.t] = Fraction(d, self.m)
-        if not any(record.v):
+        if renewal:
             if self._d_at_last_renewal is not None:
                 self.increments[Fraction(d - self._d_at_last_renewal, self.m)] += 1
             self.renewals += 1

@@ -172,6 +172,66 @@ class TestSimulateCommand:
         assert summary["final"]["t"] == 100
         assert sum(summary["final"]["xi"]) == 103
 
+    def test_huge_ring_refused_before_any_allocation(self, capsys, monkeypatch):
+        def no_allocation(*args):
+            raise AssertionError("simulate allocated the chain")
+
+        monkeypatch.setattr(nqsim.cli, "_parse_init", no_allocation)
+        monkeypatch.setattr(ChainState, "from_occupancy", no_allocation)
+        code, out, err = run_cli(capsys, "simulate", "--m", "100000000", "--steps", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            "nqsim simulate: error: M=100000000 and 2 steps keep up to 2 records and need about "
+        )
+        assert err.endswith("MiB limit\n") and err.count("\n") == 1
+
+    def test_long_trajectory_refused_before_any_allocation(self, tmp_path, capsys, monkeypatch):
+        def no_allocation(*args):
+            raise AssertionError("simulate allocated the chain")
+
+        monkeypatch.setattr(nqsim.cli, "_parse_init", no_allocation)
+        traj = tmp_path / "t.jsonl"
+        code, out, err = run_cli(capsys, "simulate", "--m", "5", "--steps", "10000000000",
+                                 "--trajectory", str(traj))
+        assert code == 1
+        assert out == "" and not traj.exists()
+        assert err.startswith("nqsim simulate: error: M=5 and 10000000000 steps keep up to ")
+        assert err.count("\n") == 1
+
+    def test_estimate_is_calibrated_at_a_million_sites(self):
+        need, kept = nqsim.cli._simulate_bytes(10**6, 2, 1000, Neighborhood.SYMMETRIC, False, True)
+        assert kept == 2
+        assert abs(need / 2**20 - 401) < 4  # measured peak: 401 MiB
+
+    @pytest.mark.parametrize("init", ["empty", "4,0,1,0,0,2,3"])
+    @pytest.mark.parametrize("kind", ["sym", "asym"])
+    @pytest.mark.parametrize("rule", ["min", "max"])
+    def test_estimate_bounds_the_records_kept(self, capsys, monkeypatch, init, kind, rule):
+        runs = []
+        original = nqsim.cli.run
+
+        def recording_run(*args, **kwargs):
+            runs.append(original(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(nqsim.cli, "run", recording_run)
+        code, _, err = run_cli(capsys, "simulate", "--m", "7", "--neighborhood", kind, "--rule", rule,
+                               "--init", init, "--steps", "3000", "--sample-every", "7",
+                               "--trajectory", os.devnull)
+        assert code == 0, err
+        _, kept = nqsim.cli._simulate_bytes(7, 3000, 7, Neighborhood.parse(kind), True, init == "empty")
+        assert len(runs[0].records) <= kept
+
+    def test_limit_is_inclusive(self, capsys, monkeypatch):
+        argv = ("simulate", "--m", "6", "--steps", "40", "--out", os.devnull)
+        need, _ = nqsim.cli._simulate_bytes(6, 40, 1000, Neighborhood.SYMMETRIC, False, True)
+        monkeypatch.setattr(nqsim.cli, "MAX_SIMULATE_BYTES", need)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(nqsim.cli, "MAX_SIMULATE_BYTES", need - 1)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.endswith("MiB limit\n")
+
     def test_bad_init_length_exits_1(self, capsys):
         code, _, err = run_cli(
             capsys,

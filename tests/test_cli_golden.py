@@ -42,6 +42,14 @@ CASES = [
          "--trajectory": "a60a99c1d090c3ee283add1320f7128f1793a1d53cd708be75a2edd3790aa1f6"},
     ),
     (
+        # ties of 10, 8 and 6 sites, where n copies of 1/n can add up to less than 1
+        "simulate-asym-min-m10",
+        ["simulate", "--m", "10", "--neighborhood", "asym", "--rule", "min", "--steps", "3000",
+         "--seed", "15"],
+        {"--out": "5a683db5d17ae7a2439c37749f4d5bcd9f596c87cbab72279d0453219374ce50",
+         "--trajectory": "ed2e72a88125459df8c471f3d72cda0f257035819c10a318f566ec331bd25550"},
+    ),
+    (
         "simulate-asym-softmax-init",
         ["simulate", "--m", "5", "--neighborhood", "asym", "--rule", "softmax", "--beta", "0.5",
          "--init", "3,0,1,0,2", "--stream", "2", "--sample-every", "100", "--steps", "2000",

@@ -1,10 +1,14 @@
+import json
 import math
+import random
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nqsim import dynamics
 from nqsim.dynamics import (
     DRAW_BLOCK,
     ChainState,
@@ -13,6 +17,8 @@ from nqsim.dynamics import (
     RandomStream,
     Softmax,
     TrajectoryRecord,
+    _distribution,
+    _TieRows,
     parse_rule,
     run,
     sample_site,
@@ -294,6 +300,28 @@ class TestRunReplaysStep:
     @pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
     @pytest.mark.parametrize("rule", [MinRule(), MaxRule(), Softmax(0.5)], ids=["min", "max", "softmax"])
     def test_records_final_and_observers_match_a_step_loop(self, rule, kind, start):
+        self.check_replay(self.start_states(kind)[start], rule)
+
+    # Empty rings of 10 and 13 sites meet tie sets of 6, 7 and 10 sites, where
+    # n copies of 1/n add up to less than 1; 70 sites meet ties of up to 70.
+    @pytest.mark.parametrize("m", [10, 13, 70])
+    @pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
+    @pytest.mark.parametrize("rule", [MinRule(), MaxRule()], ids=["min", "max"])
+    def test_large_tie_sets_match_a_step_loop(self, rule, kind, m):
+        self.check_replay(ChainState.empty(m, kind), rule)
+
+    def test_large_rings_meet_ties_whose_sums_fall_short_of_one(self):
+        sizes = set()
+        for m in (10, 13):
+            for kind in (SYM, ASYM):
+                for rule, extreme in ((MinRule(), min), (MaxRule(), max)):
+                    _, every = replay_with_step(ChainState.empty(m, kind), rule, 200, RandomStream(31, 2))
+                    sizes.update(rec.u.count(extreme(rec.u)) for rec in every[:-1])
+        assert {6, 7, 10} <= sizes
+        for n in (6, 7, 10):
+            assert list(accumulate(repeat(1.0 / n, n)))[-1] < 1.0
+
+    def check_replay(self, initial, rule):
         class Seen:
             def __init__(self):
                 self.records = []
@@ -302,7 +330,6 @@ class TestRunReplaysStep:
                 self.records.append(rec)
 
         assert self.STEPS > DRAW_BLOCK
-        initial = self.start_states(kind)[start]
         rng = RandomStream(31, 2)
         final, every = replay_with_step(initial, rule, self.STEPS, rng)
         last_t = initial.t + self.STEPS
@@ -379,3 +406,98 @@ class TestStepAgainstLiteralDraw:
             for uniform in [0.0, *c[c < 1.0], *np.nextafter(c[c < 1.0], 0.0), np.nextafter(1.0, 0.0)]:
                 assert sample_site(p.tolist(), float(uniform)) == int(np.argmax(uniform < c))
                 assert sample_site(p, uniform) == int(np.argmax(uniform < c))
+
+
+class FixedStream:
+    """Stands in for a RandomStream whose uniforms are known."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def generator(self):
+        return self
+
+    def random(self, size):
+        return np.array(self.uniforms[:size])
+
+
+def tie_states(n):
+    """States with an n-member min tie and an n-member max tie: one contiguous, one spread.
+
+    The empty asymmetric ring of n sites ties every site (n >= 3).  The
+    symmetric ring (1, 0) * n has its minimisers on the even sites and its
+    maximisers on the odd ones (n >= 2); (1, 0, 0) under the asymmetric
+    window has a single minimiser.
+    """
+    states = [ChainState.from_occupancy((1, 0) * n, SYM)] if n >= 2 else []
+    states.append(ChainState.empty(n, ASYM) if n >= 3 else ChainState.from_occupancy((1, 0, 0), ASYM))
+    return states
+
+
+class TestTieRows:
+    @pytest.mark.parametrize("n", range(1, 257))
+    def test_rows_are_sample_sites_running_sums(self, n):
+        row = _TieRows(2**20)[n]
+        # the running sums sample_site forms, over a tie spread between non-members
+        p = _distribution([0, 1] * n, MinRule())
+        c, sums = 0.0, []
+        for i in range(2 * n - 2):
+            c += p[i]
+            if p[i]:
+                sums.append(c)
+        assert row == sums
+        assert row == np.cumsum(np.full(n, 1.0 / n))[:-1].tolist()
+        assert row == sorted(set(row)) and all(x < 1.0 for x in row)
+
+    @pytest.mark.parametrize("rule", [MinRule(), MaxRule()], ids=["min", "max"])
+    @pytest.mark.parametrize("n", [*range(1, 41), 64, 100, 256])
+    def test_run_draws_sample_sites_site_on_and_beside_every_row_entry(self, rule, n):
+        for state in tie_states(n):
+            p = _distribution(state.u, rule)
+            points = {0.0, float(np.nextafter(1.0, 0.0))}
+            for x in _TieRows(2**20)[sum(1 for x in p if x)]:
+                points.update((x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, 1.0))))
+            for uniform in sorted(points):
+                out = run(state, rule, 1, FixedStream([uniform]))
+                assert out.records[-1].site == sample_site(p, uniform) + 1, (state.xi, uniform)
+
+    def test_rows_are_built_on_demand(self, monkeypatch):
+        rows = _TieRows(dynamics._TIE_ROWS.budget)
+        monkeypatch.setattr(dynamics, "_TIE_ROWS", rows)
+        run(ChainState.empty(2000, SYM), MinRule(), 3, RandomStream(1))
+        assert 1 <= len(rows) <= 3
+        assert 2000 in rows
+        assert rows.size == sum(map(len, rows.values()))
+
+    def test_rows_beyond_the_budget_are_built_per_draw(self, monkeypatch):
+        initial = ChainState.empty(40, SYM)
+        ref = run(initial, MinRule(), 300, RandomStream(4), sample_every=1)
+        rows = _TieRows(100)
+        monkeypatch.setattr(dynamics, "_TIE_ROWS", rows)
+        assert run(initial, MinRule(), 300, RandomStream(4), sample_every=1) == ref
+        assert 0 < rows.size <= 100
+        assert rows.size == sum(map(len, rows.values()))
+        met = {rec.u.count(rec.m) for rec in ref.records[:-1]}
+        assert set(rows) < met  # the rows that did not fit were built and dropped
+
+
+class TestJsonLine:
+    @staticmethod
+    def encode(rec):
+        return json.JSONEncoder(sort_keys=True).encode(rec.to_json_dict())
+
+    def test_line_is_the_sorted_key_encoding(self):
+        rng = random.Random(5)
+        edges = [0, 1, 255, 256, 2**31, 2**53 + 1, 2**61]
+        for m in range(3, 101):
+            ints = lambda: [rng.choice(edges) if rng.random() < 0.3 else rng.randrange(2**61) for _ in range(m)]
+            site = None if m % 4 == 0 else rng.randrange(1, m + 1)
+            rec = TrajectoryRecord(rng.choice(edges), tuple(ints()), tuple(ints()), tuple(ints()),
+                                   rng.choice(edges), site)
+            assert rec.to_json_line() == self.encode(rec)
+
+    def test_line_of_every_record_of_a_run(self):
+        out = run(ChainState.from_occupancy((3, 0, 1, 0, 2), SYM), MinRule(), 50, RandomStream(2), sample_every=1)
+        assert out.records[0].site is None
+        for rec in out.records:
+            assert rec.to_json_line() == self.encode(rec)

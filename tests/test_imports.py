@@ -106,3 +106,9 @@ def test_sym_and_appendix_suites_leave_the_state_table_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"] * 4
+
+
+def test_cli_import_builds_no_tie_row():
+    proc = _python("import nqsim.cli, nqsim.dynamics as d\nprint(len(d._TIE_ROWS), d._TIE_ROWS.size)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
