@@ -56,7 +56,14 @@ picks it.  So once every replica's tie set is absorbing, a max-rule request
 that tracks nothing per step (no levels, renewals or bounds) advances the rest
 of each uniform block at once: occupancies, potentials and the parity gap
 from per-site pick counts, and sites, checkpoints and `last_seen` from the
-same (R, steps) bool picks.
+bool picks.  The picks are computed on the pair replicas' rows only: a
+replica on a single site takes it at every step, so no uniform can change
+its output, and from the block after absorption on it draws nothing; only
+the pairs fill rows of the block.  On this path the blocks start at
+_FREEZE_BLOCK_START (16) steps and double, up to the usual size, until
+every tie set is absorbing, so a single-site replica draws few uniforms
+past its freeze.  On every path each stream fills its row of the block in
+place (`Generator.random(out=row)`).
 
 State table (asymmetric min rule).  Under the min rule the reduced potentials
 v = u - min u form a Markov chain of their own, with a finite reachable set
@@ -108,6 +115,11 @@ from .ring import (
 # such a block is freed, glibc raises its mmap threshold, so the next one comes
 # from the brk heap, where later small allocations pin it and the peak RSS grows.
 _UNIF_BLOCK_CELLS = 2**19
+# Steps in the first uniform block of a freezable max-rule request.  From
+# empty, an asymmetric replica is still unabsorbed after n steps with
+# probability 2^-(n-1), so at R = 500 every replica is absorbed within the
+# first block of 16 steps about 98.5% of the time.
+_FREEZE_BLOCK_START = 16
 # Requests whose estimated arrays (`_footprint_bytes`) exceed this are refused
 # before anything is allocated: 4 GiB.
 MAX_ENSEMBLE_BYTES = 2**32
@@ -365,10 +377,28 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     if tab is not None:
         base = np.zeros(R, dtype=np.intp)  # each replica's state's first entry; v0 is state 0
         renewals = handle_renewals if req.track_renewals else None
-    frozen = None  # (lo, hi) once every max tie set is absorbing; lo == hi on a single site
+
+    def absorbed_split() -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        # (lo, hi, pairs) once every max tie set is absorbing, lo == hi on a
+        # single site and pairs the replicas on two sites; else None
+        absorbed, lo, hi = absorbed_max_ties(u, req.kind)
+        return (lo, hi, np.flatnonzero(lo != hi)) if absorbed.all() else None
+
+    def per_replica(on_pairs: np.ndarray, on_single: int) -> np.ndarray:
+        # an R-vector: on_pairs at the pair replicas, on_single elsewhere
+        out = np.full(R, on_single, dtype=np.int64)
+        out[pairs] = on_pairs
+        return out
+
+    frozen = absorbed_split() if freezable else None
     gens = [RandomStream(req.seed, r).generator() for r in range(R)]
+    # the streams that fill the block's rows, in row order
+    drawers = gens if frozen is None else [gens[r] for r in frozen[2].tolist()]
     done = 0
     block_steps = min(req.chunk_steps, max(1, _UNIF_BLOCK_CELLS // R))
+    # Blocks on the freezable path start short and double until every tie set
+    # is absorbing: the draws of the steps after that are read on pairs only.
+    grow = min(_FREEZE_BLOCK_START, block_steps) if freezable else block_steps
     # One buffer for every block.  A block allocated before the last one is
     # freed would hold two at once, and the hole the freed one leaves is
     # fragmented by smaller arrays, so the next block extends the heap.
@@ -376,22 +406,19 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     while done < T:
         # Philox gives one double per draw, so how the steps are split into
         # blocks changes no draw.
-        csize = min(block_steps, T - done)
-        unif = blocks[:, :csize]
-        for r in range(R):
-            unif[r] = gens[r].random(csize)
+        csize = min(grow, T - done)
+        unif = blocks[: len(drawers), :csize]
+        for row, gen in zip(unif, drawers):
+            gen.random(out=row)
         if tab is not None:
             statetable.advance(tab, base, unif, done, xi, D, parity_sign, res, renewals)
             done += csize
             continue
-        for j in range(csize):
-            if freezable and frozen is None:
-                absorbed, lo, hi = absorbed_max_ties(u, req.kind)
-                frozen = (lo, hi) if absorbed.all() else None
-            if frozen is not None:
-                break
-            t = done + j + 1
+        j = 0
+        while frozen is None and j < csize:
             sites = draw(unif[:, j].copy())
+            j += 1
+            t = done + j
 
             xi += eye.take(sites, axis=1)
             u += gain.take(sites, axis=1)
@@ -423,32 +450,41 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
                 res.sites[:, t - 1] = sites + 1  # 1-based in all exported data
             if req.track_last_seen:
                 res.last_seen[sites, replica] = t
-        else:  # no break: the whole block ran in lock-step
-            j = csize
-        if frozen is not None:
-            # Steps t0 + 1 .. t0 + n at once; picks[r, c]: replica r takes its
-            # higher site at step t0 + c + 1.
-            lo, hi = frozen
+            if freezable:
+                frozen = absorbed_split()
+                if frozen is not None:
+                    pairs = frozen[2]
+                    # From here on row i of the block holds pair replica pairs[i].
+                    unif[: len(pairs), j:] = unif[pairs, j:]
+                    drawers = [gens[r] for r in pairs.tolist()]
+        grow = min(2 * grow, block_steps) if frozen is None else block_steps
+        if frozen is not None and j < csize:
+            # Steps t0 + 1 .. t0 + n at once.  picks[i, c]: pair replica
+            # pairs[i] takes its higher site at step t0 + c + 1.  A replica on
+            # a single site takes it at every step; it has no row.
+            lo, hi, pairs = frozen
             t0, n = done + j, csize - j
-            picks = unif[:, j:] >= thr[2, 1]
+            picks = unif[: len(pairs), j:] >= thr[2, 1]
             d_lo, d_hi = parity_sign[lo], parity_sign[hi]
             for t in res.h_checkpoints:
                 if t0 < t <= t0 + n:
-                    k_hi = picks[:, : t - t0].sum(axis=1)
+                    k_hi = per_replica(picks[:, : t - t0].sum(axis=1), 0)
                     res.h_checkpoints[t] = (D + d_lo * (t - t0 - k_hi) + d_hi * k_hi) / m
             if req.record_sites:
                 block = res.sites[:, t0 : t0 + n]
                 block[:] = lo[:, None] + 1
-                np.copyto(block, hi[:, None] + 1, where=picks)
+                on_pairs = block[pairs]
+                np.copyto(on_pairs, hi[pairs, None] + 1, where=picks)
+                block[pairs] = on_pairs
             if req.track_last_seen:
                 rev = picks[:, ::-1]
-                last_lo = np.where(picks.all(axis=1), 0, t0 + n - rev.argmin(axis=1))
-                last_hi = np.where(picks.any(axis=1), t0 + n - rev.argmax(axis=1), 0)
+                last_lo = per_replica(np.where(picks.all(axis=1), 0, t0 + n - rev.argmin(axis=1)), t0 + n)
+                last_hi = per_replica(np.where(picks.any(axis=1), t0 + n - rev.argmax(axis=1), 0), 0)
                 # lo == hi on a single site: the second write keeps the later step
                 seen = res.last_seen
                 seen[lo, replica] = np.maximum(seen[lo, replica], last_lo)
                 seen[hi, replica] = np.maximum(seen[hi, replica], last_hi)
-            n_hi = picks.sum(axis=1)
+            n_hi = per_replica(picks.sum(axis=1), 0)
             xi[lo, replica] += n - n_hi
             xi[hi, replica] += n_hi
             u += gain[:, lo] * (n - n_hi) + gain[:, hi] * n_hi

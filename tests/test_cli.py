@@ -299,6 +299,28 @@ class TestSimulateCommand:
         assert out == ""
         assert err == f"nqsim simulate: error: config file {cfg} has an unknown key {key!r}\n"
 
+    def test_json_summary_is_written_without_a_copy_in_memory(self, tmp_path, capsys):
+        # The lists of a simulate summary at M = 100 000 (3.2 MB as
+        # JSON): the write holds less than the file, not the whole text.
+        import tracemalloc
+
+        m = 100_000
+        xi = [1 if i % 3 == 0 else 0 for i in range(m)]
+        summary = {"final": {"t": 2, "xi": xi, "u": xi[::-1], "m": 0},
+                   "fractions": [x / 3 for x in xi], "config": {"m": m}}
+        path = tmp_path / "summary.json"
+        tracemalloc.start()
+        try:
+            nqsim.cli._dump_json(summary, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        assert path.read_text() == text
+        assert 2.5e6 < path.stat().st_size and peak < path.stat().st_size
+        nqsim.cli._dump_json(summary, None)
+        assert capsys.readouterr().out == text
+
 
 # The flags each verify suite reads; every other suite flag is a usage error.
 SUITE_FLAGS = {

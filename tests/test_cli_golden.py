@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from nqsim import cli
 from nqsim.cli import main
 
 CONFIG_FILE = {"neighborhood": "asym", "rule": "min", "steps": 1500, "seed": 9, "sample_every": 250}
@@ -142,8 +143,8 @@ def _digest(flag: str, path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("case_id, argv, expected", CASES, ids=[c[0] for c in CASES])
-def test_output_hashes_unchanged(tmp_path, capsys, case_id, argv, expected):
+def _run_case(tmp_path, capsys, case_id, argv, expected) -> dict:
+    """Run one case through `main`; the SHA-256 of each file it writes, by flag."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG_FILE))
     argv = [str(config) if a == "{config}" else a for a in argv]
@@ -151,4 +152,24 @@ def test_output_hashes_unchanged(tmp_path, capsys, case_id, argv, expected):
     for flag, path in paths.items():
         argv += [flag, str(path)]
     assert main(argv) == 0, capsys.readouterr().err
-    assert {flag: _digest(flag, path) for flag, path in paths.items()} == expected
+    return {flag: _digest(flag, path) for flag, path in paths.items()}
+
+
+@pytest.mark.parametrize("case_id, argv, expected", CASES, ids=[c[0] for c in CASES])
+def test_output_hashes_unchanged(tmp_path, capsys, case_id, argv, expected):
+    assert _run_case(tmp_path, capsys, case_id, argv, expected) == expected
+
+
+def test_successive_commands_share_one_parser(tmp_path, capsys):
+    # `main` builds its parser on the first call and reuses it: every
+    # subcommand, each run after a different one, still writes the golden bytes.
+    picked = ("simulate-asym-softmax-init", "enumerate-m8-csv-rotation", "verify-appendix-asym-m5",
+              "simulate-config-file", "scaling-m4", "enumerate-m13-counts", "verify-algebra-m7")
+    cases = {c[0]: c for c in CASES}
+    main(["enumerate", "--m", "4", "--counts", "--out", str(tmp_path / "warm-up")])
+    built = cli._parser.cache_info()
+    for case_id in picked + picked[:1]:
+        _, argv, expected = cases[case_id]
+        assert _run_case(tmp_path, capsys, case_id, list(argv), expected) == expected, case_id
+    after = cli._parser.cache_info()
+    assert after.misses == built.misses and after.hits == built.hits + len(picked) + 1

@@ -18,6 +18,7 @@ from nqsim.observers import (
     stat_W,
 )
 from nqsim.ring import Neighborhood, potentials, reduce_potential
+from nqsim.scaling import classify_final_ties
 
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC
@@ -114,19 +115,24 @@ def test_sites_match_single_chain_when_chunks_do_not_divide_steps():
 
 
 class _RecordingStream:
-    """RandomStream whose generator records the size of every block it draws."""
+    """RandomStream whose generator records the size of every block it draws,
+    in `sizes`, and the uniforms each stream has drawn, in `drawn`."""
 
     sizes: list = []
+    drawn: dict = {}
 
     def __init__(self, seed: int, stream: int):
         self.gen = RandomStream(seed, stream).generator()
+        self.stream = stream
 
     def generator(self):
         return self
 
-    def random(self, size=None):
-        self.sizes.append(size)
-        return self.gen.random(size)
+    def random(self, size=None, out=None):
+        n = size if out is None else len(out)
+        self.sizes.append(n)
+        self.drawn[self.stream] = self.drawn.get(self.stream, 0) + n
+        return self.gen.random(size, out=out)
 
 
 def _same_result(a, b) -> bool:
@@ -193,7 +199,10 @@ class _FixedUniforms:
     def generator(self):
         return self
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[...] = self.value
+            return out
         return self.value if size is None else np.full(size, self.value)
 
 
@@ -769,6 +778,54 @@ def test_absorbed_phase_takes_no_lock_steps(kind):
     assert _draw_calls(req) == max(absorbed_at)
     assert _draw_calls(dataclasses.replace(req, track_renewals=True)) == 3000
     assert _draw_calls(dataclasses.replace(req, rule=MinRule())) == 3000
+
+
+def _assert_replicas_match_single_chain(req: EnsembleRequest, res: EnsembleResult) -> None:
+    for r in range(req.replicas):
+        out = run(ChainState.from_occupancy(req.init or (0,) * req.m, req.kind), req.rule, req.steps,
+                  RandomStream(req.seed, r), sample_every=1)
+        sites = [rec.site for rec in out.records[1:]]
+        assert res.sites[r].tolist() == sites
+        assert res.last_seen[r].tolist() == _last_seen(sites, req.m)
+        assert tuple(res.xi[r]) == out.final.xi
+        assert tuple(res.u[r]) == out.final.u
+
+
+# Once every max tie set is absorbing only the replicas on a pair draw; blocks
+# start at 16 steps and double until then.  From empty an asymmetric replica
+# freezes on a single site, at step s >= 2 with probability 2^-(s-1), so at
+# R = 200 all of them are absorbed within the first block of 16 steps or the
+# next of 32.  The symmetric start 2,1,1,1,2,0,1 has the max tie set {1, 2, 4}
+# (1-based): a replica that draws site 1 or 2 first freezes on the pair {1, 2},
+# one that draws site 4 on that single site, so both kinds of row occur.
+@pytest.mark.parametrize(
+    "kind, m, replicas, init, steps",
+    [(ASYM, 5, 200, None, 4000), (SYM, 7, 300, (2, 1, 1, 1, 2, 0, 1), 2000)],
+    ids=["asym-single", "sym-mixed"],
+)
+def test_frozen_single_sites_draw_nothing(monkeypatch, kind, m, replicas, init, steps):
+    req = EnsembleRequest(
+        m=m, kind=kind, rule=MaxRule(), steps=steps, replicas=replicas, seed=41 + m, init=init,
+        h_checkpoints=(0, 1, 17, 49, steps // 2, steps), record_sites=True, track_last_seen=True,
+    )
+    monkeypatch.setattr(ensemble, "RandomStream", _RecordingStream)
+    monkeypatch.setattr(_RecordingStream, "drawn", {})
+    res = run_ensemble(req)
+    drawn = _RecordingStream.drawn
+    tags = [o.tag for o in classify_final_ties(res.u, res.last_seen, kind)]
+    if kind is ASYM:
+        assert set(tags) == {"single"}
+        assert max(drawn.values()) <= 64
+    else:
+        assert tags == ["single" if k == 4 else "pair" for k in res.sites[:, 0].tolist()]
+        assert set(tags) == {"single", "pair"}
+        # the pairs draw every step, the single sites only the first blocks
+        for r, tag in enumerate(tags):
+            assert (drawn[r] == steps) == (tag == "pair")
+    for block_cells in (1, 7):
+        monkeypatch.setattr(ensemble, "_UNIF_BLOCK_CELLS", block_cells)
+        assert _same_result(res, run_ensemble(req))
+    _assert_replicas_match_single_chain(req, res)
 
 
 def test_size_guard_refuses_before_allocating(monkeypatch):

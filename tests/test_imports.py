@@ -112,3 +112,26 @@ def test_cli_import_builds_no_tie_row():
     proc = _python("import nqsim.cli, nqsim.dynamics as d\nprint(len(d._TIE_ROWS), d._TIE_ROWS.size)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
+
+
+def test_cli_import_builds_no_parser():
+    # The parser is built by the first `main` call, once per process.
+    proc = _python(
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    made.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import nqsim.cli as cli\n"
+        "at_import = len(made)\n"
+        "for _ in range(2):\n"
+        "    assert cli.main(['enumerate', '--m', '4', '--counts']) == 0\n"
+        "    print('parsers', at_import, len(made), cli._parser.cache_info().misses, flush=True)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, second = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("parsers")]
+    # none at import; the first call builds them and the second builds no more
+    assert first[0] == "0" and int(first[1]) > 0 and first[2] == "1"
+    assert second == first

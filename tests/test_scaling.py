@@ -431,7 +431,8 @@ class TestPairShareTolerance:
 
 
 class TestFreezeLawsFromEmpty:
-    """Exact max-rule freeze laws from the empty ring, at criterion-09 sizes and seeds.
+    """Exact max-rule freeze laws from the empty ring, at criterion-09 sizes and
+    seeds, and at 4000 replicas over 200 steps for two rings of each kind.
 
     From the tie-set recursion T' = T & raised(k): under the asymmetric
     window the first site k leaves T = {k-1, k}; each later step picks k-1
@@ -476,6 +477,41 @@ class TestFreezeLawsFromEmpty:
             assert o["freeze_time"] == 1
         lower = sum(o["sites"][0] == k for o, k in zip(outcomes, first))
         assert stats.binomtest(lower, self.REPLICAS, 0.5).pvalue > self.P_MIN
+
+
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_asymmetric_law_at_4000_replicas(self, m):
+        res = run_ensemble(
+            EnsembleRequest(
+                m=m, kind=ASYM, rule=MaxRule(), steps=200, replicas=4000, seed=2300 + m,
+                record_sites=True, track_last_seen=True,
+            )
+        )
+        outcomes = classify_final_ties(res.u, res.last_seen, ASYM)
+        for o, k in zip(outcomes, res.sites[:, 0].tolist()):
+            assert o.tag == "single"
+            assert o.sites == ((k - 2) % m + 1,)
+        s = np.array([o.freeze_time for o in outcomes])
+        assert s.min() >= 2
+        # P(s) = 2^-(s-1): 1/2, 1/4 and 1/8 at s = 2, 3, 4, and 1/8 for s >= 5
+        observed = np.array([(s == 2).sum(), (s == 3).sum(), (s == 4).sum(), (s >= 5).sum()])
+        expected = len(s) * np.array([1 / 2, 1 / 4, 1 / 8, 1 / 8])
+        bound = stats.chi2.isf(self.P_MIN, df=3)
+        assert ((observed - expected) ** 2 / expected).sum() < bound
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_symmetric_law_at_4000_replicas(self, m):
+        res = run_ensemble(
+            EnsembleRequest(
+                m=m, kind=SYM, rule=MaxRule(), steps=200, replicas=4000, seed=2300 + m,
+                record_sites=True, track_last_seen=True,
+            )
+        )
+        outcomes = classify_final_ties(res.u, res.last_seen, SYM)
+        for o, k in zip(outcomes, res.sites[:, 0].tolist()):
+            assert o.tag == "pair"
+            assert k in o.sites
+            assert o.freeze_time == 1
 
 
 class TestKernelLimits:
