@@ -25,8 +25,6 @@ from .dynamics import (
     TrajectoryRecord,
     parse_rule,
     run,
-    step,
-    transition_distribution,
 )
 from .ensemble import EnsembleRequest, EnsembleResult, run_ensemble
 from .limits import (
@@ -34,7 +32,6 @@ from .limits import (
     RotationClass,
     brute_force_oracle,
     enumerate_limits,
-    is_limit_configuration,
     rotation_classes,
     summary_counts,
     tag_achievability,
@@ -45,26 +42,12 @@ from .observers import (
     ParityGapSeries,
     RenewalCounter,
     detect_convergence,
-    parity_gap,
     pattern,
     pattern_str,
-    stat_Q,
     stat_S,
-    stat_W,
 )
-from .ring import (
-    Neighborhood,
-    neighborhood,
-    potentials,
-    reduce_potential,
-)
-from .scaling import (
-    FreezeOutcome,
-    SigmaEstimate,
-    classify_freeze,
-    estimate_sigma,
-    total_variation,
-)
+from .ring import Neighborhood, potentials, reduce_potential
+from .scaling import FreezeOutcome, SigmaEstimate, estimate_sigma
 from .verify import VerificationReport, run_suite
 
 __version__ = "0.1.0"

@@ -65,7 +65,7 @@ def solve_occupancy_asym(u: Sequence) -> SolveOutcome:
             x.append(2 * n[k - 1] - x[k - 1])
         return Unique(tuple(Fraction(v, 2 * d) for v in x))
 
-    if sum(n[0::2]) != sum(n[1::2]):
+    if not parity_invariant(n):
         return Infeasible("parity")
     x = [0]  # d * base
     for k in range(1, m):
@@ -89,8 +89,7 @@ def solve_occupancy_sym(u: Sequence) -> SolveOutcome:
     n, d = _scaled(u)
 
     if m % 3 == 0:
-        sums = [sum(n[j::3]) for j in range(3)]
-        if not sums[0] == sums[1] == sums[2]:
+        if not mod3_invariant(n):
             return Infeasible("mod3")
         return Family(tuple(Fraction(v, d) for v in _propagate_sym(n)), free_parameters=2)
 

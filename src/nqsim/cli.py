@@ -202,15 +202,16 @@ def cmd_simulate(args, config_file) -> int:
         include_level_steps=bool(args.trajectory),  # level records reach only the trajectory
     )
 
+    # A symmetric chain is matched against the limit set only once it is stable
+    # (the enumeration grows fast with M), and before any file is written.
+    matching = kind is Neighborhood.SYMMETRIC and level_log.run_length >= STABILITY_WINDOW
+    limits = enumerate_limits(m) if matching else None
+
     if args.trajectory:
         with open(args.trajectory, "w") as fh:
             for rec in result.records:
                 fh.write(rec.to_json_line() + "\n")
 
-    # A symmetric chain is matched against the limit set only once it is
-    # stable; the enumeration grows fast with M, so it waits until then.
-    matching = kind is Neighborhood.SYMMETRIC and level_log.run_length >= STABILITY_WINDOW
-    limits = enumerate_limits(m) if matching else None
     verdict = detect_convergence(level_log, result.final.xi, result.final.t, limits)
     final = result.final
     summary = {

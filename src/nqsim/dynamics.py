@@ -6,11 +6,12 @@ uniformly over the maximisers.  Randomness comes from a counter-based Philox
 generator (numpy's philox4x64) keyed by (seed, stream), so trajectories are
 reproducible across platforms and replicas get independent streams.
 
-`step`, built on `_distribution` and `sample_site`, is the literal
-inverse-CDF oracle: it forms the probability vector and walks its running
-sums.  `run`, the single-chain driver, draws the same sites more cheaply
-under the min and max rules (a binary search in the cached running sums of
-1/n, `_TIE_ROWS`); `TestRunReplaysStep` pins it to `step` record by record.
+The literal inverse-CDF oracle, `step` in tests/oracles.py, forms the
+probability vector (`_distribution`) and walks its running sums
+(`sample_site`).  `run`, the single-chain driver, draws the same sites more
+cheaply under the min and max rules (a binary search in the cached running
+sums of 1/n, `_TIE_ROWS`); `TestRunReplaysStep` pins it to `step` record by
+record.
 """
 from __future__ import annotations
 
@@ -147,7 +148,12 @@ class TrajectoryRecord(NamedTuple):
 
 
 def _distribution(u: Sequence[int], rule: AllocationRule) -> list[float]:
-    """`transition_distribution` as a Python list, the form `step` and `run` sample from."""
+    """Probability of the next particle landing on each site, as a list of floats.
+
+    Min/max vectors are the exact rationals 1/|tie set| rendered to floats.
+    The softmax weights are stabilised by factoring out the extreme potential
+    so every exponentiation stays in [0, 1].
+    """
     if isinstance(rule, (MinRule, MaxRule)):
         extreme = min(u) if isinstance(rule, MinRule) else max(u)
         p = 1.0 / u.count(extreme)
@@ -162,16 +168,6 @@ def _distribution(u: Sequence[int], rule: AllocationRule) -> list[float]:
             raise FloatingPointError(f"softmax weight overflow at beta={beta}") from exc
     # numpy's pairwise sum, the order the ensemble engine normalises in
     return (w / w.sum()).tolist()
-
-
-def transition_distribution(state: ChainState, rule: AllocationRule) -> np.ndarray:
-    """Probability of the next particle landing on each site, as float64.
-
-    Min/max vectors are the exact rationals 1/|tie set| rendered to floats.
-    The softmax weights are stabilised by factoring out the extreme potential
-    so every exponentiation stays in [0, 1].
-    """
-    return np.array(_distribution(state.u, rule))
 
 
 def sample_site(probabilities: Sequence[float], uniform: float) -> int:
@@ -225,34 +221,6 @@ class _TieRows(dict):
 _TIE_ROWS = _TieRows(2**16)
 
 
-def _draw_and_place(
-    xi: list[int], u: list[int], offsets: tuple[int, ...], rule: AllocationRule, uniform: float
-) -> int:
-    """Draw a 0-based site from one uniform and allocate a particle there, in place.
-
-    The potential cache is updated incrementally: u_i gains 1 exactly when
-    the site lies in U_i, i.e. for i = site - d over the window offsets (for
-    the asymmetric window {i, i+1} that is {k-1, k}).
-    """
-    site0 = sample_site(_distribution(u, rule), uniform)
-    xi[site0] += 1
-    m = len(u)
-    for d in offsets:
-        u[(site0 - d) % m] += 1
-    return site0
-
-
-def step(
-    state: ChainState, rule: AllocationRule, gen: np.random.Generator
-) -> tuple[ChainState, int]:
-    """Advance one step; returns the new state and the 1-based allocated site."""
-    xi = list(state.xi)
-    u = list(state.u)
-    site0 = _draw_and_place(xi, u, state.kind.offsets, rule, gen.random())
-    new_state = ChainState(t=state.t + 1, xi=tuple(xi), u=tuple(u), kind=state.kind)
-    return new_state, site0 + 1
-
-
 @dataclass
 class RunResult:
     final: ChainState
@@ -282,12 +250,11 @@ def run(
     uniform tie distribution (see `_TieRows`).  The softmax rule draws
     through `sample_site(_distribution(u, rule), U)` itself.
     `TestRunReplaysStep` pins every record, under every rule, to a loop of
-    `step`, the literal inverse-CDF oracle.
+    `step`, the literal inverse-CDF oracle in tests/oracles.py.
 
     This pure-Python stepper is the reference for the vectorised engine:
     replica r of `ensemble.run_ensemble` must reproduce it on stream
-    (seed, r), which the tests and the benchmark's stream check assert.  It
-    stays in the package for that check as well as for `nqsim simulate`.
+    (seed, r), which the tests and the benchmark's stream check assert.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -325,7 +292,7 @@ def run(
             else:
                 site0 = sample_site(_distribution(u, rule), uniform)
             xi[site0] += 1
-            for d in offsets:  # as in `_draw_and_place`
+            for d in offsets:  # u_i gains 1 for i = site - d: U_i holds the site
                 u[(site0 - d) % m] += 1
             t += 1
             prev = lo

@@ -15,7 +15,7 @@ lock-step.  At the small rings the suites run that beats numpy's slow axis-0
 cumsum, but the cost grows quadratically: from about M = 70, replica-major
 (R, M) arrays reduced along axis 1 are faster.
 
-Site draw: the oracle, `dynamics.step` through `dynamics.sample_site`, takes
+Site draw: the oracle `step` (tests/oracles.py), through `sample_site`, takes
 the first site with U < c, where c = cumsum(mask / n) over the n-member min
 (or max) tie set.  At a site with k tie-set members at or before it, c holds
 the float sum of k copies of 1/n added left to right.  Those sums are

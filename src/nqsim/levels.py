@@ -3,7 +3,10 @@
 Under the min rule a level opens each time a replica's minimum potential
 rises.  At each opening the engine reads the level statistics (S, Q, W and
 the zero/positive signature) and keeps monotonicity, persistence and
-window-exclusion monitors; `observers.LevelLog` is the single-chain reference.
+window-exclusion monitors.  `level_statistics` is the package's one
+definition of Q, W, the window flags and the isolated-zero centres;
+`observers.LevelLog`, the single-chain reference for the monitors, reads its
+shapes from it too.
 
 Each lock-step only copies the potentials of the replicas that opened a level,
 with their ids and the step, into one buffer of about LEVEL_BLOCK_CELLS cells.
@@ -79,15 +82,17 @@ def level_statistics(u, m_new, u_total, with_flags: bool, order: np.ndarray) -> 
     (M, N; row k: a centre at site k + 1) and, if with_flags, the flag bits
     (bit i: FLAG_NAMES[i]), each with its columns taken in `order`.
     Every (M, N) temporary is one byte per cell, and counts over the sites are
-    summed as uint16 (the engine's size guard refuses any M near 2^16).  u's
-    rows must be contiguous: reductions over the sites of an F-ordered array
-    run an order of magnitude slower.
+    summed as uint16 below M = 2^16 (the engine's size guard refuses any M
+    near it; a single chain may pass it).  u's rows must be contiguous:
+    reductions over the sites of an F-ordered array run an order of
+    magnitude slower.
     """
+    m = len(u)
+    count_type = np.uint16 if m < 2**16 else np.int64
 
     def count(marks):
-        return np.add.reduce(marks, axis=0, dtype=np.uint16)
+        return np.add.reduce(marks, axis=0, dtype=count_type)
 
-    m = len(u)
     pos = u > m_new
     # S = sum(v) less its entries equal to 1, v = u - m_new
     s = u_total - m * m_new - count(u == m_new + 1)

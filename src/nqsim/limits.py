@@ -12,8 +12,11 @@ Every rule but the mod-3 one reads at most two sites on each side, so one
 table, `_SITE_OK` over the 3^5 windows (a, b, c, d, e) centred on c, holds
 them all; the set is a cyclic subshift of finite type.  `enumerate_limits`
 generates it by a depth-first search over symbol strings that checks each
-window once it is placed; `brute_force_oracle` re-derives it by literally
-filtering all 3^M strings and exists purely as an independent check for tests.
+window once it is placed, up to M = MAX_ENUMERATE_M.  `brute_force_oracle`
+re-derives it by literally filtering all 3^M strings: an independent check
+for the tests, and the work of the benchmark's chain-exact oracle jobs.  The
+validator on exact fraction vectors, `is_limit_configuration`, is in
+tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -26,6 +29,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ZERO, HALF, FULL = 0, 1, 2
+
+# Largest ring `enumerate_limits` lists.  The set doubles about every two sites:
+# 382 106 limits at M = 36, listed in 10.9 s and 394 MiB peak RSS on a 2-CPU
+# Xeon (M = 34: 6.2 s, 204 MiB), so M = 40 would pass 1.5 GiB.
+MAX_ENUMERATE_M = 36
 
 
 @dataclass(frozen=True)
@@ -111,9 +119,12 @@ def enumerate_limits(m: int) -> tuple[LimitConfiguration, ...]:
     """All limiting configurations on m sites, as anchored sequences.
 
     Deterministic lexicographic order over symbols (zero < half < full).
+    Rings above MAX_ENUMERATE_M are refused before anything is built.
     """
     if m < 4:
         raise ValueError(f"limit enumeration needs M >= 4, got {m}")
+    if m > MAX_ENUMERATE_M:
+        raise ValueError(f"limit enumeration is supported up to M={MAX_ENUMERATE_M}, got M={m}")
     found: list[LimitConfiguration] = []
     s = [ZERO] * m
 
@@ -135,56 +146,6 @@ def enumerate_limits(m: int) -> tuple[LimitConfiguration, ...]:
     return tuple(found)
 
 
-def is_limit_configuration(x: Sequence[Fraction]) -> bool:
-    """Independent validator on exact fraction vectors (used by tests).
-
-    Re-derives alpha from the positive values present and checks every rule,
-    without assuming anything the generator did.
-    """
-    m = len(x)
-    if m < 4 or sum(x) != 1:
-        return False
-    positives = sorted({v for v in x if v > 0})
-    if not positives or len(positives) > 2:
-        return False
-    if len(positives) == 2:
-        if positives[1] != 2 * positives[0]:
-            return False
-        candidates = [positives[1]]
-    else:
-        candidates = [positives[0], 2 * positives[0]]
-
-    def ok_with(alpha: Fraction) -> bool:
-        half = alpha / 2
-        for i in range(m):
-            v = x[i]
-            left, right = x[i - 1], x[(i + 1) % m]
-            if v == 0:
-                if left == 0 and right == 0:
-                    return False
-            elif v == half:
-                window_ok = False
-                for j in (i, i + 1):
-                    win = tuple(x[(j + d) % m] for d in range(-3, 3))
-                    if win == (alpha, Fraction(0), half, half, Fraction(0), alpha):
-                        window_ok = True
-                        break
-                if not window_ok:
-                    return False
-            elif v == alpha:
-                if left != 0 or right != 0:
-                    return False
-            else:
-                return False
-        if m % 3 == 0:
-            for j in range(3):
-                if min(x[k] for k in range(j, m, 3)) != 0:
-                    return False
-        return True
-
-    return any(ok_with(alpha) for alpha in candidates)
-
-
 _ORACLE_BLOCK = 3**8  # symbol strings decoded per block; bounds the oracle's memory
 
 
@@ -193,7 +154,8 @@ def brute_force_oracle(m: int) -> tuple[LimitConfiguration, ...]:
 
     Strings are decoded in fixed blocks, in the lexicographic order of
     itertools.product, and each local rule is applied literally as an array
-    mask over the block.  Test-only oracle; the budget caps M at 16.
+    mask over the block.  An oracle for the tests and the benchmark; the
+    budget caps M at 16.
     """
     if m < 4:
         raise ValueError(f"limit enumeration needs M >= 4, got {m}")

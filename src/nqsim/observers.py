@@ -10,9 +10,11 @@ per-level statistics are computed at the opening step.  The statistics are:
 plus the zero/positive signature of the reduced potentials.  The monotone
 behaviour of S (asymmetric) and of Q and W (symmetric), the persistence of
 (positive, 0, positive) triples and the eventual exclusion of certain windows
-are tracked as violation counts and one flag byte per level.  Each observer
-keeps only what its report reads, so a long chain without a trajectory runs
-in constant memory.
+are tracked as violation counts and one flag byte per level.  Q, W, the
+window flags and the isolated zeros read only the signature, and come from
+the engine's definition, `levels.level_statistics`.  Each observer keeps only
+what its report reads, so a long chain without a trajectory runs in constant
+memory.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .levels import _FLAG_SHAPES, FLAG_NAMES
+from .levels import FLAG_NAMES, level_statistics
 from .ring import Neighborhood
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,22 +43,6 @@ def stat_S(v: Sequence[int]) -> int:
     return sum([x for x in v if x >= 2])
 
 
-def stat_Q(v: Sequence[int]) -> int:
-    """Count of k with v_{k-1} > 0, v_k = 0, v_{k+1} > 0, cyclically."""
-    m = len(v)
-    return sum(1 for k in range(m) if v[k] == 0 and v[k - 1] > 0 and v[(k + 1) % m] > 0)
-
-
-def stat_W(v: Sequence[int]) -> int:
-    """Count of cyclic windows (0, positive, positive, 0)."""
-    m = len(v)
-    return sum(
-        1
-        for k in range(m)
-        if v[k] == 0 and v[(k + 1) % m] > 0 and v[(k + 2) % m] > 0 and v[(k + 3) % m] == 0
-    )
-
-
 def pattern(v: Sequence[int]) -> tuple[int, ...]:
     """Zero/positive signature of v: 0 stays 0, anything positive becomes 1."""
     return tuple([1 if x > 0 else 0 for x in v])
@@ -66,25 +52,21 @@ def pattern_str(signature: Sequence[int]) -> str:
     return "".join("*" if s else "0" for s in signature)
 
 
-# Excluded windows as byte strings of zero/positive marks, read from a site onward.
-_FLAG_WINDOWS = {name: bytes(shape) for name, shape in _FLAG_SHAPES.items()}
+# A signature goes to `level_statistics` as one column of potentials over a
+# minimum of 0; this is that minimum, and the column order.
+_ZERO = np.zeros(1, dtype=np.intp)
 
 
-def _window_flags(sig: Sequence[int]) -> dict[str, bool]:
-    """Which excluded windows occur anywhere in the 0/1 signature, cyclically."""
-    # Every window starts at a site k < M and ends by k + 4, so the signature
-    # repeated up to M + 4 marks holds each cyclic window as a substring.
-    marks = bytes(sig)
-    ring = (marks * 3)[: len(marks) + 4]
-    return {name: window in ring for name, window in _FLAG_WINDOWS.items()}
+def _shape(sig: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(Q, W, flag byte, isolated-zero centres) of a signature, by `level_statistics`.
 
-
-def isolated_zero_centers(sig: Sequence[int]) -> frozenset[int]:
-    """0-based centers k with signature (positive, zero, positive) around k."""
-    m = len(sig)
-    return frozenset(
-        k for k in range(m) if sig[k] == 0 and sig[k - 1] == 1 and sig[(k + 1) % m] == 1
-    )
+    The centres are an int bitmask: bit k marks a centre at 0-based site k.
+    """
+    col = np.array(sig, dtype=np.int64)[:, None]
+    _, stats, centers, flag_bits = level_statistics(col, _ZERO, col.sum(axis=0), True, _ZERO)
+    # row k of centers marks a centre at site k + 1
+    mask = np.packbits(np.roll(centers[:, 0], 1), bitorder="little").tobytes()
+    return int(stats[1, 0]), int(stats[2, 0]), int(flag_bits[0]), int.from_bytes(mask, "little")
 
 
 class LevelLog:
@@ -97,10 +79,12 @@ class LevelLog:
     level known only at the end.  A lost centre counts once per level that
     lacks it.
 
-    This is the reference oracle for the engine's level tracking: the tests
-    pin `ensemble.run_ensemble`'s counts, violations and signature runs to it
-    replica by replica.  It stays in the package for `nqsim simulate` and for
-    the benchmark's per-layer probes.
+    Each new signature's shape is read from `levels.level_statistics`, the
+    definition the engine uses, and memoised; the tests check that definition
+    against the literal ones in tests/oracles.py on every signature up to
+    M = 14.  LevelLog resolves levels one at a time, and the tests pin the
+    engine's block-wise counts, violations and signature runs to it replica
+    by replica.
     """
 
     def __init__(self, kind: Neighborhood):
@@ -114,10 +98,10 @@ class LevelLog:
         self.q_decrease_violations = 0
         self.w_increase_violations = 0
         self.persistence_violations = 0
-        self._required_centers: frozenset[int] = frozenset()
+        self._required_centers = 0  # bitmask, as `_shape` gives the centres
         self._flags = bytearray()
-        # signature -> (Q, W, flag byte, isolated-zero centers), filled as signatures appear
-        self._shapes: dict[tuple[int, ...], tuple[int, int, int, frozenset[int]]] = {}
+        # signature -> `_shape(signature)`, filled as signatures appear
+        self._shapes: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
         # signature run tracking for convergence detection
         self.current_signature: tuple[int, ...] | None = None
         self.run_length = 0
@@ -137,14 +121,7 @@ class LevelLog:
         sig = pattern(v)
         shape = self._shapes.get(sig)
         if shape is None:
-            # Q, W, the flags and the isolated zeros read only the signature
-            flags = _window_flags(sig).values()
-            shape = self._shapes[sig] = (
-                stat_Q(sig),
-                stat_W(sig),
-                sum(hit << i for i, hit in enumerate(flags)),
-                isolated_zero_centers(sig),
-            )
+            shape = self._shapes[sig] = _shape(sig)
         q, w, flag_byte, centers = shape
         s = stat_S(v)
         if self._prev_stats is not None:
@@ -154,11 +131,8 @@ class LevelLog:
             self.w_increase_violations += w > prev_w
         self._prev_stats = (s, q, w)
         required = self._required_centers
-        if required <= centers:
-            self._required_centers = centers
-        else:
-            self.persistence_violations += len(required - centers)
-            self._required_centers = required | centers
+        self.persistence_violations += (required & ~centers).bit_count()
+        self._required_centers = required | centers
         if sig == self.current_signature:
             self.run_length += 1
         else:
@@ -193,14 +167,6 @@ class LevelLog:
             if self.current_signature is not None
             else None,
         }
-
-
-def parity_gap(xi: Sequence[int]) -> Fraction:
-    """H = (sum over even sites - sum over odd sites) / M, sites 1-based; even M only."""
-    m = len(xi)
-    if m % 2 != 0:
-        raise ValueError(f"parity gap is defined for even M only, got M={m}")
-    return Fraction(sum(xi[1::2]) - sum(xi[0::2]), m)
 
 
 class ParityGapSeries:

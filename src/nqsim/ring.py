@@ -51,14 +51,6 @@ def check_ring_size(m: int, kind: Neighborhood) -> int:
     return m
 
 
-def neighborhood(kind: Neighborhood, i: int, m: int) -> frozenset[int]:
-    """The neighbourhood U_i of 1-based site i on a ring of m sites."""
-    check_ring_size(m, kind)
-    if not 1 <= i <= m:
-        raise ValueError(f"site index {i} outside 1..{m}")
-    return frozenset((i - 1 + d) % m + 1 for d in kind.offsets)
-
-
 def potentials(xi: Sequence, kind: Neighborhood) -> tuple:
     """Window sums u_i = sum of xi over U_i, for every site.
 

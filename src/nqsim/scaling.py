@@ -15,8 +15,8 @@ its final max tie set is absorbing (every member raises every member's
 potential), and "unfrozen" otherwise; the freeze time is the step after the
 last allocation outside the set.  `classify_final_ties` reads this off the
 final potentials and last allocation steps, (R, M) arrays, through
-`ensemble.absorbed_max_ties`; `classify_freeze`, its pure-Python reference
-oracle, replays an allocation-site list.
+`ensemble.absorbed_max_ties`; its pure-Python reference, `classify_freeze`
+in tests/oracles.py, replays an allocation-site list.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import MinRule
 from .ensemble import EnsembleRequest, EnsembleResult, absorbed_max_ties, run_ensemble
-from .ring import Neighborhood, neighborhood, potentials
+from .ring import Neighborhood
 
 MIN_REPLICAS_FOR_KS = 100
 # zeta_tail_check: the largest accepted ratio of successive tails, and the
@@ -322,30 +322,8 @@ class FreezeOutcome:
     freeze_time: int | None  # the step after the last allocation outside `sites`
 
 
-def classify_freeze(
-    sites: Sequence[int], m: int, kind: Neighborhood, init: Sequence[int] | None = None
-) -> FreezeOutcome:
-    """Classify a max-rule run from its 1-based allocation sites (steps 1..T) and `init`.
-
-    Replays the occupancy, takes the final potentials' max tie set and tests
-    whether every member raises every member, without numpy.
-    """
-    xi = list(init) if init is not None else [0] * m
-    for site in sites:
-        xi[site - 1] += 1
-    u = potentials(xi, kind)
-    top = max(u)
-    ties = [i for i in range(1, m + 1) if u[i - 1] == top]
-    # site k raises the potential of site i when k lies in i's window
-    if any(k not in neighborhood(kind, i, m) for i in ties for k in ties):
-        return FreezeOutcome("unfrozen", (), None)
-    ordered = (m, 1) if ties == [1, m] else tuple(ties)  # (M, 1): the pair that wraps around
-    last_outside = max((t for t, site in enumerate(sites, 1) if site not in ties), default=0)
-    return FreezeOutcome("single" if len(ties) == 1 else "pair", ordered, last_outside + 1)
-
-
 def classify_final_ties(u: np.ndarray, last_seen: np.ndarray, kind: Neighborhood) -> list[FreezeOutcome]:
-    """`classify_freeze` for each row of (R, M) final potentials and last allocation steps.
+    """The freeze outcome of each row of (R, M) final potentials and last allocation steps.
 
     last_seen[r, i] is the last 1-based step at which site i + 1 got a
     particle (0 if never).  The last step outside the frozen set is the
@@ -365,7 +343,3 @@ def classify_final_ties(u: np.ndarray, last_seen: np.ndarray, kind: Neighborhood
         else:  # (M, 1): the pair that wraps around the ring
             out.append(FreezeOutcome("pair", (i + 1, j + 1) if j == i + 1 else (m, 1), t))
     return out
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())

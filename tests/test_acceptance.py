@@ -12,13 +12,14 @@ from fractions import Fraction
 import numpy as np
 
 from nqsim.algebra import Infeasible, Unique, solve_occupancy_asym, solve_occupancy_sym
-from nqsim.dynamics import ChainState, MaxRule, MinRule, Softmax, transition_distribution
+from nqsim.dynamics import ChainState, MaxRule, MinRule, Softmax
 from nqsim.ensemble import EnsembleRequest, run_ensemble
 from nqsim.limits import brute_force_oracle, enumerate_limits, summary_counts
 from nqsim.observers import match_limit
 from nqsim.ring import Neighborhood, potentials
-from nqsim.scaling import estimate_sigma, total_variation, zeta_sign_test
+from nqsim.scaling import estimate_sigma, zeta_sign_test
 from nqsim.verify import suite_appendix
+from oracles import total_variation, transition_distribution
 
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC

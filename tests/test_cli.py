@@ -12,6 +12,9 @@ from nqsim.observers import match_limit
 from nqsim.ring import Neighborhood
 
 
+ENUMERATION_REFUSAL = "limit enumeration is supported up to M=36, got M=37\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -67,6 +70,17 @@ class TestEnumerateCommand:
         code, _, err = run_cli(capsys, "enumerate", "--m", "3", "--counts")
         assert code == 1
         assert "M >= 4" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--counts",), ("--counts", "--format", "json"), (), ("--up-to-rotation", "--format", "csv")],
+        ids=["counts", "counts-json", "listing", "rotation-csv"],
+    )
+    def test_ring_above_the_enumeration_limit_exits_1_with_one_line(self, capsys, flags):
+        code, out, err = run_cli(capsys, "enumerate", "--m", "37", *flags)
+        assert code == 1
+        assert out == ""
+        assert err == "nqsim enumerate: error: " + ENUMERATION_REFUSAL
 
     def test_output_file_deterministic(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -130,6 +144,17 @@ class TestSimulateCommand:
         )
         assert code == 0, err
         assert json.loads(out)["verdict"] is None
+
+    def test_stable_chain_above_the_enumeration_limit_exits_1_with_one_line(self, tmp_path, capsys):
+        # a symmetric chain at M = 37 is stable after 1000 steps, so it would be matched
+        traj = tmp_path / "t.jsonl"
+        code, out, err = run_cli(
+            capsys, "simulate", "--m", "37", "--neighborhood", "sym", "--steps", "1000", "--seed", "1",
+            "--trajectory", str(traj),
+        )
+        assert code == 1
+        assert out == "" and not traj.exists()
+        assert err == "nqsim simulate: error: " + ENUMERATION_REFUSAL
 
     def test_byte_identical_outputs(self, tmp_path, capsys):
         outputs = []
@@ -405,6 +430,14 @@ class TestVerifyCommand:
             if inv["id"] == "matched-limits-reachable-from-empty"
         )
         assert detail == {"stable_replicas": 0, "matched_replicas": 0, "starred_matches": 0}
+
+    def test_stable_replicas_above_the_enumeration_limit_exit_1_with_one_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "sym", "--m", "37", "--steps", "1000", "--replicas", "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "nqsim verify: error: " + ENUMERATION_REFUSAL
 
     def test_algebra_suite_m7(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

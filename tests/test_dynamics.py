@@ -22,11 +22,9 @@ from nqsim.dynamics import (
     parse_rule,
     run,
     sample_site,
-    step,
-    transition_distribution,
 )
 from nqsim.ring import Neighborhood, potentials, reduce_potential
-from nqsim.scaling import total_variation
+from oracles import step, total_variation, transition_distribution
 
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC

@@ -1,24 +1,17 @@
 import dataclasses
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
 
 from nqsim import ensemble, levels, statetable
-from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run, step
+from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run
 from nqsim.ensemble import FLAG_NAMES, EnsembleRequest, EnsembleResult, run_ensemble
-from nqsim.observers import (
-    LevelLog,
-    ParityGapSeries,
-    _window_flags,
-    isolated_zero_centers,
-    pattern,
-    stat_Q,
-    stat_S,
-    stat_W,
-)
+from nqsim.observers import LevelLog, ParityGapSeries, pattern, stat_S
 from nqsim.ring import Neighborhood, potentials, reduce_potential
 from nqsim.scaling import classify_final_ties
+from oracles import isolated_zero_centers, literal_window_flags, neighborhood, stat_Q, stat_W, step
 
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC
@@ -311,28 +304,45 @@ def test_signatures_beyond_site_64_match_single_chain_log():
         assert int(res.persistence_violations[r]) == log.persistence_violations
 
 
-@pytest.mark.parametrize("kind", [ASYM, SYM])
-@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 70])
-def test_level_statistics_match_reference_definitions(kind, m):
+def _check_against_oracles(v, pos, stats, centers, flag_bits):
+    """Each column of `level_statistics` against the literal definitions, on reduced potentials v (M, N)."""
+    m = len(v)
+    columns = zip(v.T.tolist(), pos.T.tolist(), stats.T.tolist(), centers.T.tolist(), flag_bits.tolist())
+    for col, sig, s_q_w, centre_rows, bits in columns:
+        assert tuple(map(int, sig)) == pattern(col)
+        assert s_q_w == [stat_S(col), stat_Q(col), stat_W(col)]
+        # row k marks a centre at site k + 1
+        assert {(k + 1) % m for k, hit in enumerate(centre_rows) if hit} == isolated_zero_centers(sig)
+        flags = literal_window_flags(sig)
+        assert [bool(bits >> i & 1) for i in range(4)] == [flags[n] for n in FLAG_NAMES]
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_level_statistics_match_reference_definitions(m):
+    # Every signature on m sites (32 760 over M = 3..14), its positive entries
+    # 1, 2 or 3 by site so that S varies, as potentials over a minimum of 0.
+    v = np.array(list(product((0, 1), repeat=m)), dtype=np.int64).T * (1 + np.arange(m) % 3)[:, None]
+    n = v.shape[1]
+    pos, stats, centers, flag_bits = levels.level_statistics(
+        v, np.zeros(n, dtype=np.int64), v.sum(axis=0), True, np.arange(n)
+    )
+    _check_against_oracles(v, pos, stats, centers, flag_bits)
+
+
+@pytest.mark.parametrize("kind", [ASYM, SYM], ids=["asym", "sym"])
+def test_level_statistics_match_reference_definitions_at_m70(kind):
     # Random occupancies, each row with its own share of empty sites, give
     # reduced potentials with zeros, ones and larger entries in many
-    # arrangements; each column is checked against the single-chain
-    # definitions of the signature, S, Q, W, the centres and the flags.
+    # arrangements.
+    m = 70
     rng = np.random.default_rng(m)
     xi = rng.integers(1, 3, size=(200, m)) * (rng.random((200, m)) < rng.random((200, 1)))
     u = np.array([potentials(tuple(row), kind) for row in xi.tolist()]).T
+    m_new = u.min(axis=0)
     pos, stats, centers, flag_bits = levels.level_statistics(
-        u, u.min(axis=0), u.sum(axis=0), True, np.arange(len(xi))
+        u, m_new, u.sum(axis=0), True, np.arange(len(xi))
     )
-    for r in range(xi.shape[0]):
-        v = reduce_potential(tuple(u[:, r].tolist()))
-        sig = pattern(v)
-        assert tuple(pos[:, r].astype(int).tolist()) == sig
-        assert [int(x[r]) for x in stats] == [stat_S(v), stat_Q(v), stat_W(v)]
-        # row k marks a centre at site k + 1
-        assert set(np.flatnonzero(np.roll(centers[:, r], 1)).tolist()) == isolated_zero_centers(sig)
-        flags = _window_flags(sig)
-        assert [bool(flag_bits[r] >> i & 1) for i in range(4)] == [flags[n] for n in FLAG_NAMES]
+    _check_against_oracles(u - m_new, pos, stats, centers, flag_bits)
 
 
 # At T = 0 and 1 the only level is level 0, the whole final half, and the
@@ -987,8 +997,6 @@ def _naive_reachable(m: int) -> dict:
     Maps each state to its successors, one per minimiser in site order.
     """
     from collections import deque
-
-    from nqsim.ring import neighborhood
 
     start = (0,) * m
     graph, todo = {}, deque([start])

@@ -1,10 +1,11 @@
-"""No command needs scipy.
+"""No command needs scipy or the tests' oracles, and the oracles stay independent.
 
 nqsim computes the KS and sign-test p-values itself; scipy is a test-only
 oracle.  Each check runs a fresh interpreter, one with
 `sys.modules["scipy"] = None`, which makes every `import scipy` fail as if
 scipy were not installed; nothing is uninstalled.
 """
+import ast
 import json
 import os
 import subprocess
@@ -53,13 +54,52 @@ def _argvs(directory: Path) -> list[list[str]]:
     return [[a.format(dir=directory) for a in cmd] for cmd in COMMANDS]
 
 
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_leaves_test_only_modules_out():
     proc = _python(
         "import sys, nqsim.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "test_only = {'scipy', 'oracles', 'pytest', 'hypothesis'}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in test_only))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Reference oracles that live in tests/oracles.py and nowhere in the package.
+ORACLES = ("step", "_draw_and_place", "transition_distribution", "classify_freeze", "total_variation",
+           "is_limit_configuration", "parity_gap", "stat_Q", "stat_W", "isolated_zero_centers",
+           "neighborhood")
+
+
+def test_package_defines_no_oracle():
+    import oracles
+
+    modules = [nqsim] + [sys.modules[f"nqsim.{short}"] for short in (
+        "ring", "dynamics", "algebra", "observers", "limits", "levels", "ensemble", "scaling", "verify", "cli")]
+    for name in ORACLES:
+        assert callable(getattr(oracles, name))
+        assert [mod.__name__ for mod in modules if hasattr(mod, name)] == [], name
+
+
+# Modules an oracle may not import from: the code the oracles check.
+CHECKED = {"levels", "limits", "ensemble", "statetable", "verify"}
+
+
+def test_oracles_import_nothing_they_check():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = []  # (module, name) for every name imported from nqsim
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(node.module or "", alias.name) for alias in node.names]
+    nqsim_names = [(mod.split("."), name) for mod, name in imported if mod.split(".")[0] == "nqsim"]
+    assert nqsim_names, "the oracles import nothing from nqsim"
+    for parts, name in nqsim_names:
+        # `from nqsim import levels` names the module as the imported name
+        module = parts[1] if len(parts) > 1 else name
+        assert module not in CHECKED, (parts, name)
+        if module == "scaling":
+            assert name == "FreezeOutcome", (parts, name)
 
 
 def test_no_command_imports_scipy(tmp_path):

@@ -4,17 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nqsim import limits
 from nqsim.limits import (
     FULL,
     HALF,
+    MAX_ENUMERATE_M,
     ZERO,
     brute_force_oracle,
     enumerate_limits,
-    is_limit_configuration,
     rotation_classes,
     summary_counts,
     tag_achievability,
 )
+from oracles import is_limit_configuration
 
 
 def F(a, b=1):
@@ -57,6 +59,20 @@ class TestEnumerateSmall:
     def test_m_too_small_rejected(self):
         with pytest.raises(ValueError):
             enumerate_limits(3)
+
+    def test_refused_above_the_limit_before_any_configuration(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def build(symbols):
+            raise Built
+
+        monkeypatch.setattr(limits, "_config_from_symbols", build)
+        with pytest.raises(ValueError, match=f"supported up to M={MAX_ENUMERATE_M}, got M=37"):
+            enumerate_limits(MAX_ENUMERATE_M + 1)
+        # at the limit the search runs, up to its first configuration
+        with pytest.raises(Built):
+            enumerate_limits(MAX_ENUMERATE_M)
 
     def test_m10_misprint_resolution(self):
         # the half pair must carry alpha/8 + alpha/8, not alpha/8 + alpha/4

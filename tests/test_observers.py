@@ -14,20 +14,16 @@ from nqsim.observers import (
     LevelLog,
     ParityGapSeries,
     RenewalCounter,
-    _window_flags,
     detect_convergence,
-    isolated_zero_centers,
     limit_floats,
     match_limit,
     nearest_limit,
-    parity_gap,
     pattern,
     pattern_str,
-    stat_Q,
     stat_S,
-    stat_W,
 )
 from nqsim.ring import Neighborhood, potentials, reduce_potential
+from oracles import isolated_zero_centers, literal_window_flags, parity_gap, stat_Q, stat_W
 
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC
@@ -69,7 +65,7 @@ class TestLevelStatistics:
         ],
     )
     def test_window_flags_one_shape_each(self, sig, flag):
-        flags = _window_flags(sig)
+        flags = literal_window_flags(sig)
         assert sorted(flags) == sorted(
             ["three_positives", "three_zeros", "pair_into_zeros", "lone_positive_in_zeros"]
         )
@@ -138,6 +134,14 @@ class TestLevelLog:
             assert log.report()["level_times_head"][1] <= 3, sites
         assert len(paths) == 6  # 3 first choices, forced second, 2 third choices
 
+    def test_shape_counts_pass_uint16_at_large_m(self):
+        # M / 2 isolated zeros, more than a uint16 sum over the sites holds
+        m = 2**17 + 2
+        v = (1, 0) * (m // 2)
+        log = LevelLog(SYM)
+        log.on_step(TrajectoryRecord(0, (0,) * m, v, v, 0, None))
+        assert log._shapes[v] == (m // 2, 0, 0, int("10" * (m // 2), 2))
+
     @pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
     def test_stat_columns_match_functions(self, kind):
         out = run(ChainState.empty(5, kind), MinRule(), 2000, RandomStream(17, 0), sample_every=1)
@@ -164,15 +168,17 @@ class TestLevelLog:
         assert log.persistence_violations == lost
         # final-half flag counts recounted from the window flags of each level
         for start in (0, len(levels) // 2):
-            flags = [_window_flags(pattern(lv.v)) for lv in levels[start:]]
+            flags = [literal_window_flags(pattern(lv.v)) for lv in levels[start:]]
             assert log.flag_counts(start) == {
                 name: sum(f[name] for f in flags) for name in FLAG_NAMES
             }
-        # every memoised signature shape equals the reference functions
+        # every memoised signature shape equals the reference functions;
+        # bit k of the centre mask marks a centre at 0-based site k
         assert set(log._shapes) == {pattern(lv.v) for lv in levels}
         for sig, (q, w, flag_byte, centers) in log._shapes.items():
-            assert (q, w, centers) == (stat_Q(sig), stat_W(sig), isolated_zero_centers(sig))
-            flags = _window_flags(sig)
+            assert (q, w) == (stat_Q(sig), stat_W(sig))
+            assert centers == sum(1 << k for k in isolated_zero_centers(sig))
+            flags = literal_window_flags(sig)
             assert [bool(flag_byte >> i & 1) for i in range(4)] == [flags[n] for n in FLAG_NAMES]
 
 
@@ -262,27 +268,6 @@ class TestDetectConvergence:
             assert verdict is not None
             assert verdict.mode == mode
             assert verdict.matched is None
-
-
-def literal_window_flags(sig):
-    """The excluded-window flags as a window-by-window scan of the ring."""
-    m = len(sig)
-
-    def win(k, shape):
-        return all(sig[(k + d) % m] == want for d, want in enumerate(shape))
-
-    return {
-        "three_positives": any(win(k, (1, 1, 1)) for k in range(m)),
-        "three_zeros": any(win(k, (0, 0, 0)) for k in range(m)),
-        "pair_into_zeros": any(win(k, (1, 1, 0, 0)) for k in range(m)),
-        "lone_positive_in_zeros": any(win(k, (0, 0, 1, 0, 0)) for k in range(m)),
-    }
-
-
-@pytest.mark.parametrize("m", range(3, 13))
-def test_window_flags_match_literal_scan_on_every_signature(m):
-    for sig in product((0, 1), repeat=m):
-        assert _window_flags(sig) == literal_window_flags(sig), sig
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from nqsim.ring import (
     Neighborhood,
     check_ring_size,
-    neighborhood,
     potentials,
     reduce_potential,
     validate_occupancy,
 )
+from oracles import neighborhood
 
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC

@@ -10,22 +10,21 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from nqsim import verify
-from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run, transition_distribution
+from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run
 from nqsim.ensemble import EnsembleRequest, run_ensemble
 from nqsim.ring import Neighborhood, potentials
 from nqsim.scaling import (
     FreezeOutcome,
     classify_final_ties,
-    classify_freeze,
     estimate_sigma,
     fit_variance_line,
     kolmogorov_cdf,
     ks_statistic,
     sign_test_p,
-    total_variation,
     zeta_sign_test,
     zeta_tail_check,
 )
+from oracles import classify_freeze, total_variation, transition_distribution
 
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC
