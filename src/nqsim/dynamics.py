@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -84,8 +85,42 @@ class RandomStream:
                 raise ValueError(f"{field_name} must fit in 64 bits, got {value}")
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_stream_key(self.seed, self.stream)))
+
+
+def _stream_key(seed: int, stream: int):
+    """A seed sequence that hands Philox the key (seed, stream) as it is.
+
+    Philox takes the key with counter 0, exactly as `Philox(key=...)` does,
+    and no `SeedSequence` is built from OS entropy (several microseconds a
+    stream).
+    """
+    return _stream_key_type()(seed, stream)
+
+
+@lru_cache(maxsize=1)
+def _stream_key_type() -> type:
+    # Defined on first use, since numpy.random is not imported with this module.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamKey(ISeedSequence):
+        # the generator keeps its seed sequence: two ints, not a key array
+        __slots__ = ("seed", "stream")
+
+        def __init__(self, seed: int, stream: int):
+            self.seed, self.stream = seed, stream
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # Philox asks for its key: two 64-bit words
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a stream key is two uint64 words, not {n_words} of {np.dtype(dtype)}")
+            return np.array([self.seed, self.stream], dtype=np.uint64)
+
+        def __reduce__(self):
+            # the class is local, so a pickled generator names the factory
+            return _stream_key, (self.seed, self.stream)
+
+    return StreamKey
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Under the min rule the next state of v depends on v and the draw alone, so v
 is a Markov chain of its own (Kemeny & Snell, *Finite Markov Chains*, ch. 3).
 Under the asymmetric window its reachable set is finite: 9, 70, 473 and 3111
 states from empty at M = 4, 6, 8 and 10.  `min_rule_states` finds that set,
-`state_table` turns it into a transition table, and `advance` steps an
-ensemble on it (see the "State table" paragraph of `ensemble`, which imports
-this module only for requests that can take this path).
+`state_table` turns it into a transition table, and `walk` steps an
+ensemble through one slice of draws on it (see the "State table" paragraph
+of `ensemble`, which imports this module only for requests that can take
+this path).
 """
 from __future__ import annotations
 
@@ -19,12 +20,6 @@ from .ring import Neighborhood
 
 # Bytes per table entry: next base (8), cut (8), site (2), renewal flag (1).
 TABLE_ENTRY_BYTES = 19
-# Lock-steps per slice: a slice's records are (slice, R) arrays, 256 KiB each
-# at R = 1000.
-SLICE_STEPS = 32
-# Bytes per slice cell (uniforms, entries, sites, parity gaps, renewal flags
-# and temporaries).
-SLICE_CELL_BYTES = 64
 
 
 @lru_cache(maxsize=4)
@@ -64,11 +59,6 @@ def min_rule_states(
     return tuple(states), tuple(successors)
 
 
-def table_grid(m: int) -> int:
-    """Grid cells per unit interval: the smallest power of two above M."""
-    return 1 << m.bit_length()
-
-
 @dataclass(frozen=True)
 class StateTable:
     """Min-rule transitions, one entry e = state * stride + 2g + side each.
@@ -85,23 +75,14 @@ class StateTable:
     renew: np.ndarray  # (entries,) bool: the next state is v == 0
 
 
-def state_table(states: tuple, successors: tuple, thr: np.ndarray) -> StateTable:
-    """The table of `min_rule_states`' chain, given the engine's thresholds THR (M+1, M+1)."""
-    m = len(thr) - 1
-    grid = table_grid(m)
-    # rank[n, g, side]: the tie-set rank a draw in cell g takes, below (0) or at
-    # or above (1) the cell's cut.  The n - 1 breakpoints THR[n, 1..n-1] lie
-    # about 1/n apart, so a cell narrower than 1/M holds at most one of them.
-    cell_low = np.arange(grid) / grid
-    rank = np.zeros((m + 1, grid, 2), dtype=np.intp)
-    cut = np.full((m + 1, grid), 2.0)
-    for n in range(2, m + 1):
-        breaks = thr[n, 1:n]
-        cells = (breaks * grid).astype(np.intp)
-        assert (np.diff(cells) > 0).all()
-        cut[n, cells] = breaks
-        rank[n, :, 0] = np.searchsorted(breaks, cell_low)
-        rank[n, :, 1] = rank[n, :, 0] + (cut[n] < 2.0)
+def state_table(states: tuple, successors: tuple, rank: np.ndarray, cut: np.ndarray) -> StateTable:
+    """The table of `min_rule_states`' chain, given the engine's grid cuts (`ensemble._cell_cuts`).
+
+    rank[n, g, side] is the tie-set rank a draw in cell g takes below (0) or at
+    or above (1) the cell's cut cut[n, g].
+    """
+    m = len(cut) - 1
+    grid = cut.shape[1]
     v = np.array(states)
     n = (v == 0).sum(axis=1)
     members = np.argsort(v != 0, axis=1, kind="stable")  # tie-set sites first, in site order
@@ -121,24 +102,14 @@ def state_table(states: tuple, successors: tuple, thr: np.ndarray) -> StateTable
     )
 
 
-def advance(tab: StateTable, base, unif, t0: int, xi, D, parity_sign, res, renewals) -> None:
-    """Advance every replica through steps t0 + 1 .. t0 + unif.shape[1], a slice at a time.
+def walk(tab: StateTable, base: np.ndarray, draws: np.ndarray, renewals: bool) -> tuple:
+    """Step every replica through one slice of draws (R, steps).
 
-    unif (R, steps) holds the draws.  base (R,) is each replica's state's first
-    entry; base, the site-major occupancies xi (M, R) and the parity gap D (R,)
-    are updated in place.  The result `res` receives the site record and the
-    checkpoints its request asks for; `renewals(hit, d)`, if given, receives
-    each slice's renewals with the parity gap after each step, (slice, R) each.
+    base (R,) is each replica's state's first entry, updated in place.  Returns
+    the 0-based sites (steps, R), row j for the slice's step j, and, if
+    `renewals`, whether each step ends on v == 0 (steps, R), else None.
     """
-    for j in range(0, unif.shape[1], SLICE_STEPS):
-        # a call per slice, so that a slice's arrays are freed before the next one's
-        _slice(tab, base, unif[:, j : j + SLICE_STEPS], t0 + j, xi, D, parity_sign, res, renewals)
-
-
-def _slice(tab, base, unif, t, xi, D, parity_sign, res, renewals) -> None:
-    m, R = xi.shape
-    steps = unif.shape[1]
-    U = np.ascontiguousarray(unif.T)  # (steps, R): row j is step t + j + 1
+    U = np.ascontiguousarray(draws.T)
     # 2 * floor(U * grid), the offset of U's cell in a state's entries; float64
     # converts to int32 several times faster than to int64
     entry = (U * tab.stride).astype(np.int32)
@@ -148,21 +119,4 @@ def _slice(tab, base, unif, t, xi, D, parity_sign, res, renewals) -> None:
         e += base
         e += u_j >= tab.cut.take(e)
         tab.next.take(e, out=base, mode="clip")  # e is in range; "raise" would buffer
-    sites = tab.site.take(entry)
-    cell = np.multiply(sites, R, dtype=np.intp)  # site-major cell of xi
-    cell += np.arange(R)
-    xi += np.bincount(cell.ravel(), minlength=m * R).reshape(m, R)
-    if res.sites is not None:
-        res.sites[:, t : t + steps] = sites.T + 1
-    if renewals is not None or max(res.h_checkpoints, default=0) > t:
-        d = parity_sign.take(sites)
-        d[0] += D
-        for j in range(1, steps):  # row by row: numpy's cumsum is slower here
-            d[j] += d[j - 1]
-        # d[j]: the parity gap after step t + j + 1
-        for tc in res.h_checkpoints:
-            if t < tc <= t + steps:
-                res.h_checkpoints[tc] = d[tc - t - 1] / m
-        if renewals is not None:
-            renewals(tab.renew.take(entry), d)
-        D[:] = d[-1]
+    return tab.site.take(entry), tab.renew.take(entry) if renewals else None

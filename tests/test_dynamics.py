@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 from itertools import accumulate, repeat
 
@@ -255,6 +256,28 @@ class TestRun:
         g2 = RandomStream(77, 3).generator()
         scalars = [g1.random() for _ in range(64)]
         assert scalars == list(g2.random(64))
+
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (2**64 - 1, 5), (12345, 2**64 - 1), (2**63, 2**63 - 1)])
+    def test_stream_is_philox_keyed_by_seed_and_stream(self, seed, stream):
+        # The stream hands Philox its key directly, with counter 0: the state
+        # and the draws are those of Philox(key=...), and no SeedSequence
+        # (built from OS entropy) is made.
+        gen = RandomStream(seed, stream).generator()
+        ref = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        state, want = gen.bit_generator.state, ref.bit_generator.state
+        assert state.keys() == want.keys()
+        for name in state:
+            if isinstance(state[name], dict):
+                assert state[name].keys() == want[name].keys()
+                for part in state[name]:
+                    assert np.array_equal(state[name][part], want[name][part]), part
+            else:
+                assert np.array_equal(state[name], want[name]), name
+        assert not isinstance(gen.bit_generator.seed_seq, np.random.SeedSequence)
+        assert gen.random(100).tolist() == ref.random(100).tolist()
+        # a generator still pickles, and the copy continues the stream
+        copy = pickle.loads(pickle.dumps(gen))
+        assert copy.random(100).tolist() == ref.random(100).tolist()
 
     def test_records_serialize_with_one_based_sites(self):
         out = run(ChainState.empty(4, ASYM), MinRule(), 5, RandomStream(2, 0), sample_every=1)

@@ -853,10 +853,18 @@ def test_size_guard_refuses_before_allocating(monkeypatch):
     # the level buffer is counted: an int64 potential per cell, an id and a step per column
     with_levels = dataclasses.replace(req, track_levels=True)
     need = ensemble._footprint_bytes(with_levels, 5)
-    assert need == ensemble._footprint_bytes(req, 5) + 8 * (5 + 2) * levels.buffer_columns(5, 20)
+    assert need == ensemble._footprint_bytes(req, 5) + levels.buffer_bytes(5, 20)
+    assert levels.buffer_bytes(5, 20) == (8 * 5 + 2 + 8) * levels.buffer_columns(5, 20)
+    # the tie-set code table is counted at M <= 10: 2^M codes of 2 * grid entries
+    with monkeypatch.context() as mp:
+        mp.setattr(ensemble, "_TABLE_MAX_M", 0)
+        table = need - ensemble._footprint_bytes(with_levels, 5)
+    assert table == ensemble._CODE_ENTRY_BYTES * 2**5 * 2 * ensemble._table_grid(5)
     monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", need - 1)
     with monkeypatch.context() as mp:
-        mp.setattr(ensemble, "LevelTracker", None)  # refused before the tracker is built
+        # refused before the code table and the tracker are built
+        mp.setattr(ensemble, "_code_table", None)
+        mp.setattr(ensemble, "LevelTracker", None)
         with pytest.raises(ValueError, match="MiB limit"):
             run_ensemble(with_levels)
     monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", need)
@@ -926,6 +934,74 @@ def test_state_table_matches_lock_step(monkeypatch, m, steps, random_init):
                     assert res.sites[r].tolist() == [rec.site for rec in out.records[1:]]
                     assert tuple(res.xi[r]) == out.final.xi
                     assert tuple(res.u[r]) == out.final.u
+
+
+# Every tie-set code at M = 4..10 under both windows and rules, drawn at 0,
+# at each threshold THR[n, k] of its size n and the float just below it, and
+# just below 1.
+@pytest.mark.parametrize("m", range(4, 11))
+@pytest.mark.parametrize("kind", [ASYM, SYM])
+@pytest.mark.parametrize("rule", RULES, ids=str)
+def test_code_table_draws_every_tie_set(m, kind, rule):
+    is_min = isinstance(rule, MinRule)
+    thr = ensemble._threshold_table(m)
+    tab = ensemble._code_table(m, kind, is_min, thr)
+    grid = tab.stride // 2
+    # raised[k]: the sites whose window holds site k, so that a particle at k raises them
+    raised = [sum(1 << (k - d) % m for d in kind.offsets) for k in range(m)]
+    # the rank-matmul draw: (table_index @ mask)[i] = (m + 1) * n + (members at sites <= i)
+    table_index = np.tril(np.ones((m, m))) + (m + 1)
+    for z in range(1, 2**m):
+        mask = z >> np.arange(m) & 1
+        n = int(mask.sum())
+        draws = [0.0, np.nextafter(1.0, 0.0)]
+        for k in range(1, n):
+            draws += [thr[n, k], np.nextafter(thr[n, k], 0.0)]
+        U = np.array(draws)
+        e = z * tab.stride + 2 * (U * grid).astype(np.intp)
+        e += U >= tab.cut[e]
+        sites = tab.site[e].tolist()
+        c = thr.ravel().take((table_index @ mask).astype(np.intp))
+        assert sites == (c[:, None] <= U).sum(axis=0).tolist(), z
+        want = [z & ~raised[k] if is_min else z & raised[k] for k in sites]
+        assert (tab.next[e] // tab.stride).tolist() == want, z
+
+
+def _path_trackers(steps: int) -> dict:
+    """Tracker sets of the code-table test; the checkpoints include 0 and a repeat."""
+    checkpoints = (0, steps // 2, steps, steps // 2)
+    records = {"h_checkpoints": checkpoints, "record_sites": True, "track_last_seen": True}
+    levels = {"track_levels": True, "store_level_flags": True}
+    return {
+        "none": {},
+        "levels": levels,
+        "renewals": {"track_renewals": True},
+        "bounds": {"check_bounds": True},
+        "records": records,
+        "all": {**levels, **records, "track_renewals": True, "check_bounds": True},
+    }
+
+
+# The code table against the rank-matmul draw, forced by _TABLE_MAX_M = 0,
+# which also keeps asymmetric min-rule requests off the state table.
+@pytest.mark.parametrize("m", range(4, 11))
+@pytest.mark.parametrize("kind", [ASYM, SYM])
+@pytest.mark.parametrize("rule", RULES, ids=str)
+def test_code_table_matches_rank_draw(monkeypatch, m, kind, rule):
+    seed = 600 + m
+    cases = (
+        (_random_init(m, seed), 0, 2), (_random_init(m, seed + 1), 1, 3),
+        (_random_init(m, seed + 2), 150, 4), ((0,) * m, 150, 4), (_random_init(m, seed + 3), 40, 60),
+    )
+    for init, steps, replicas in cases:
+        for flags in _path_trackers(steps).values():
+            req = EnsembleRequest(
+                m=m, kind=kind, rule=rule, steps=steps, replicas=replicas, seed=seed, init=init, **flags,
+            )
+            with monkeypatch.context() as mp:
+                mp.setattr(ensemble, "_TABLE_MAX_M", 0)
+                ref = run_ensemble(req)
+            _assert_identical(run_ensemble(req), ref)
 
 
 def test_state_table_path_guard(monkeypatch):
@@ -1078,11 +1154,11 @@ def test_size_guard_counts_the_state_table(monkeypatch):
     )
     table = ensemble._footprint_bytes(req, 8, 473)
     # each state's 2 * grid entries are counted, and the per-slice records
-    per_state = statetable.TABLE_ENTRY_BYTES * 2 * statetable.table_grid(8)
+    per_state = statetable.TABLE_ENTRY_BYTES * 2 * ensemble._table_grid(8)
     assert table - ensemble._footprint_bytes(req, 8, 472) == per_state
-    per_slice = statetable.SLICE_CELL_BYTES * statetable.SLICE_STEPS * 100
+    per_slice = ensemble._SLICE_CELL_BYTES * ensemble._SLICE_STEPS * 100
     with monkeypatch.context() as mp:
-        mp.setattr(statetable, "SLICE_STEPS", 2 * statetable.SLICE_STEPS)
+        mp.setattr(ensemble, "_SLICE_STEPS", 2 * ensemble._SLICE_STEPS)
         assert ensemble._footprint_bytes(req, 8, 473) - table == per_slice
     monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", table)
     run_ensemble(req)
