@@ -13,10 +13,11 @@ table, `_SITE_OK` over the 3^5 windows (a, b, c, d, e) centred on c, holds
 them all; the set is a cyclic subshift of finite type.  `enumerate_limits`
 generates it by a depth-first search over symbol strings that checks each
 window once it is placed, up to M = MAX_ENUMERATE_M.  `brute_force_oracle`
-re-derives it by literally filtering all 3^M strings: an independent check
-for the tests, and the work of the benchmark's chain-exact oracle jobs.  The
-validator on exact fraction vectors, `is_limit_configuration`, is in
-tests/oracles.py.
+re-derives it by literally filtering all 3^M strings, site-major in blocks
+of 3^ORACLE_TAIL strings that share their first symbols, without the window
+table: an independent check for the tests, and the work of the benchmark's
+chain-exact oracle jobs.  The validator on exact fraction vectors,
+`is_limit_configuration`, is in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -146,44 +147,55 @@ def enumerate_limits(m: int) -> tuple[LimitConfiguration, ...]:
     return tuple(found)
 
 
-_ORACLE_BLOCK = 3**8  # symbol strings decoded per block; bounds the oracle's memory
+# The oracle's block holds every string with the same first M - ORACLE_TAIL
+# symbols: 3^9 strings, which bounds its memory.
+ORACLE_TAIL = 9
 
 
 def brute_force_oracle(m: int) -> tuple[LimitConfiguration, ...]:
     """Second, independently coded filter over all 3^M symbol strings.
 
-    Strings are decoded in fixed blocks, in the lexicographic order of
-    itertools.product, and each local rule is applied literally as an array
-    mask over the block.  An oracle for the tests and the benchmark; the
-    budget caps M at 16.
+    The strings are taken in blocks that fix the first M - b symbols (the
+    head), with b = min(M, ORACLE_TAIL), in the lexicographic order of
+    itertools.product.  A block is held site-major: row j holds symbol
+    M - b + j of its 3^b strings, the same rows for every block, and a head
+    symbol is a constant.  Each local rule is applied literally as a mask,
+    elementwise over the rows of a site and its neighbours, and "some site"
+    is an OR of rows.  An oracle for the tests and the benchmark; the budget
+    caps M at 16.
     """
     if m < 4:
         raise ValueError(f"limit enumeration needs M >= 4, got {m}")
     if m > 16:
         raise ValueError(f"3^M budget exceeded for M={m}")
-
-    def shift(a: np.ndarray, d: int) -> np.ndarray:  # column i holds symbol i + d, cyclically
-        return np.roll(a, -d, axis=1)
-
+    b = min(m, ORACLE_TAIL)
+    symbols = np.arange(3, dtype=np.int8)
+    tail = np.array([np.tile(np.repeat(symbols, 3 ** (b - 1 - j)), 3**j) for j in range(b)])
+    tail_is = [(row == ZERO, row == HALF, row == FULL) for row in tail]
+    constant = (np.zeros(3**b, dtype=bool), np.ones(3**b, dtype=bool))  # read only
     found = []
-    for start in range(0, 3**m, _ORACLE_BLOCK):
-        codes = np.arange(start, min(start + _ORACLE_BLOCK, 3**m), dtype=np.int64)
-        s = np.empty((len(codes), m), dtype=np.int8)
-        for k in range(m - 1, -1, -1):  # first symbol most significant
-            codes, s[:, k] = np.divmod(codes, 3)
-        left, right = shift(s, -1), shift(s, 1)
-        valid = (s != ZERO).any(axis=1)  # no alpha > 0 can give the zero string sum 1
-        valid &= ~((s == ZERO) & (left == ZERO) & (right == ZERO)).any(axis=1)
-        valid &= ~((s == FULL) & ((left != ZERO) | (right != ZERO))).any(axis=1)
+    for head in product((ZERO, HALF, FULL), repeat=m - b):
+        head_is = [(constant[s == ZERO], constant[s == HALF], constant[s == FULL]) for s in head]
+        zero, half, full = zip(*head_is, *tail_is)  # per site; index i - 1 wraps, i + 1 is taken mod m
         # window (full, 0, half, half, 0, full) over symbols j-3 .. j+2
-        window = np.ones(s.shape, dtype=bool)
-        for d, want in zip(range(-3, 3), (FULL, ZERO, HALF, HALF, ZERO, FULL)):
-            window &= shift(s, d) == want
-        valid &= ~((s == HALF) & ~(window | shift(window, 1))).any(axis=1)
+        window = [
+            full[j - 3] & zero[j - 2] & half[j - 1] & half[j] & zero[(j + 1) % m] & full[(j + 2) % m]
+            for j in range(m)
+        ]
+        positive = np.zeros(3**b, dtype=bool)  # no alpha > 0 can give the zero string sum 1
+        bad = np.zeros(3**b, dtype=bool)
+        for i in range(m):
+            left_zero, right_zero = zero[i - 1], zero[(i + 1) % m]
+            positive |= ~zero[i]
+            bad |= zero[i] & left_zero & right_zero
+            bad |= full[i] & ~(left_zero & right_zero)
+            bad |= half[i] & ~(window[i] | window[(i + 1) % m])
+        valid = positive & ~bad
         if m % 3 == 0:
             for j in range(3):
-                valid &= (s[:, j::3] == ZERO).any(axis=1)
-        found.extend(_config_from_symbols(tuple(row)) for row in s[valid].tolist())
+                valid &= np.any(zero[j::3], axis=0)
+        hits = tail[:, np.flatnonzero(valid)].T.tolist()
+        found.extend(_config_from_symbols(head + tuple(row)) for row in hits)
     return tuple(found)
 
 

@@ -273,10 +273,6 @@ def suite_appendix(
     return VerificationReport("appendix", config, invariants)
 
 
-def _random_occupancy(rng: np.random.Generator, m: int, high: int = 20) -> tuple[int, ...]:
-    return tuple(rng.integers(0, high, size=m).tolist())
-
-
 def _reproduces(base: tuple, u: tuple, kind: Neighborhood) -> bool:
     """Whether the Fraction occupancy `base` has potentials `u`.
 
@@ -288,6 +284,27 @@ def _reproduces(base: tuple, u: tuple, kind: Neighborhood) -> bool:
     return potentials(base, kind) == u
 
 
+# Cells (trials x columns) drawn at once by an algebra battery; bounds its arrays.
+ALGEBRA_BATCH_CELLS = 2**14
+# The suite refuses a ring whose estimated footprint (`algebra_bytes`) exceeds
+# this, the limit of `simulate` and of the ensemble.
+MAX_ALGEBRA_BYTES = 2**32
+# `algebra_bytes` per cell of a batch: the drawn cases, their potentials and
+# their lists, and one trial's solver lists and Fraction tuple.  Measured
+# tracemalloc peaks of the whole suite: 146-220 bytes per site at M = 1e4,
+# 1e5 and 1e6 (2 trials, one case per batch), 110 per cell at M = 7.
+_ALGEBRA_CELL_BYTES = 256
+
+
+def algebra_bytes(m: int) -> int:
+    """Estimated peak bytes of `suite_algebra` on ring size m, whatever the trials.
+
+    Its batteries run on rings of up to m + 2 sites, and a batch holds at
+    most ALGEBRA_BATCH_CELLS cells, or one case of a larger ring.
+    """
+    return max(m + 2, ALGEBRA_BATCH_CELLS) * _ALGEBRA_CELL_BYTES
+
+
 def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
     """Round-trip, family-substitution and infeasibility batteries.
 
@@ -295,37 +312,64 @@ def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
     the family and infeasibility checks need the complementary parities.  The
     requested m is nudged to the nearest size of the right kind for each
     check, recorded in the detail.
+
+    Each battery draws its cases in batches of at most ALGEBRA_BATCH_CELLS
+    cells, and takes the potentials of a whole batch at once.  A batch of n
+    rows is the n cases that n draws of one case each would give, in order,
+    so the report does not depend on the batch size.  A ring whose footprint
+    exceeds MAX_ALGEBRA_BYTES is refused before anything is drawn.
     """
     if m < 4:
         raise ValueError(f"algebra suite needs M >= 4, got {m}")
     if trials < 1:  # zero trials would pass every invariant vacuously
         raise ValueError(f"algebra suite needs trials >= 1, got {trials}")
+    need = algebra_bytes(m)
+    if need > MAX_ALGEBRA_BYTES:
+        raise ValueError(
+            f"algebra suite at M={m} needs about {need / 2**20:.0f} MiB, "
+            f"above the {MAX_ALGEBRA_BYTES / 2**20:.0f} MiB limit"
+        )
     rng = np.random.default_rng(seed)
     asym, sym = Neighborhood.ASYMMETRIC, Neighborhood.SYMMETRIC
     solvers = {asym: solve_occupancy_asym, sym: solve_occupancy_sym}
 
-    def battery(id_: str, size: int, passes: Callable[[int], bool]) -> InvariantResult:
-        """`trials` calls of `passes(size)`, each drawing its own case from `rng`."""
-        failures = sum(1 for _ in range(trials) if not passes(size))
+    def battery(
+        id_: str, kind: Neighborhood, size: int, passes: Callable, bumped: bool = False
+    ) -> InvariantResult:
+        """`trials` calls of `passes(kind, xi, u)` on drawn cases, counting the false ones.
+
+        A case is `size` occupancies in [0, 20) and their potentials; in a
+        bumped case the occupancies are in [0, 15) and a last drawn column
+        names the potential raised by 1.
+        """
+        high = np.array([15] * size + [size]) if bumped else 20
+        width = size + bumped
+        per_batch = max(1, ALGEBRA_BATCH_CELLS // width)
+        failures = 0
+        for start in range(0, trials, per_batch):
+            cases = rng.integers(0, high, size=(min(per_batch, trials - start), width))
+            xi = cases[:, :size]
+            u = sum(np.roll(xi, -d, axis=1) for d in kind.offsets)
+            if bumped:
+                u[np.arange(len(u)), cases[:, size]] += 1
+            failures += sum(
+                not passes(kind, tuple(x), tuple(v)) for x, v in zip(xi.tolist(), u.tolist())
+            )
         return InvariantResult(
             id_, failures == 0, None, {"trials": trials, "failures": failures, "m": size}
         )
 
-    def unique(kind: Neighborhood, size: int) -> bool:
-        xi = _random_occupancy(rng, size)
-        outcome = solvers[kind](potentials(xi, kind))
+    def unique(kind: Neighborhood, xi: tuple, u: tuple) -> bool:
+        outcome = solvers[kind](u)
         return isinstance(outcome, Unique) and outcome.xi == xi
 
-    def family(kind: Neighborhood, size: int) -> bool:
-        u = potentials(_random_occupancy(rng, size), kind)
+    def family(kind: Neighborhood, xi: tuple, u: tuple) -> bool:
         outcome = solvers[kind](u)
         return isinstance(outcome, Family) and _reproduces(outcome.base, u, kind)
 
-    def infeasible(kind: Neighborhood, condition: str, size: int) -> bool:
+    def infeasible(condition: str, kind: Neighborhood, xi: tuple, u: tuple) -> bool:
         # Potentials of an occupancy satisfy the sum condition; bumping a
         # single entry breaks it by exactly 1.
-        u = list(potentials(_random_occupancy(rng, size, high=15), kind))
-        u[int(rng.integers(0, size))] += 1
         outcome = solvers[kind](u)
         return isinstance(outcome, Infeasible) and outcome.condition == condition
 
@@ -334,12 +378,12 @@ def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
     m_non3 = m if m % 3 != 0 else m + 1
     m_div3 = m if m % 3 == 0 else m + (3 - m % 3)
     invariants = [
-        battery("round-trip-unique-asym", m_odd, partial(unique, asym)),
-        battery("round-trip-unique-sym", m_non3, partial(unique, sym)),
-        battery("family-base-reproduces-potentials-asym", m_even, partial(family, asym)),
-        battery("family-base-reproduces-potentials-sym", m_div3, partial(family, sym)),
-        battery("infeasible-parity-detected", m_even, partial(infeasible, asym, "parity")),
-        battery("infeasible-mod3-detected", m_div3, partial(infeasible, sym, "mod3")),
+        battery("round-trip-unique-asym", asym, m_odd, unique),
+        battery("round-trip-unique-sym", sym, m_non3, unique),
+        battery("family-base-reproduces-potentials-asym", asym, m_even, family),
+        battery("family-base-reproduces-potentials-sym", sym, m_div3, family),
+        battery("infeasible-parity-detected", asym, m_even, partial(infeasible, "parity"), True),
+        battery("infeasible-mod3-detected", sym, m_div3, partial(infeasible, "mod3"), True),
     ]
     config = {"m": m, "seed": seed, "trials": trials}
     return VerificationReport("algebra", config, invariants)

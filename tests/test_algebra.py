@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nqsim import verify
 from nqsim.algebra import (
     Family,
     Infeasible,
@@ -240,3 +241,97 @@ def test_solver_matches_literal_fraction_solver(kind, m):
         assert outcomes == ({Unique} if m % 2 else {Family, Infeasible})
     else:
         assert outcomes == ({Family, Infeasible} if m % 3 == 0 else {Unique})
+
+
+# --- the `verify --suite algebra` batteries --------------------------------
+
+SUITE_SEEDS = (1, 6, 808, 2701)
+
+
+@pytest.mark.parametrize("seed", SUITE_SEEDS)
+@pytest.mark.parametrize("size", (4, 7, 8, 9, 12))
+def test_batched_draws_are_the_per_trial_draws(seed, size):
+    # The suite draws n cases at once; numpy must give the n cases that n
+    # draws of one case each give, and leave the generator in the same state.
+    n = 37
+    one, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    per_trial = [one.integers(0, 20, size=size) for _ in range(n)]
+    assert np.array_equal(batched.integers(0, 20, size=(n, size)), per_trial)
+    assert batched.bit_generator.state == one.bit_generator.state
+    # an infeasible case: occupancies in [0, 15), then the index to bump
+    per_trial = [np.append(one.integers(0, 15, size=size), one.integers(0, size)) for _ in range(n)]
+    high = np.array([15] * size + [size])
+    assert np.array_equal(batched.integers(0, high, size=(n, size + 1)), per_trial)
+    assert batched.bit_generator.state == one.bit_generator.state
+
+
+def _sizes(m):
+    """The ring each battery runs on, in the suite's order: (id, kind, size, check)."""
+    odd, even = m + (m % 2 == 0), m + (m % 2)
+    non3, div3 = m + (m % 3 == 0), m + (-m) % 3
+    return [
+        ("round-trip-unique-asym", ASYM, odd, "unique"),
+        ("round-trip-unique-sym", SYM, non3, "unique"),
+        ("family-base-reproduces-potentials-asym", ASYM, even, "family"),
+        ("family-base-reproduces-potentials-sym", SYM, div3, "family"),
+        ("infeasible-parity-detected", ASYM, even, "parity"),
+        ("infeasible-mod3-detected", SYM, div3, "mod3"),
+    ]
+
+
+def replayed_failures(m, seed, trials):
+    """Failures per battery, one case drawn per trial, with the solvers `verify` holds now."""
+    rng = np.random.default_rng(seed)
+    solve = {ASYM: verify.solve_occupancy_asym, SYM: verify.solve_occupancy_sym}
+    failures = {}
+    for id_, kind, size, check in _sizes(m):
+        failures[id_] = 0
+        for _ in range(trials):
+            if check in ("unique", "family"):
+                xi = tuple(int(x) for x in rng.integers(0, 20, size=size))
+                u = potentials(xi, kind)
+            else:
+                u = list(potentials(tuple(int(x) for x in rng.integers(0, 15, size=size)), kind))
+                u[int(rng.integers(0, size))] += 1
+            out = solve[kind](u)
+            if check == "unique":
+                ok = isinstance(out, Unique) and out.xi == tuple(Fraction(x) for x in xi)
+            elif check == "family":
+                ok = isinstance(out, Family) and potentials(out.base, kind) == u
+            else:
+                ok = out == Infeasible(check)
+            failures[id_] += not ok
+    return failures
+
+
+def _battery(report):
+    return {inv.id: (inv.passed, inv.detail) for inv in report.invariants}
+
+
+@pytest.mark.parametrize("seed", (1, 6, 2701))
+@pytest.mark.parametrize("m", (4, 7, 12))
+def test_report_does_not_depend_on_the_batch(monkeypatch, seed, m):
+    whole = _battery(verify.suite_algebra(m, seed, 120))
+    for cells in (1, 50):  # one trial per batch; batches that split the trials unevenly
+        monkeypatch.setattr(verify, "ALGEBRA_BATCH_CELLS", cells)
+        assert _battery(verify.suite_algebra(m, seed, 120)) == whole
+
+
+@pytest.mark.parametrize("cells", (verify.ALGEBRA_BATCH_CELLS, 50))
+@pytest.mark.parametrize("seed", (1, 6, 2701))
+@pytest.mark.parametrize("m", (4, 7, 12))
+def test_failures_are_counted_per_trial(monkeypatch, cells, seed, m):
+    def erring(solve, wrong):
+        return lambda u: Infeasible("planted") if wrong(u) else solve(u)
+
+    # each solver errs on a known part of its inputs
+    monkeypatch.setattr(verify, "solve_occupancy_asym", erring(solve_occupancy_asym, lambda u: u[0] % 2))
+    monkeypatch.setattr(verify, "solve_occupancy_sym", erring(solve_occupancy_sym, lambda u: u[1] % 3 == 0))
+    monkeypatch.setattr(verify, "ALGEBRA_BATCH_CELLS", cells)
+    trials = 150
+    expected = replayed_failures(m, seed, trials)
+    assert all(0 < n < trials for n in expected.values()), expected
+    report = verify.suite_algebra(m, seed, trials)
+    assert {inv.id: inv.detail["failures"] for inv in report.invariants} == expected
+    assert [(inv.id, inv.detail["m"]) for inv in report.invariants] == [(i, n) for i, _, n, _ in _sizes(m)]
+    assert not any(inv.passed for inv in report.invariants)

@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import nqsim.cli
+import nqsim.verify
 from nqsim.cli import main
 from nqsim.dynamics import ChainState, MinRule, RandomStream
 from nqsim.ensemble import EnsembleRequest, run_ensemble
@@ -501,6 +503,28 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         assert err == f"nqsim verify: error: algebra suite needs trials >= 1, got {trials}\n"
+
+    def test_algebra_suite_refuses_a_ring_it_cannot_hold_before_drawing(self, capsys, monkeypatch):
+        class NoDraws:
+            def integers(self, *args, **kwargs):
+                raise AssertionError("a case was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        with pytest.raises(AssertionError):  # the stub sees a draw
+            main(["verify", "--suite", "algebra", "--m", "7", "--trials", "1"])
+        code, out, err = run_cli(capsys, "verify", "--suite", "algebra", "--m", "100000000")
+        assert code == 1
+        assert out == ""
+        assert err == ("nqsim verify: error: algebra suite at M=100000000 needs about 24414 MiB, "
+                       "above the 4096 MiB limit\n")
+
+    def test_algebra_limit_is_inclusive(self, capsys, monkeypatch):
+        argv = ("verify", "--suite", "algebra", "--m", "7", "--trials", "3", "--out", os.devnull)
+        monkeypatch.setattr(nqsim.verify, "MAX_ALGEBRA_BYTES", nqsim.verify.algebra_bytes(7))
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(nqsim.verify, "MAX_ALGEBRA_BYTES", nqsim.verify.algebra_bytes(7) - 1)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.endswith("MiB limit\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("suite", ["sym", "asym-odd", "algebra"])
     def test_neighborhood_outside_appendix_exits_1(self, capsys, suite):

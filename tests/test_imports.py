@@ -154,6 +154,25 @@ def test_cli_import_builds_no_tie_row():
     assert proc.stdout.split() == ["0", "0"]
 
 
+def test_cli_import_loads_only_nqsim_and_numpy_and_builds_no_oracle_row():
+    # Set-up work added to `import nqsim.cli` shows here before it shows in a
+    # start-up benchmark: a new third-party package, or oracle rows built at import.
+    proc = _python(
+        "import sys\n"
+        "before = {m.split('.')[0] for m in sys.modules}\n"
+        "import numpy as np\n"
+        "calls = []\n"
+        "for name in ('tile', 'repeat'):\n"
+        "    setattr(np, name, lambda *a, _f=getattr(np, name), **k: calls.append(1) or _f(*a, **k))\n"
+        "import nqsim.cli, nqsim.limits\n"
+        "loaded = {m.split('.')[0] for m in sys.modules} - before - set(sys.stdlib_module_names)\n"
+        "arrays = [k for k, v in vars(nqsim.limits).items() if isinstance(v, np.ndarray)]\n"
+        "print(sorted(loaded), len(calls), arrays)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['nqsim', 'numpy'] 0 []"
+
+
 def test_cli_import_builds_no_parser():
     # The parser is built by the first `main` call, once per process.
     proc = _python(

@@ -1,3 +1,6 @@
+import ast
+import inspect
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -151,6 +154,30 @@ class TestOracle:
     def test_oracle_budget(self):
         with pytest.raises(ValueError):
             brute_force_oracle(17)
+
+    def test_oracle_reads_no_enumeration_table(self):
+        tree = ast.parse(inspect.getsource(limits.brute_force_oracle))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert {"ZERO", "HALF", "FULL"} <= names
+        assert names.isdisjoint(
+            {"_SITE_OK", "_OPEN_OK", "_START_OK", "_site_ok", "_closes", "enumerate_limits"}
+        )
+
+    def test_oracle_memory_is_one_block_of_3_to_the_9(self):
+        m, b = 13, 9
+        brute_force_oracle(m)
+        tracemalloc.start()
+        try:
+            brute_force_oracle(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A block of 3^b strings holds one byte per string in each row: a
+        # symbol row and three mask rows per varying site, a window row per
+        # site and a few working rows.  Twice that is less than a block of
+        # 3^(b+1) strings takes.
+        assert peak < 2 * (4 * b + m + 8) * 3**b
 
 
 class TestRotationClasses:
