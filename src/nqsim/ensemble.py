@@ -10,12 +10,12 @@ therefore independent of any batching and stay in replica order.
 Layout: occupancies and potentials are held site-major, as (M, R) int64
 arrays with one contiguous R-vector per site, so each per-step reduction over
 the sites runs along axis 0.  Results are returned replica-major, (R, M).
-At M <= _TABLE_MAX_M (10) a lock-step reads a table of tie-set codes (below)
-and costs O(R) numpy work besides the potentials' update.  Above M = 10 the
-tie-set ranks of the rank draw are an (M, M) @ (M, R) product, O(M^2 R) per
-lock-step: at the rings the suites run that beats numpy's slow axis-0
-cumsum, but the cost grows quadratically, and from about M = 70 replica-major
-(R, M) arrays reduced along axis 1 are faster.
+At M <= _TABLE_MAX_M (10) each replica steps on a table (below) at O(R)
+numpy work per step, besides the potentials' update where any are read.
+Above M = 10 the tie-set ranks of the rank draw are an (M, M) @ (M, R)
+product, O(M^2 R) per lock-step: at the rings the suites run that beats
+numpy's slow axis-0 cumsum, but the cost grows quadratically, and from about
+M = 70 replica-major (R, M) arrays reduced along axis 1 are faster.
 
 Site draw: the oracle `step` (tests/oracles.py), through `sample_site`, takes
 the first site with U < c, where c = cumsum(mask / n) over the n-member min
@@ -34,29 +34,42 @@ use, and bisects them; `TestRunReplaysStep` pins it to `step`.
     n-member tie set lie about 1/n apart, so a cell holds at most one of
     them, stored as the cell's cut (`_cell_cuts`).  The rank that U >= cut
     selects, #{j : THR[n, j] <= U}, is the count the rank draw makes from the
-    same floats, so every site is identical.  Each replica's tie set is held
-    as an integer code (bit i: site i), and a table built per run gives, for
-    each (code, g, side), the site k and the next code (`_code_table`).  The
-    chosen site raises the sites raised(k) whose window holds it.  Under the
-    max rule the maximum rises by exactly 1 and the tie set becomes
-    T & raised(k).  Under the min rule a level is sequential adsorption on
-    the tie set (Evans, *Rev. Mod. Phys.* 65, 1281, 1993): the minimum stays
-    while Z & ~raised(k) is not empty, and that is the next tie set.  A
-    lock-step is e = base + 2g; e += U >= cut[e]; base = next[e].  Where a
-    min-rule code empties (base == 0) a level opens: the minimum rose by
-    exactly 1, and the new code is read off the potentials, u == m + 1.  So
-    the potentials are read only at openings, and no per-step minimum is
-    taken.  A renewal (every potential equal) is the full code.
+    same floats, so every site is identical.
 
-The lock-steps run in slices of _SLICE_STEPS (32) steps.  A slice's uniforms
+Tables.  At M <= 10 each replica is a walk on a finite chain (Kemeny & Snell,
+*Finite Markov Chains*, ch. 3), held in one `_Table`: for each (state, g,
+side) an entry gives the site k that receives the particle and the next
+state's first entry, so a step is e = base + 2g; e += U >= cut[e];
+base = next[e] (`_step`).  `_table` builds it from each state's tie set and
+successors; the two kinds of state differ in nothing else.
+  * Tie-set codes (bit i: site i; `_code_table`).  The chosen site raises the
+    sites raised(k) whose window holds it.  Under the max rule the maximum
+    rises by exactly 1 and the tie set becomes T & raised(k).  Under the min
+    rule a level is sequential adsorption on the tie set (Evans, *Rev. Mod.
+    Phys.* 65, 1281, 1993): the minimum stays while Z & ~raised(k) is not
+    empty, and that is the next tie set.  Where it empties (base == 0) a
+    level opens: the minimum rose by exactly 1, and the new code is read off
+    the potentials, u == m + 1.  So the potentials are read only at
+    openings, and no per-step minimum is taken.
+  * Reduced potentials v = u - min u (`_state_table`), a Markov chain of its
+    own under the min rule, with 9, 70, 473 and 3111 states reachable from
+    empty at M = 4, 6, 8 and 10 under the asymmetric window.  An asymmetric
+    min-rule request at M <= 10 without levels or bounds searches its set
+    (`statetable.min_rule_states`), and steps on codes if the search gives
+    up past _TABLE_MAX_STATES (8192); M = 11 already has 37 555 states.
+A renewal (every potential equal) is one state: the full code, or v == 0.  A
+request that reads no potential per step walks its table alone: the state
+table, or the max rule's codes without levels or bounds.  Every other
+request at M <= 10 steps its codes inside the lock-step, which updates the
+potentials every step for the levels, the bounds and the min-rule openings.
+
+The steps run in slices of _SLICE_STEPS (32) steps.  A slice's uniforms
 are transposed into one (32, R) array, and the sites taken are kept, so the
 slice's occupancies (bincount), parity gaps (running sums), checkpoints,
 site records, `last_seen` and renewals are read off them at once; the final
 potentials are the window sums of the final occupancies.  A slice's arrays
 hold 32 R cells each (256 KiB at R = 1000), where a whole uniform block of
-2^19 cells would add 4 MiB per array to the peak memory.  The potentials are
-updated every lock-step where a level, a bound, a min-rule opening or the
-rank draw reads them.
+2^19 cells would add 4 MiB per array to the peak memory.
 
 The engine optionally tracks, fully vectorised:
   * per-level statistics (S, Q, W, signatures) with monotonicity, persistence
@@ -81,32 +94,21 @@ adjacent pair under the symmetric window (Kemeny & Snell, *Finite Markov
 Chains*, ch. 3); `absorbed_max_ties` is the one test of it, for the engine,
 its code table and the appendix freeze classifier alike.  A replica on an
 absorbing pair picks its higher-index member exactly when U >= THR[2, 1]
-(= 0.5), the comparison the lock-step draw makes, and a replica on a single
-site always picks it.  So once every replica's tie set is absorbing, a
-max-rule request that tracks nothing per step (no levels, renewals or
-bounds) advances the rest of each uniform block at once: occupancies and the
-parity gap from per-site pick counts, and sites, checkpoints and `last_seen`
-from the bool picks.  The picks are computed on the pair replicas' rows only:
-a replica on a single site takes it at every step, so no uniform can change
+(= 0.5), the comparison every draw makes, and a replica on a single site
+always picks it.  So once every replica's tie set is absorbing, a max-rule
+request that tracks nothing per step (no levels, renewals or bounds)
+advances the rest of each uniform block at once: occupancies and the parity
+gap from per-site pick counts, and sites, checkpoints and `last_seen` from
+the bool picks.  The picks are computed on the pair replicas' rows only: a
+replica on a single site takes it at every step, so no uniform can change
 its output, and from the block after absorption on it draws nothing; only
-the pairs fill rows of the block.  On this path the blocks start at
+the pairs fill rows of the block.  The fast path is exact from any step
+after absorption, so absorption is tested at the end of each slice: on the
+code table's absorbing flags at M <= 10, on the potentials above.  On this path the blocks start at
 _FREEZE_BLOCK_START (16) steps and double, up to the usual size, until
 every tie set is absorbing, so a single-site replica draws few uniforms
 past its freeze.  On every path each stream fills its row of the block in
 place (`Generator.random(out=row)`).
-
-State table (asymmetric min rule).  Under the min rule the reduced potentials
-v = u - min u form a Markov chain of their own, with a finite reachable set
-under the asymmetric window: 9, 70, 473 and 3111 states from empty at
-M = 4, 6, 8 and 10 (Kemeny & Snell, ch. 3).  An asymmetric min-rule request
-at M <= 10 that asks for nothing read off the full potentials each step (no
-levels or bounds, and no `last_seen`) searches that set from its initial v
-(`statetable.min_rule_states`).  From empty every M <= 10 has at most
-_TABLE_MAX_STATES states (8192) and M = 11 already has 37 555, so larger
-rings are not searched; the search gives up past the cap.  If it succeeds,
-the chain runs on a table of states instead of codes, with the same cuts and
-the same lock-step, and needs no potentials at all: a renewal is the next
-state v == 0.
 
 `run_ensemble` estimates the bytes of its large arrays before allocating and
 refuses a request above MAX_ENSEMBLE_BYTES with a ValueError.  The state
@@ -115,7 +117,7 @@ search runs before that estimate; at M <= 10 it holds at most about 2 MB.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -142,16 +144,16 @@ _FREEZE_BLOCK_START = 16
 # Requests whose estimated arrays (`_footprint_bytes`) exceed this are refused
 # before anything is allocated: 4 GiB.
 MAX_ENSEMBLE_BYTES = 2**32
-# Largest reachable reduced-potential set the state-table path steps; 8192
-# covers every M <= 10 from empty (3111 states at M = 10, 5266 at M = 9), and
-# no larger ring is searched (37 555 states at M = 11).
+# Largest reachable reduced-potential set a state table holds; 8192 covers
+# every M <= 10 from empty (3111 states at M = 10, 5266 at M = 9), and no
+# larger ring is searched (37 555 states at M = 11).
 _TABLE_MAX_STATES = 8192
-# Largest ring whose lock-steps run on a table: the state table above, or the
-# tie-set code table of 2^M codes (32 768 entries at M = 10).
+# Largest ring that steps on a table: the state table above, or the tie-set
+# code table of 2^M codes (32 768 entries at M = 10).
 _TABLE_MAX_M = 10
-# Bytes per code-table entry: next code (8), cut (8), site (8), absorbing flag (1).
-_CODE_ENTRY_BYTES = 25
-# Lock-steps per slice: a slice's records are (slice, R) arrays, 256 KiB each
+# Bytes per table entry: next entry (8), cut (8), site (2).
+_TABLE_ENTRY_BYTES = 18
+# Steps per slice: a slice's records are (slice, R) arrays, 256 KiB each
 # at R = 1000.
 _SLICE_STEPS = 32
 # Bytes per slice cell (uniforms, entries, sites, parity gaps, renewal flags
@@ -177,7 +179,8 @@ class EnsembleRequest:
     check_bounds: bool = False
     record_sites: bool = False
     track_last_seen: bool = False
-    chunk_steps: int = 4096
+    # Most steps in one uniform block; a constant, not a field.
+    chunk_steps: ClassVar[int] = 4096
 
 
 @dataclass
@@ -266,40 +269,78 @@ def _cell_cuts(thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, cut
 
 
-class _CodeTable(NamedTuple):
-    """Tie-set transitions, one entry e = code * stride + 2g + side each.
+class _Table(NamedTuple):
+    """A finite chain's transitions, one entry e = state * stride + 2g + side each.
 
-    A code's bit i marks site i in the min (or max) tie set.  A draw U in grid
-    cell g takes side 1 when U >= cut[code * stride + 2g].
+    A state is a tie-set code or a reduced-potential state.  A draw U in grid
+    cell g takes side 1 when U >= cut[state * stride + 2g].
     """
 
-    stride: int  # entries per code: 2 * grid
-    next: np.ndarray  # (entries,) intp: the next code's first entry; 0 where a min tie set empties
+    stride: int  # entries per state: 2 * grid
+    next: np.ndarray  # (entries,) intp: the next state's first entry; 0 where a min tie set empties
     cut: np.ndarray  # (entries,) float64, read at even entries
-    site: np.ndarray  # (entries,) intp: the 0-based site that receives the particle
-    absorbing: np.ndarray  # (entries,) bool, at each code's first entry: a max tie set that never changes
+    site: np.ndarray  # (entries,) int16: the 0-based site that receives the particle
+    renew: int  # the first entry of the state with every potential equal; negative if none
+    absorbing: np.ndarray | None  # (states,) bool: a max tie set that never changes; None under the min rule
 
 
-def _code_table(m: int, kind: Neighborhood, is_min: bool, thr: np.ndarray) -> _CodeTable:
-    """The table of every tie-set code on M sites.
+def _table(
+    member: np.ndarray, successor: np.ndarray, thr: np.ndarray, renewal: int, absorbing: np.ndarray | None = None
+) -> _Table:
+    """The table of a chain whose state s has the tie set member[s] (states, M).
 
-    The next code is Z & ~raised(k) under the min rule, T & raised(k) under the max.
+    successor[s, k]: the next state when site k of the tie set receives the
+    particle.  renewal: the state with every potential equal, -1 if none.
     """
     rank, cut = _cell_cuts(thr)
     stride = 2 * cut.shape[1]
-    codes = np.arange(2**m)
-    member = codes[:, None] >> np.arange(m) & 1
     n = member.sum(axis=1)
     sites = np.argsort(member == 0, axis=1, kind="stable")  # tie-set sites first, in site order
-    site = sites[codes[:, None, None], rank[n]]  # (codes, grid, 2)
+    state = np.arange(len(member))[:, None, None]
+    site = sites[state, rank[n]]  # (states, grid, 2)
+    cuts = np.stack([cut[n], np.full(cut[n].shape, 2.0)], axis=-1)
+    nxt = successor[state, site] * stride
+    return _Table(stride, nxt.ravel(), cuts.ravel(), site.astype(np.int16).ravel(), renewal * stride, absorbing)
+
+
+def _code_table(m: int, kind: Neighborhood, is_min: bool, thr: np.ndarray) -> _Table:
+    """The table of every tie-set code on M sites (bit i: site i).
+
+    The next code is Z & ~raised(k) under the min rule, T & raised(k) under the max.
+    """
+    codes = np.arange(2**m)
+    member = codes[:, None] >> np.arange(m) & 1
     # raised[k]: the sites whose potential a particle at site k raises
     raised = sum(1 << (np.arange(m) - d) % m for d in kind.offsets)
-    hit = raised[site]
-    nxt = codes[:, None, None] & (~hit if is_min else hit)
-    cuts = np.stack([cut[n], np.full((len(codes), stride // 2), 2.0)], axis=-1)
-    absorbing = np.zeros(nxt.size, dtype=bool)
-    absorbing[::stride] = absorbed_max_ties(member.T, kind)[0]
-    return _CodeTable(stride, (nxt * stride).ravel(), cuts.ravel(), site.ravel(), absorbing)
+    successor = codes[:, None] & (~raised if is_min else raised)
+    return _table(member, successor, thr, 2**m - 1, None if is_min else absorbed_max_ties(member.T, kind)[0])
+
+
+def _state_table(states: tuple, successors: tuple, thr: np.ndarray) -> _Table:
+    """The table of the reduced potentials v found by `statetable.min_rule_states`."""
+    member = np.array(states) == 0
+    successor = np.zeros(member.shape, dtype=np.intp)
+    successor[member] = np.concatenate(successors)  # row-major: each state's tie set in site order
+    zero = (0,) * member.shape[1]
+    return _table(member, successor, thr, states.index(zero) if zero in states else -1)
+
+
+def _cells(U: np.ndarray, stride: int) -> np.ndarray:
+    """2 * floor(U * grid): the offset of each draw's grid cell in a state's entries."""
+    e = (U * stride).astype(np.int32)  # float64 converts to int32 several times faster than to int64
+    e &= -2
+    return e.astype(np.intp)
+
+
+def _step(tab: _Table, base: np.ndarray, e: np.ndarray, U: np.ndarray) -> None:
+    """One step of every replica on the table.
+
+    base (R,) is each replica's state's first entry, e (R,) its draw's cell
+    (`_cells`); e becomes the entry taken and base the next state's.
+    """
+    e += base
+    e += U >= tab.cut.take(e)
+    tab.next.take(e, out=base, mode="clip")  # e is in range; "raise" would buffer
 
 
 def absorbed_max_ties(u: np.ndarray, kind: Neighborhood) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,29 +361,29 @@ def absorbed_max_ties(u: np.ndarray, kind: Neighborhood) -> tuple[np.ndarray, np
 def _footprint_bytes(req: EnsembleRequest, m: int, table_states: int = 0) -> int:
     """Estimated bytes of run_ensemble's large arrays for this request.
 
-    Counts the R x T int16 site record, the uniform block, the checkpoints and
-    the per-slice records.  The lock-step loop adds six (M, M) helpers, sixteen
-    (M, R) arrays of eight bytes (the state and the per-step temporaries),
-    last_seen, the level buffer (`levels.buffer_bytes`) and, at M <= 10, the
-    tie-set code table.  The state-table path (table_states > 0) adds two
-    (M, R) arrays (xi and u) and the table.  The state search that precedes
-    the estimate is not counted: it runs at M <= 10 only, and holds at most
-    _TABLE_MAX_STATES tuples, about 2 MB.
+    Counts the R x T int16 site record, the uniform block, the checkpoints,
+    the per-slice records and last_seen.  A run that walks a table of
+    table_states states alone (table_states > 0) adds two (M, R) arrays (xi
+    and u) and the table.  The lock-step loop adds six (M, M) helpers,
+    sixteen (M, R) arrays of eight bytes (the state and the per-step
+    temporaries), the level buffer (`levels.buffer_bytes`) and, at M <= 10,
+    the tie-set code table.  Every table entry takes _TABLE_ENTRY_BYTES.  The
+    state search that precedes the estimate is not counted: it runs at
+    M <= 10 only, and holds at most _TABLE_MAX_STATES tuples, about 2 MB.
     """
     R, T = req.replicas, req.steps
     block = R * max(1, min(req.chunk_steps, T, max(1, _UNIF_BLOCK_CELLS // R)))
     need = 8 * (block + len(req.h_checkpoints) * R) + _SLICE_CELL_BYTES * _SLICE_STEPS * R
     if req.record_sites:
         need += 2 * R * T
-    if table_states:
-        from . import statetable as st
-
-        return need + 16 * m * R + st.TABLE_ENTRY_BYTES * table_states * 2 * _table_grid(m)
-    need += 8 * (6 * m * m + 16 * m * R)
-    if m <= _TABLE_MAX_M:
-        need += _CODE_ENTRY_BYTES * 2**m * 2 * _table_grid(m)
     if req.track_last_seen:
         need += 8 * m * R
+    per_state = 2 * _table_grid(m) * _TABLE_ENTRY_BYTES
+    if table_states:
+        return need + 16 * m * R + table_states * per_state
+    need += 8 * (6 * m * m + 16 * m * R)
+    if m <= _TABLE_MAX_M:
+        need += 2**m * per_state
     if req.track_levels:
         need += buffer_bytes(m, R)
     return need
@@ -372,27 +413,28 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
     per_step = req.track_levels or req.check_bounds
     is_min = isinstance(rule, MinRule)
     freezable = not is_min and not (per_step or req.track_renewals)
-    coded = m <= _TABLE_MAX_M
-    searched = coded and is_min and req.kind is Neighborhood.ASYMMETRIC and not (per_step or req.track_last_seen)
+    tabled = m <= _TABLE_MAX_M
     u0 = potentials(init, req.kind)
     reachable = None
-    if searched:
+    if tabled and is_min and req.kind is Neighborhood.ASYMMETRIC and not per_step:
         from . import statetable  # imported by the requests that may take this path
 
         reachable = statetable.min_rule_states(reduce_potential(u0), req.kind, _TABLE_MAX_STATES)
-    need = _footprint_bytes(req, m, len(reachable[0]) if reachable else 0)
+    # A run that reads no potential per step walks its table alone: the state
+    # table, or the max rule's codes, whose next code needs no potential.
+    walked = tabled and not per_step and (reachable is not None or not is_min)
+    need = _footprint_bytes(req, m, len(reachable[0]) if reachable else 2**m if walked else 0)
     if need > MAX_ENSEMBLE_BYTES:
         raise ValueError(
             f"M={m}, {R} replicas and {T} steps need about {need / 2**20:.0f} MiB, "
             f"above the {MAX_ENSEMBLE_BYTES / 2**20:.0f} MiB limit"
         )
     thr = _threshold_table(m)
-    tab = codes = None
+    tab = None
     if reachable:
-        tab = statetable.state_table(*reachable, *_cell_cuts(thr))
-    elif coded:
-        codes = _code_table(m, req.kind, is_min, thr)
-    del reachable  # the table holds all the state-table path reads
+        tab = _state_table(*reachable, thr)
+    elif tabled:
+        tab = _code_table(m, req.kind, is_min, thr)
 
     # Site-major state: row i is site i across all replicas.  The result holds
     # every counter from the start; its (M, R) arrays are transposed at the end.
@@ -508,19 +550,15 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             D[:] = d[-1]
 
     # The lock-step draw.  `row` holds, for each replica, 2 floor(U * grid) on
-    # the code path and becomes the entry its step takes; on the rank path it
+    # a table and becomes the entry its step takes; on the rank path it
     # receives the site.
-    if codes is not None:
-        stride, entry_cut, entry_next = codes.stride, codes.cut, codes.next
-        tie_base = stride << np.arange(m)  # a tie mask's code, times the stride
-        ties = np.asarray(u0) == (min(u0) if is_min else max(u0))
-        base = np.full(R, tie_base @ ties)  # each replica's tie set's first entry
-        full_base = tie_base.sum()  # every potential equal: a renewal
+    if tab is not None:
+        tie_base = tab.stride << np.arange(m)  # a tie mask's code, times the stride
+        # each replica's state's first entry: v0 is state 0, a code is its tie mask
+        base = np.zeros(R, dtype=np.intp) if reachable else tie_base @ (u == (m_cur if is_min else u.max(axis=0)))
 
         def draw(row: np.ndarray, U: np.ndarray) -> None:
-            row += base
-            row += U >= entry_cut.take(row)
-            entry_next.take(row, out=base, mode="clip")  # row is in range; "raise" would buffer
+            _step(tab, base, row, U)
 
     else:
         # Each draw returns the first site whose cumulative value c exceeds U.  c is
@@ -534,64 +572,50 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
             c = thr_flat.take((table_index @ mask).astype(np.intp))
             np.add.reduce(c <= U, axis=0, out=row)
 
-    if tab is not None:
-        base = np.zeros(R, dtype=np.intp)  # each replica's state's first entry; v0 is state 0
     # Under the min rule a code tracks the tie set, and its potentials are read
-    # only where it empties; a max-rule run that reads neither potentials nor
-    # levels leaves u to the end.
-    min_codes = codes is not None and is_min
-    moves_u = codes is None or is_min or per_step
-    reads_min = codes is None or (req.track_levels and not is_min)
+    # only where it empties.
+    min_codes = tab is not None and is_min
+    reads_min = tab is None or (req.track_levels and not is_min)
 
-    def lock_steps(draws: np.ndarray, t0: int) -> tuple[int, bool]:
+    def run_slice(draws: np.ndarray, t0: int) -> None:
         # Steps t0 + 1 .. of every replica on the slice of draws (R, steps),
-        # recorded.  Returns the steps taken and whether every max tie set
-        # became absorbing, which ends the slice early.
+        # recorded: walked on the table alone, or lock-stepped on the potentials.
         nonlocal u, m_cur
         U = np.ascontiguousarray(draws.T)  # row i for step t0 + i + 1
-        rows = np.empty(U.shape, dtype=np.intp)
-        if codes is not None:
-            # 2 * floor(U * grid), the offset of U's cell in a code's entries
-            np.multiply(U, stride, out=rows, casting="unsafe")
-            rows &= -2
+        rows = np.empty(U.shape, dtype=np.intp) if tab is None else _cells(U, tab.stride)
         hits = np.empty(U.shape, dtype=bool) if req.track_renewals else None
-        absorbed = False
         for i, row in enumerate(rows):
-            t = t0 + i + 1
-            draw(row, U[i])
-            sites = row if codes is None else (codes.site.take(row) if moves_u else None)
-            if moves_u:
+            if walked:
+                _step(tab, base, row, U[i])
+            else:
+                t = t0 + i + 1
+                draw(row, U[i])
+                sites = row if tab is None else tab.site.take(row)
                 u += gain.take(sites, axis=1)
-            if min_codes:
-                opened = (base == 0).nonzero()[0]  # emptied tie sets: their minimum rose by 1
-                if opened.size:
-                    cols = u.take(opened, axis=1)
-                    base[opened] = tie_base @ (cols == np.minimum.reduce(cols))
-                    if levels is not None:
-                        levels.gather(opened, t, cols)
-            elif reads_min:
-                m_new = u.min(axis=0)
-                if levels is not None:
-                    opened = np.flatnonzero(m_new > m_cur)
+                if min_codes:
+                    opened = (base == 0).nonzero()[0]  # emptied tie sets: their minimum rose by 1
                     if opened.size:
-                        levels.gather(opened, t, u.take(opened, axis=1))
-                m_cur = m_new
+                        cols = u.take(opened, axis=1)
+                        base[opened] = tie_base @ (cols == np.minimum.reduce(cols))
+                        if levels is not None:
+                            levels.gather(opened, t, cols)
+                elif reads_min:
+                    m_new = u.min(axis=0)
+                    if levels is not None:
+                        opened = np.flatnonzero(m_new > m_cur)
+                        if opened.size:
+                            levels.gather(opened, t, u.take(opened, axis=1))
+                    m_cur = m_new
+                if req.check_bounds:
+                    bounds_step(t, sites)
             if hits is not None:
-                if codes is None:
+                if tab is None:
                     np.equal(u.max(axis=0), m_cur, out=hits[i])
                 else:
-                    np.equal(base, full_base, out=hits[i])
-            if req.check_bounds:
-                bounds_step(t, sites)
-            if freezable:
-                absorbed = codes.absorbing.take(base).all() if codes is not None else absorbed_split() is not None
-                if absorbed:
-                    break
-        taken = i + 1
-        sites = rows[:taken] if codes is None else codes.site.take(rows[:taken])
+                    np.equal(base, tab.renew, out=hits[i])
+        sites = rows if tab is None else tab.site.take(rows)
         del U, rows, row  # before the slice's records are made
-        record(sites, None if hits is None else hits[:taken], t0)
-        return taken, absorbed
+        record(sites, hits, t0)
 
     def absorbed_split() -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         # (lo, hi, pairs) once every max tie set is absorbing, lo == hi on a
@@ -628,13 +652,9 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         j = 0
         while frozen is None and j < csize:
             draws = unif[:, j : j + _SLICE_STEPS]
-            if tab is not None:
-                record(*statetable.walk(tab, base, draws, req.track_renewals), done + j)
-                taken, absorbed = draws.shape[1], False
-            else:
-                taken, absorbed = lock_steps(draws, done + j)
-            j += taken
-            if absorbed:
+            run_slice(draws, done + j)
+            j += draws.shape[1]
+            if freezable and (tab.absorbing[base // tab.stride].all() if walked else absorbed_split() is not None):
                 u = gain @ xi
                 frozen = absorbed_split()
                 pairs = frozen[2]

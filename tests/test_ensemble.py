@@ -94,12 +94,12 @@ def test_softmax_is_refused_before_the_init_length_check(monkeypatch, rule, kind
     assert str(err.value) == f"the replica engine runs the min and max rules only, got {rule}"
 
 
-def test_sites_match_single_chain_when_chunks_do_not_divide_steps():
+def test_sites_match_single_chain_when_chunks_do_not_divide_steps(monkeypatch):
     m, steps, seed = 5, 250, 8
+    monkeypatch.setattr(ensemble, "_UNIF_BLOCK_CELLS", 128)  # 64-step blocks at R = 2
     res = run_ensemble(
         EnsembleRequest(
-            m=m, kind=SYM, rule=MinRule(), steps=steps, replicas=2, seed=seed, chunk_steps=64,
-            record_sites=True,
+            m=m, kind=SYM, rule=MinRule(), steps=steps, replicas=2, seed=seed, record_sites=True,
         )
     )
     for r in range(2):
@@ -768,15 +768,20 @@ def test_absorbed_max_ties_on_every_tie_mask(kind, m):
         assert absorbed.sum() == m * (kind.window - 1)
 
 
+@pytest.mark.parametrize("first_block", [16, 2])
 @pytest.mark.parametrize("kind", [ASYM, SYM])
-def test_absorbed_phase_takes_no_lock_steps(kind):
-    # The lock-steps stop at the first step after which every replica's max
-    # tie set is absorbing, read off the single chains.  From empty that is
+def test_absorbed_phase_takes_no_lock_steps(monkeypatch, kind, first_block):
+    # Above M = 10 the lock-steps stop at the end of the slice in which every
+    # replica's max tie set became absorbing, read off the single chains.
+    # The blocks hold 16, 32, 64, ... steps (2, 4, 8, ... from a first block
+    # of 2), cut into slices of 32, so the slices end at steps 16, 48, 80,
+    # 112, 144, ... (2, 6, 14, 30, 62, 94, ...).  From empty absorption comes
     # within a few dozen steps (each step leaves the transient sets with
-    # probability >= 1/2).
-    m, replicas, seed = 6, 50, 4
+    # probability >= 1/2), in the first block of 16 at this seed.
+    m, replicas, seed, steps = 11, 50, 4, 3000
+    monkeypatch.setattr(ensemble, "_FREEZE_BLOCK_START", first_block)
     req = EnsembleRequest(
-        m=m, kind=kind, rule=MaxRule(), steps=3000, replicas=replicas, seed=seed, track_last_seen=True,
+        m=m, kind=kind, rule=MaxRule(), steps=steps, replicas=replicas, seed=seed, track_last_seen=True,
     )
     absorbed_at = []
     for r in range(replicas):
@@ -785,9 +790,15 @@ def test_absorbed_phase_takes_no_lock_steps(kind):
         absorbed_at.append(
             next(t for t, members in enumerate(ties) if _every_member_raises_every_member(members, m, kind))
         )
-    assert _draw_calls(req) == max(absorbed_at)
-    assert _draw_calls(dataclasses.replace(req, track_renewals=True)) == 3000
-    assert _draw_calls(dataclasses.replace(req, rule=MinRule())) == 3000
+    last = max(absorbed_at)
+    edges, start, block, width = [], 0, first_block, ensemble._SLICE_STEPS
+    while not edges or edges[-1] < last:
+        edges += [min(e, start + block) for e in range(start + width, start + block + width, width)]
+        start, block = start + block, 2 * block
+    assert 2 < last
+    assert _draw_calls(req) == min(e for e in edges if e >= last)
+    assert _draw_calls(dataclasses.replace(req, track_renewals=True)) == steps
+    assert _draw_calls(dataclasses.replace(req, rule=MinRule())) == steps
 
 
 def _assert_replicas_match_single_chain(req: EnsembleRequest, res: EnsembleResult) -> None:
@@ -859,7 +870,7 @@ def test_size_guard_refuses_before_allocating(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(ensemble, "_TABLE_MAX_M", 0)
         table = need - ensemble._footprint_bytes(with_levels, 5)
-    assert table == ensemble._CODE_ENTRY_BYTES * 2**5 * 2 * ensemble._table_grid(5)
+    assert table == ensemble._TABLE_ENTRY_BYTES * 2**5 * 2 * ensemble._table_grid(5)
     monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", need - 1)
     with monkeypatch.context() as mp:
         # refused before the code table and the tracker are built
@@ -1018,8 +1029,17 @@ def test_state_table_path_guard(monkeypatch):
     assert _draw_calls(dataclasses.replace(req, track_levels=True)) == steps
     assert _draw_calls(dataclasses.replace(req, check_bounds=True)) == steps
     last_seen = dataclasses.replace(req, track_renewals=False, track_last_seen=True)
-    assert _draw_calls(last_seen) == steps
+    assert _draw_calls(last_seen) == 0
     assert _draw_calls(dataclasses.replace(req, kind=SYM)) == steps
+    # The max rule walks its tie-set codes under both windows, bare or with
+    # renewals or last_seen, unless levels or bounds read the potentials.
+    for kind in (ASYM, SYM):
+        bare = dataclasses.replace(req, rule=MaxRule(), kind=kind, h_checkpoints=(), track_renewals=False)
+        assert _draw_calls(bare) == 0
+        assert _draw_calls(dataclasses.replace(req, rule=MaxRule(), kind=kind)) == 0
+        assert _draw_calls(dataclasses.replace(bare, m=10, record_sites=True, track_last_seen=True)) == 0
+        assert _draw_calls(dataclasses.replace(bare, track_levels=True)) == steps
+        assert _draw_calls(dataclasses.replace(bare, check_bounds=True)) == steps
 
     # From empty, M = 11 has 37 555 reachable states: no ring above M = 10 is searched.
     def no_search(*args):
@@ -1154,8 +1174,10 @@ def test_size_guard_counts_the_state_table(monkeypatch):
     )
     table = ensemble._footprint_bytes(req, 8, 473)
     # each state's 2 * grid entries are counted, and the per-slice records
-    per_state = statetable.TABLE_ENTRY_BYTES * 2 * ensemble._table_grid(8)
+    per_state = ensemble._TABLE_ENTRY_BYTES * 2 * ensemble._table_grid(8)
     assert table - ensemble._footprint_bytes(req, 8, 472) == per_state
+    # last_seen, (M, R) int64, is counted on the walk too
+    assert ensemble._footprint_bytes(dataclasses.replace(req, track_last_seen=True), 8, 473) - table == 8 * 8 * 100
     per_slice = ensemble._SLICE_CELL_BYTES * ensemble._SLICE_STEPS * 100
     with monkeypatch.context() as mp:
         mp.setattr(ensemble, "_SLICE_STEPS", 2 * ensemble._SLICE_STEPS)
@@ -1166,7 +1188,7 @@ def test_size_guard_counts_the_state_table(monkeypatch):
     def no_table(*args):
         raise AssertionError("the table was built before the size check")
 
-    monkeypatch.setattr(statetable, "state_table", no_table)
+    monkeypatch.setattr(ensemble, "_state_table", no_table)
     monkeypatch.setattr(ensemble, "MAX_ENSEMBLE_BYTES", table - 1)
     with pytest.raises(ValueError, match="MiB limit"):
         run_ensemble(req)
