@@ -40,11 +40,8 @@ from .observers import (
     ConvergenceVerdict,
     LevelLog,
     ParityGapSeries,
-    RenewalCounter,
     detect_convergence,
-    pattern,
     pattern_str,
-    stat_S,
 )
 from .ring import Neighborhood, potentials, reduce_potential
 from .scaling import FreezeOutcome, SigmaEstimate, estimate_sigma

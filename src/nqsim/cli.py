@@ -26,7 +26,6 @@ from .observers import (
     STABILITY_WINDOW,
     LevelLog,
     ParityGapSeries,
-    RenewalCounter,
     detect_convergence,
     pattern_str,
 )
@@ -76,16 +75,15 @@ def _resolve(args: argparse.Namespace, key: str, config_file: dict):
     if value is not None:
         return value
     if key in config_file:
-        value = config_file[key]
-        types, expected = _CONFIG_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
-        return value
+        return config_file[key]
     if key == "seed":
         env = os.environ.get("NQ_SEED")
-        if env is not None:
+        if env is None:
+            return 0
+        try:
             return int(env)
-        return 0
+        except ValueError:
+            raise ValueError(f"NQ_SEED must be an integer, got {env!r}") from None
     return DEFAULTS.get(key)
 
 
@@ -96,9 +94,12 @@ def _load_config_file(path: str | None) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    for key in data:
+    for key, value in data.items():
         if key not in _CONFIG_TYPES:
             raise ValueError(f"config file {path} has an unknown key {key!r}")
+        types, expected = _CONFIG_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
     return data
 
 
@@ -121,7 +122,10 @@ def _dump_json(payload: dict, path: str | None) -> None:
 def _parse_init(text: str, m: int) -> tuple[int, ...]:
     if text == "empty":
         return (0,) * m
-    counts = tuple(int(x) for x in text.split(","))
+    try:
+        counts = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--init must be 'empty' or M comma-separated integers, got {text!r}") from None
     if len(counts) != m:
         raise ValueError(f"--init lists {len(counts)} counts for m={m} sites")
     return counts
@@ -182,15 +186,10 @@ def cmd_simulate(args, config_file) -> int:
     state = ChainState.from_occupancy(init, kind)
     level_log = LevelLog(kind)
     observers = [level_log]
-    parity = None
     renewals = None
     if kind is Neighborhood.ASYMMETRIC:
-        if m % 2 == 0:
-            parity = ParityGapSeries(m)
-            observers.append(parity)
-        else:
-            renewals = RenewalCounter()
-            observers.append(renewals)
+        renewals = ParityGapSeries(m)
+        observers.append(renewals)
 
     result = run(
         state,
@@ -241,10 +240,12 @@ def cmd_simulate(args, config_file) -> int:
             "matched_distance": verdict.matched_distance,
         },
     }
-    if parity is not None:
-        summary["parity_gap"] = parity.report()
     if renewals is not None:
-        summary["renewals"] = renewals.report()
+        report = renewals.report()
+        if m % 2 == 0:
+            summary["parity_gap"] = report
+        else:  # the parity gap is defined at even M
+            summary["renewals"] = {"renewals": report["renewals"]}
     _dump_json(summary, args.out)
     return EXIT_OK
 

@@ -80,7 +80,7 @@ The engine optionally tracks, fully vectorised:
     and at the end of the run, and each replica's levels are then resolved in
     order from the state carried between blocks,
   * renewal times (reduced potential identically zero) and the parity-gap
-    increments between them,
+    increments between them (`levels.RenewalTracker`),
   * the bounds of `check_bounds`: the even/odd potential-sum identity each
     step (even M only; it fails at odd M), and the neighbour-difference and
     residual bounds over the final half of the run, read off occupancies and
@@ -122,7 +122,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .dynamics import MAX_TOTAL_PARTICLES, AllocationRule, MaxRule, MinRule, RandomStream
-from .levels import FLAG_NAMES, LevelTracker, buffer_bytes
+from .levels import FLAG_NAMES, LevelTracker, RenewalTracker, buffer_bytes
 from .ring import (
     Neighborhood,
     check_ring_size,
@@ -449,43 +449,15 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
 
     levels = None
     if req.track_levels:
-        levels = LevelTracker(res, m, req.kind.window * sum(init), req.kind.window, req.store_level_flags)
+        levels = LevelTracker(res, R, m, req.kind.window * sum(init), req.kind.window, req.store_level_flags)
         levels.gather(np.arange(R), 0, u)  # level 0 opens at step 0
 
-    # --- renewal tracking state ---
     parity_sign = np.where(np.arange(m) % 2 == 1, 1, -1).astype(np.int64)  # +1 at even 1-based sites
     D = parity_sign @ xi
+    renewals = None
     if req.track_renewals:
-        res.renewal_counts = np.zeros(R, dtype=np.int64)
-        has_base = np.zeros(R, dtype=bool)
-        d_last = np.zeros(R, dtype=np.int64)
-        # zeta_hist[z + cap]: the increments z, clipped to +-cap; every |z| >= cap
-        # is in the top bucket of zeta_tail, c = 10 (|z| > 10 * M).
-        cap = 10 * m + 1
-        zeta_hist = np.zeros(2 * cap + 1, dtype=np.int64)
-
-        def handle_renewals(hit: np.ndarray, d: np.ndarray) -> None:
-            # hit (steps, R): renewals, with the parity gap d (steps, R) after
-            # each step.  Each renewal is paired with its replica's previous
-            # one, in this call or before it: idx runs replica-major.
-            idx = np.flatnonzero(hit.T)
-            if not idx.size:
-                return
-            rep, j = np.divmod(idx, len(hit))
-            dv = d[j, rep]
-            starts = np.flatnonzero(np.concatenate(([True], rep[1:] != rep[:-1])))
-            r0 = rep[starts]  # the replicas with renewals, each once
-            prev = np.empty_like(dv)
-            prev[1:] = dv[:-1]
-            prev[starts] = d_last[r0]
-            dd = np.delete(dv - prev, starts[~has_base[r0]])
-            zeta_hist[:] += np.bincount(np.clip(dd, -cap, cap) + cap, minlength=2 * cap + 1)
-            ends = np.append(starts[1:], idx.size)
-            res.renewal_counts[r0] += ends - starts
-            d_last[r0] = dv[ends - 1]
-            has_base[r0] = True
-
-        handle_renewals((u.max(axis=0) == m_cur)[None], D[None])
+        renewals = RenewalTracker(res, R, m)
+        renewals.gather((u.max(axis=0) == m_cur)[None], D[None])
 
     half_start = T - T // 2
     if req.check_bounds:
@@ -546,7 +518,7 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
                 if t < tc <= t + steps:
                     res.h_checkpoints[tc] = d[tc - t - 1] / m
             if hits is not None:
-                handle_renewals(hits, d)
+                renewals.gather(hits, d)
             D[:] = d[-1]
 
     # The lock-step draw.  `row` holds, for each replica, 2 floor(U * grid) on
@@ -702,11 +674,6 @@ def run_ensemble(req: EnsembleRequest) -> EnsembleResult:
         res.last_seen = np.ascontiguousarray(res.last_seen.T)
     if levels is not None:
         levels.finish()
-    if req.track_renewals:
-        # tail[c] = #{|zeta| > c}, zeta = dd / M
-        z = np.abs(np.arange(-cap, cap + 1))
-        res.zeta_positive = int(zeta_hist[cap + 1 :].sum())
-        res.zeta_negative = int(zeta_hist[:cap].sum())
-        res.zeta_zero = int(zeta_hist[cap])
-        res.zeta_tail = np.array([zeta_hist[z > c * m].sum() for c in range(11)])
+    if renewals is not None:
+        renewals.finish()
     return res

@@ -1,12 +1,14 @@
-"""Level tracking for the replica ensemble, resolved in cell-bounded blocks.
+"""Level and renewal tracking for R chains, levels resolved in cell-bounded blocks.
 
 Under the min rule a level opens each time a replica's minimum potential
 rises.  At each opening the engine reads the level statistics (S, Q, W and
 the zero/positive signature) and keeps monotonicity, persistence and
 window-exclusion monitors.  `level_statistics` is the package's one
-definition of S, Q, W, the window flags and the isolated-zero centres;
-`observers.LevelLog`, the single-chain reference for the monitors, reads its
-shapes from it too.
+definition of S, Q, W, the window flags and the isolated-zero centres, and
+`LevelTracker` and `RenewalTracker` its one definition of the monitors: the
+replica engine runs them at R replicas, and `observers.LevelLog` and
+`observers.ParityGapSeries` run them at R = 1 for a single chain.  The tests
+check both against the literal monitors in tests/oracles.py.
 
 Each lock-step only copies the potentials of the replicas that opened a level,
 with their ids and the step, into one buffer of about LEVEL_BLOCK_CELLS cells.
@@ -135,10 +137,17 @@ def level_statistics(u, m_new, u_total, with_flags: bool, order: np.ndarray) -> 
 
 def _pack_words(marks: np.ndarray) -> np.ndarray:
     """The uint64 words (W, N) of a boolean (M, N) array: bit k of word w is row 64 w + k."""
-    words = np.zeros(((len(marks) + 63) // 64, marks.shape[1]), dtype=np.uint64)
-    for k, row in enumerate(marks):
-        words[k // 64] |= np.left_shift(row, k % 64, dtype=np.uint64)
-    return words
+    m, n = marks.shape
+    if m <= 64:  # one word: a shift per row is the fastest at the engine's many columns
+        word = np.zeros((1, n), dtype=np.uint64)
+        for k, row in enumerate(marks):
+            word[0] |= np.left_shift(row, k, dtype=np.uint64)
+        return word
+    # A single chain's few columns at large M: byte j of a column's
+    # little-endian words holds rows 8 j .. 8 j + 7.
+    octets = np.zeros((n, 8 * ((m + 63) // 64)), dtype=np.uint8)
+    octets[:, : (m + 7) // 8] = np.packbits(marks, axis=0, bitorder="little").T
+    return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
 
 
 def _key_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +204,8 @@ class _Block(NamedTuple):
 
 
 class LevelTracker:
-    """Level counters of one ensemble run, written into its result.
+    """Level counters of R replicas, written into `res` (an `EnsembleResult`, or
+    any object that takes the same attributes).
 
     `gather` records each lock-step's openings; `flush` resolves the buffer
     and `finish` the run.  A signature run starts at the last level whose
@@ -203,12 +213,11 @@ class LevelTracker:
     level_counts - run_started_level.
     """
 
-    def __init__(self, res: EnsembleResult, m: int, total0: int, window: int, with_flags: bool):
-        R = res.request.replicas
+    def __init__(self, res: EnsembleResult, R: int, m: int, total0: int, window: int, with_flags: bool):
         self.res, self.total0, self.window, self.with_flags = res, total0, window, with_flags
         cap = buffer_columns(m, R)
         self.u = np.empty((m, cap), dtype=np.int64)
-        self.rep = np.empty(cap, dtype=_replica_type(R))
+        self.rep = np.zeros(cap, dtype=_replica_type(R))  # an R = 1 front end writes no id
         self.t = np.empty(cap, dtype=np.int64)
         self.fill = 0
         res.level_counts = np.zeros(R, dtype=np.int64)
@@ -241,10 +250,16 @@ class LevelTracker:
         if b * len(u) >= LEVEL_BLOCK_CELLS:
             self.flush()
 
-    def flush(self) -> None:
+    def flush(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Resolve the buffered levels.
+
+        With flags, returns each run's flag byte and length, replica-major
+        (the engine keeps only each flag's last level; a single chain's final
+        half is known only at its end).
+        """
         n, self.fill = self.fill, 0
         if not n:
-            return
+            return None
         u = self.u[:, :n]  # rows contiguous, so reductions over the sites are fast
         m_new = u.min(axis=0)
         pos = u > m_new
@@ -276,9 +291,12 @@ class LevelTracker:
             self._monotone(row, x, runs)
         self._persistence(_pack_words(centers).take(ids, axis=1), length, runs)
         self._runs(keys, level, runs)
+        run_flags = None
         if self.with_flags:
-            self._flags(flag_bits.take(ids), level + length - 1, runs)
+            run_flags = flag_bits.take(ids)
+            self._flags(run_flags, level + length - 1, runs)
         self.res.level_counts[levels.r0] += levels.last + 1 - levels.starts
+        return None if run_flags is None else (run_flags, length)
 
     def _monotone(self, row: int, x, blk: _Block, order=None) -> None:
         """Statistic `row` (S, Q or W) of each level or run x against the one before it.
@@ -354,3 +372,57 @@ class LevelTracker:
         res.run_length = res.level_counts - res.run_started_level
         if self.with_flags:
             res.final_half_flags = (self.last_flag >= res.level_counts // 2).T
+
+
+class RenewalTracker:
+    """Renewal counters of R replicas, written into `res` as `LevelTracker`'s are.
+
+    A renewal is a step at which every potential is equal.  `gather` takes
+    each renewal with the parity gap (times M) after its step and pairs it
+    with its replica's previous renewal; `finish` writes the increments'
+    sign counts and tail.
+    """
+
+    def __init__(self, res: EnsembleResult, R: int, m: int):
+        self.res, self.m = res, m
+        res.renewal_counts = np.zeros(R, dtype=np.int64)
+        self.has_base = np.zeros(R, dtype=bool)
+        self.d_last = np.zeros(R, dtype=np.int64)
+        # hist[b + 11]: the increments z in signed buckets b = sign(z) min(ceil(|z| / M), 11).
+        # |z| > c M exactly when |b| > c, so the histogram's size does not grow with M.
+        self.hist = np.zeros(23, dtype=np.int64)
+
+    def gather(self, hit: np.ndarray, d: np.ndarray) -> None:
+        """hit (steps, R): renewals, with the parity gap d (steps, R) after each step.
+
+        Each renewal is paired with its replica's previous one, in this call
+        or before it: idx runs replica-major.
+        """
+        idx = np.flatnonzero(hit.T)
+        if not idx.size:
+            return
+        rep, j = np.divmod(idx, len(hit))
+        dv = d[j, rep]
+        starts = np.flatnonzero(np.concatenate(([True], rep[1:] != rep[:-1])))
+        r0 = rep[starts]  # the replicas with renewals, each once
+        prev = np.empty_like(dv)
+        prev[1:] = dv[:-1]
+        prev[starts] = self.d_last[r0]
+        dd = np.delete(dv - prev, starts[~self.has_base[r0]])
+        b = np.minimum((np.abs(dd) + (self.m - 1)) // self.m, 11)
+        b *= np.sign(dd)
+        b += 11
+        self.hist += np.bincount(b, minlength=23)
+        ends = np.append(starts[1:], idx.size)
+        self.res.renewal_counts[r0] += ends - starts
+        self.d_last[r0] = dv[ends - 1]
+        self.has_base[r0] = True
+
+    def finish(self) -> None:
+        res, hist = self.res, self.hist
+        res.zeta_positive = int(hist[12:].sum())
+        res.zeta_negative = int(hist[:11].sum())
+        res.zeta_zero = int(hist[11])
+        # tail[c] = #{|zeta| > c}, zeta = z / M
+        b = np.abs(np.arange(-11, 12))
+        res.zeta_tail = np.array([hist[b > c].sum() for c in range(11)])

@@ -1,31 +1,24 @@
-"""Level-time detection, per-level statistics and renewal bookkeeping.
+"""Single-chain monitors for `dynamics.run`, and convergence detection.
 
-A level opens whenever the running minimum potential strictly increases; all
-per-level statistics are computed at the opening step.  The statistics are:
-
-  S  -- sum of reduced-potential entries that are >= 2
-  Q  -- number of isolated zeros flanked by positives, cyclically
-  W  -- number of cyclic windows (0, positive, positive, 0) ("doubles")
-
-plus the zero/positive signature of the reduced potentials.  The monotone
-behaviour of S (asymmetric) and of Q and W (symmetric), the persistence of
-(positive, 0, positive) triples and the eventual exclusion of certain windows
-are tracked as violation counts and one flag byte per level.  Q, W, the
-window flags and the isolated zeros read only the signature, and come from
-the engine's definition, `levels.level_statistics`.  Each observer keeps only
-what its report reads, so a long chain without a trajectory runs in constant
-memory.
+A level opens whenever the running minimum potential strictly increases.
+`LevelLog` and `ParityGapSeries` are R = 1 front ends of the engine's
+`levels.LevelTracker` and `levels.RenewalTracker`: each `on_step` copies what
+the tracker reads at a level opening or a renewal into a buffer, which is
+resolved in blocks of FLUSH_LEVELS, and `report()` reads the tracker's
+fields.  So a chain's S, Q, W, persistence, signature runs, window flags and
+renewal increments have the engine's one definition.  Their memory does not
+grow with the chain, except for one flag byte per level that `LevelLog`
+keeps: the final half starts at a level known only at the end.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .levels import FLAG_NAMES, level_statistics
+from .levels import FLAG_NAMES, LevelTracker, RenewalTracker
 from .ring import Neighborhood
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,76 +29,33 @@ if TYPE_CHECKING:  # pragma: no cover
 # the L-infinity distance within which its fractions match a limit.
 STABILITY_WINDOW = 25
 MATCH_TOLERANCE = 0.02
-
-
-def stat_S(v: Sequence[int]) -> int:
-    """Sum of entries >= 2 (entries 0 or 1 contribute nothing)."""
-    return sum([x for x in v if x >= 2])
-
-
-def pattern(v: Sequence[int]) -> tuple[int, ...]:
-    """Zero/positive signature of v: 0 stays 0, anything positive becomes 1."""
-    return tuple([1 if x > 0 else 0 for x in v])
+# Levels (or renewals) buffered before a front end resolves them.  A flush's
+# temporaries grow with its block, so a block of the engine's LEVEL_BLOCK_CELLS
+# would add hundreds of KB to a chain's peak memory; 512 levels add a few KB.
+FLUSH_LEVELS = 512
 
 
 def pattern_str(signature: Sequence[int]) -> str:
     return "".join("*" if s else "0" for s in signature)
 
 
-# A signature goes to `level_statistics` as one column of potentials over a
-# minimum of 0; this is that minimum, and the column order.
-_ZERO = np.zeros(1, dtype=np.intp)
-
-
-def _shape(sig: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """(Q, W, flag byte, isolated-zero centres) of a signature, by `level_statistics`.
-
-    The centres are an int bitmask: bit k marks a centre at 0-based site k.
-    """
-    col = np.array(sig, dtype=np.int64)[:, None]
-    _, stats, centers, flag_bits = level_statistics(col, _ZERO, col.sum(axis=0), True, _ZERO)
-    # row k of centers marks a centre at site k + 1
-    mask = np.packbits(np.roll(centers[:, 0], 1), bitorder="little").tobytes()
-    return int(stats[1, 0]), int(stats[2, 0]), int(flag_bits[0]), int.from_bytes(mask, "little")
-
-
 class LevelLog:
-    """Per-chain level log with monotonicity and persistence monitors.
+    """Per-chain level log: `levels.LevelTracker` at R = 1, with window flags.
 
-    It keeps only what `report()` and `detect_convergence` read: counts, the
-    first ten level times, the previous level's (S, Q, W), the required
-    isolated-zero centres, the current signature run and one flag byte per
-    level (bit i marks `FLAG_NAMES[i]`), since the final half starts at a
-    level known only at the end.  A lost centre counts once per level that
-    lacks it.
-
-    Each new signature's shape is read from `levels.level_statistics`, the
-    definition the engine uses, and memoised; the tests check that definition
-    against the literal ones in tests/oracles.py on every signature up to
-    M = 14.  LevelLog resolves levels one at a time, and the tests pin the
-    engine's block-wise counts, violations and signature runs to it replica
-    by replica.
+    `on_step` writes each level's potentials and step into the tracker's
+    buffer.  Besides the tracker it keeps only the first ten level times and
+    one flag byte per level (bit i marks `FLAG_NAMES[i]`), from the runs each
+    flush returns.
     """
 
     def __init__(self, kind: Neighborhood):
         self.kind = kind
-        self.level_count = 0
         self._times_head: list[int] = []
         self._last_t: int | None = None
         self._last_m: int | None = None
-        self._prev_stats: tuple[int, int, int] | None = None
-        self.s_increase_violations = 0
-        self.q_decrease_violations = 0
-        self.w_increase_violations = 0
-        self.persistence_violations = 0
-        self._required_centers = 0  # bitmask, as `_shape` gives the centres
         self._flags = bytearray()
-        # signature -> `_shape(signature)`, filled as signatures appear
-        self._shapes: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
-        # signature run tracking for convergence detection
-        self.current_signature: tuple[int, ...] | None = None
-        self.run_length = 0
-        self.run_started_level = 0
+        self._res = SimpleNamespace()
+        self._tracker: LevelTracker | None = None  # made at the first record, which fixes M
 
     def on_step(self, record: "TrajectoryRecord") -> None:
         if self._last_t is not None and record.t != self._last_t + 1:
@@ -114,118 +64,115 @@ class LevelLog:
         self._last_t = record.t
         self._last_m = record.m
         if opens:
-            self._open_level(record)
+            tracker = self._tracker
+            if tracker is None:
+                # S reads the potentials' sum at each level, as total0 + window * t
+                window = self.kind.window
+                total0 = sum(record.u) - window * record.t
+                tracker = self._tracker = LevelTracker(self._res, 1, len(record.u), total0, window, True)
+            i = tracker.fill
+            tracker.u[:, i] = record.u
+            tracker.t[i] = record.t
+            tracker.fill = i + 1
+            if len(self._times_head) < 10:
+                self._times_head.append(record.t)
+            if i + 1 == min(FLUSH_LEVELS, len(tracker.t)):
+                self._flush()
 
-    def _open_level(self, record: "TrajectoryRecord") -> None:
-        v = record.v
-        sig = pattern(v)
-        shape = self._shapes.get(sig)
-        if shape is None:
-            shape = self._shapes[sig] = _shape(sig)
-        q, w, flag_byte, centers = shape
-        s = stat_S(v)
-        if self._prev_stats is not None:
-            prev_s, prev_q, prev_w = self._prev_stats
-            self.s_increase_violations += s > prev_s
-            self.q_decrease_violations += q < prev_q
-            self.w_increase_violations += w > prev_w
-        self._prev_stats = (s, q, w)
-        required = self._required_centers
-        self.persistence_violations += (required & ~centers).bit_count()
-        self._required_centers = required | centers
-        if sig == self.current_signature:
-            self.run_length += 1
-        else:
-            self.current_signature = sig
-            self.run_length = 1
-            self.run_started_level = self.level_count
-        if self.level_count < 10:
-            self._times_head.append(record.t)
-        self._flags.append(flag_byte)
-        self.level_count += 1
+    def _flush(self) -> None:
+        runs = self._tracker.flush()
+        if runs is not None:
+            self._flags += np.repeat(*runs).tobytes()
 
-    def flag_counts(self, start_level: int = 0) -> dict[str, int]:
-        """Levels from `start_level` on that carry each excluded window."""
-        tail = self._flags[start_level:]
-        codes = range(1 << len(FLAG_NAMES))
-        return {
-            name: sum(tail.count(b) for b in codes if b >> i & 1)
-            for i, name in enumerate(FLAG_NAMES)
-        }
+    def _field(self, name: str) -> int:
+        """Field `name` of the tracker's result, with every level resolved."""
+        if self._tracker is None:
+            return 0
+        self._flush()
+        return int(getattr(self._res, name)[0])
+
+    @property
+    def level_count(self) -> int:
+        return self._field("level_counts")
+
+    @property
+    def run_started_level(self) -> int:
+        return self._field("run_started_level")
+
+    @property
+    def run_length(self) -> int:
+        return self.level_count - self.run_started_level
+
+    @property
+    def current_signature(self) -> tuple[int, ...] | None:
+        """The last level's zero/positive signature, unpacked from the tracker's key."""
+        if self._tracker is None:
+            return None
+        self._flush()
+        key = self._tracker.cur_sig[:, 0].astype("<u8").view(np.uint8)
+        return tuple(np.unpackbits(key, count=len(self._tracker.u), bitorder="little").tolist())
 
     def report(self) -> dict:
+        levels = self.level_count
+        tail = np.frombuffer(self._flags, dtype=np.uint8)[levels // 2 :]
+        signature = self.current_signature
         return {
-            "levels": self.level_count,
+            "levels": levels,
             "level_times_head": list(self._times_head),
-            "s_increase_violations": self.s_increase_violations,
-            "q_decrease_violations": self.q_decrease_violations,
-            "w_increase_violations": self.w_increase_violations,
-            "persistence_violations": self.persistence_violations,
-            "final_half_flag_counts": self.flag_counts(self.level_count // 2),
+            **{key: self._field(name) for key, name in (
+                ("s_increase_violations", "s_violations"),
+                ("q_decrease_violations", "q_violations"),
+                ("w_increase_violations", "w_violations"),
+                ("persistence_violations", "persistence_violations"),
+            )},
+            "final_half_flag_counts": {
+                name: int(np.count_nonzero(tail & (1 << i))) for i, name in enumerate(FLAG_NAMES)
+            },
             "stable_run_length": self.run_length,
-            "stable_signature": pattern_str(self.current_signature)
-            if self.current_signature is not None
-            else None,
+            "stable_signature": None if signature is None else pattern_str(signature),
         }
 
 
 class ParityGapSeries:
-    """Tracks H(t) at the sample times, the renewal count (reduced potential
-    identically zero) and the H increments between consecutive renewals, as a
-    `Counter` of exact values.  Asymmetric even-M chains only.
+    """Per-chain renewals: `levels.RenewalTracker` at R = 1.
 
-    This is the reference oracle for the engine's renewal and checkpoint
-    tracking, in exact rationals.  It stays in the package for
-    `nqsim simulate` and for the benchmark's per-layer probes.
+    A renewal is a step with the reduced potential identically zero.
+    `on_step` keeps the parity gap (times M) at each renewal and passes them
+    to the tracker in blocks.  `report()` gives the renewal count and the
+    signs of the parity-gap increments between consecutive renewals, which
+    `nqsim simulate` reports for asymmetric even M; at odd M it reports the
+    count alone.
     """
 
-    def __init__(self, m: int, sample_times: Sequence[int] = ()):
-        if m % 2 != 0:
-            raise ValueError(f"parity gap series needs even M, got {m}")
-        self.m = m
-        self.sample_times = frozenset(sample_times)
-        self.samples: dict[int, Fraction] = {}
-        self.renewals = 0
-        self.increments: Counter[Fraction] = Counter()
-        self._d_at_last_renewal: int | None = None
+    def __init__(self, m: int):
+        self._res = SimpleNamespace()
+        self._tracker = RenewalTracker(self._res, 1, m)
+        self._gaps: list[int] = []
 
     def on_step(self, record: "TrajectoryRecord") -> None:
-        renewal = not any(record.v)
-        sampled = record.t in self.sample_times
-        if not (renewal or sampled):
+        if any(record.v):
             return
-        # H times M as an integer; the Fraction is built only where it is kept.
         xi = record.xi
-        d = sum(xi[1::2]) - sum(xi[0::2])
-        if sampled:
-            self.samples[record.t] = Fraction(d, self.m)
-        if renewal:
-            if self._d_at_last_renewal is not None:
-                self.increments[Fraction(d - self._d_at_last_renewal, self.m)] += 1
-            self.renewals += 1
-            self._d_at_last_renewal = d
+        self._gaps.append(sum(xi[1::2]) - sum(xi[0::2]))
+        if len(self._gaps) == FLUSH_LEVELS:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._gaps:
+            d = np.array(self._gaps, dtype=np.int64)[:, None]
+            self._tracker.gather(np.ones(d.shape, dtype=bool), d)
+            self._gaps.clear()
 
     def report(self) -> dict:
+        self._flush()
+        self._tracker.finish()
+        res = self._res
         return {
-            "renewals": self.renewals,
-            "increments": self.increments.total(),
-            "increment_positive": sum(n for z, n in self.increments.items() if z > 0),
-            "increment_negative": sum(n for z, n in self.increments.items() if z < 0),
+            "renewals": int(res.renewal_counts[0]),
+            "increments": res.zeta_positive + res.zeta_negative + res.zeta_zero,
+            "increment_positive": res.zeta_positive,
+            "increment_negative": res.zeta_negative,
         }
-
-
-class RenewalCounter:
-    """Counts visits to the all-zero reduced potential (any M)."""
-
-    def __init__(self):
-        self.renewals = 0
-
-    def on_step(self, record: "TrajectoryRecord") -> None:
-        if not any(record.v):
-            self.renewals += 1
-
-    def report(self) -> dict:
-        return {"renewals": self.renewals}
 
 
 @dataclass(frozen=True)

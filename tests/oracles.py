@@ -2,21 +2,28 @@
 
 No command runs these and nothing under `src/nqsim` imports them.  Each one
 restates its definition directly, so it must stay independent of the code it
-checks: it imports nothing from `nqsim.levels`, `nqsim.limits`,
-`nqsim.ensemble`, `nqsim.statetable` or `nqsim.verify`, and from
-`nqsim.scaling` only the `FreezeOutcome` type
+checks: it imports nothing from `nqsim.levels`, `nqsim.observers`,
+`nqsim.limits`, `nqsim.ensemble`, `nqsim.statetable` or `nqsim.verify`, and
+from `nqsim.scaling` only the `FreezeOutcome` type
 (`test_imports.test_oracles_import_nothing_they_check` pins this).
 
   * `step`: one inverse-CDF draw from the probability vector, the oracle for
     `dynamics.run` and the engine's site draw;
-  * `stat_Q`, `stat_W`, `isolated_zero_centers`, `literal_window_flags`: the
-    level shapes, the oracle for `levels.level_statistics`;
+  * `stat_S`, `stat_Q`, `stat_W`, `pattern`, `isolated_zero_centers`,
+    `literal_window_flags`: the level shapes, the oracle for
+    `levels.level_statistics`;
+  * `ReferenceLevelLog` and `ReferenceParityGapSeries`: the level and renewal
+    monitors of one chain, resolved level by level and renewal by renewal
+    from those shapes, the oracle for `levels.LevelTracker` and
+    `levels.RenewalTracker` (in the engine, and at R = 1 behind
+    `observers.LevelLog` and `observers.ParityGapSeries`);
   * `parity_gap` in exact rationals; `classify_freeze` from an allocation-site
     list; `is_limit_configuration` on exact fraction vectors;
   * `neighborhood` as a set of 1-based sites, and `total_variation`.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -73,6 +80,16 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
+def stat_S(v: Sequence[int]) -> int:
+    """Sum of entries >= 2 (entries 0 or 1 contribute nothing)."""
+    return sum([x for x in v if x >= 2])
+
+
+def pattern(v: Sequence[int]) -> tuple[int, ...]:
+    """Zero/positive signature of v: 0 stays 0, anything positive becomes 1."""
+    return tuple([1 if x > 0 else 0 for x in v])
+
+
 def stat_Q(v: Sequence[int]) -> int:
     """Count of k with v_{k-1} > 0, v_k = 0, v_{k+1} > 0, cyclically."""
     m = len(v)
@@ -97,6 +114,9 @@ def isolated_zero_centers(sig: Sequence[int]) -> frozenset[int]:
     )
 
 
+_WINDOW_NAMES = ("three_positives", "three_zeros", "pair_into_zeros", "lone_positive_in_zeros")
+
+
 def literal_window_flags(sig: Sequence[int]) -> dict[str, bool]:
     """The excluded-window flags as a window-by-window scan of the ring."""
     m = len(sig)
@@ -110,6 +130,133 @@ def literal_window_flags(sig: Sequence[int]) -> dict[str, bool]:
         "pair_into_zeros": any(win(k, (1, 1, 0, 0)) for k in range(m)),
         "lone_positive_in_zeros": any(win(k, (0, 0, 1, 0, 0)) for k in range(m)),
     }
+
+
+class ReferenceLevelLog:
+    """Level log of one chain, each level resolved from the literal shapes as it opens.
+
+    A level opens at the first record and wherever the minimum potential
+    strictly rises.  It counts levels that raise S, lower Q or raise W
+    against the level before (and the step of the first S rise), each
+    isolated-zero centre an earlier level had and a level lacks, the current
+    signature run, and each level's window flags.
+    """
+
+    def __init__(self, kind: Neighborhood):
+        self.kind = kind
+        self.level_count = 0
+        self.level_times: list[int] = []
+        self._last_t: int | None = None
+        self._last_m: int | None = None
+        self._prev_stats: tuple[int, int, int] | None = None
+        self.s_increase_violations = 0
+        self.q_decrease_violations = 0
+        self.w_increase_violations = 0
+        self.first_s_violation_step = -1
+        self.persistence_violations = 0
+        self._required_centers: frozenset[int] = frozenset()
+        self.flags: list[dict[str, bool]] = []  # each level's `literal_window_flags`
+        self.current_signature: tuple[int, ...] | None = None
+        self.run_length = 0
+        self.run_started_level = 0
+
+    def on_step(self, record) -> None:
+        if self._last_t is not None and record.t != self._last_t + 1:
+            raise ValueError(f"out-of-order record: t={record.t} after t={self._last_t}")
+        opens = self._last_t is None or record.m > self._last_m
+        self._last_t = record.t
+        self._last_m = record.m
+        if opens:
+            self._open_level(record)
+
+    def _open_level(self, record) -> None:
+        v = record.v
+        sig = pattern(v)
+        s, q, w = stat_S(v), stat_Q(v), stat_W(v)
+        if self._prev_stats is not None:
+            prev_s, prev_q, prev_w = self._prev_stats
+            if s > prev_s:
+                self.s_increase_violations += 1
+                if self.first_s_violation_step < 0:
+                    self.first_s_violation_step = record.t
+            self.q_decrease_violations += q < prev_q
+            self.w_increase_violations += w > prev_w
+        self._prev_stats = (s, q, w)
+        centers = isolated_zero_centers(sig)
+        self.persistence_violations += len(self._required_centers - centers)
+        self._required_centers |= centers
+        if sig == self.current_signature:
+            self.run_length += 1
+        else:
+            self.current_signature = sig
+            self.run_length = 1
+            self.run_started_level = self.level_count
+        self.level_times.append(record.t)
+        self.flags.append(literal_window_flags(sig))
+        self.level_count += 1
+
+    def flag_counts(self, start_level: int = 0) -> dict[str, int]:
+        """Levels from `start_level` on that carry each excluded window."""
+        tail = self.flags[start_level:]
+        return {name: sum(f[name] for f in tail) for name in _WINDOW_NAMES}
+
+    def report(self) -> dict:
+        """The fields of `nqsim simulate`'s "levels" summary."""
+        return {
+            "levels": self.level_count,
+            "level_times_head": self.level_times[:10],
+            "s_increase_violations": self.s_increase_violations,
+            "q_decrease_violations": self.q_decrease_violations,
+            "w_increase_violations": self.w_increase_violations,
+            "persistence_violations": self.persistence_violations,
+            "final_half_flag_counts": self.flag_counts(self.level_count // 2),
+            "stable_run_length": self.run_length,
+            "stable_signature": None
+            if self.current_signature is None
+            else "".join("*" if x else "0" for x in self.current_signature),
+        }
+
+
+class ReferenceParityGapSeries:
+    """H(t) at the sample times, the renewal count (reduced potential
+    identically zero) and the H increments between consecutive renewals, as a
+    `Counter` of exact values.
+
+    H is the paper's parity gap at even M; at odd M the same sums give the
+    increments the engine tracks there.
+    """
+
+    def __init__(self, m: int, sample_times: Sequence[int] = ()):
+        self.m = m
+        self.sample_times = frozenset(sample_times)
+        self.samples: dict[int, Fraction] = {}
+        self.renewals = 0
+        self.increments: Counter[Fraction] = Counter()
+        self._h_at_last_renewal: Fraction | None = None
+
+    def on_step(self, record) -> None:
+        renewal = not any(record.v)
+        sampled = record.t in self.sample_times
+        if not (renewal or sampled):
+            return
+        xi = record.xi
+        h = Fraction(sum(xi[1::2]) - sum(xi[0::2]), self.m)
+        if sampled:
+            self.samples[record.t] = h
+        if renewal:
+            if self._h_at_last_renewal is not None:
+                self.increments[h - self._h_at_last_renewal] += 1
+            self.renewals += 1
+            self._h_at_last_renewal = h
+
+    def report(self) -> dict:
+        """The fields of `nqsim simulate`'s "parity_gap" summary."""
+        return {
+            "renewals": self.renewals,
+            "increments": self.increments.total(),
+            "increment_positive": sum(n for z, n in self.increments.items() if z > 0),
+            "increment_negative": sum(n for z, n in self.increments.items() if z < 0),
+        }
 
 
 def parity_gap(xi: Sequence[int]) -> Fraction:

@@ -281,6 +281,25 @@ class TestSimulateCommand:
         )
         assert json.loads(out_env) == json.loads(out_flag)
 
+    def test_non_integer_env_seed_exits_1_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("NQ_SEED", "abc")
+        code, out, err = run_cli(capsys, "simulate", "--m", "4", "--steps", "5")
+        assert code == 1 and out == ""
+        assert err == "nqsim simulate: error: NQ_SEED must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_integer_init_exits_1_with_one_line(self, tmp_path, capsys, source):
+        if source == "flag":
+            argv = ("--init", "1,x,0,0,0")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"init": "1,x,0,0,0"}))
+            argv = ("--config", str(cfg))
+        code, out, err = run_cli(capsys, "simulate", "--m", "5", "--steps", "5", *argv)
+        assert code == 1 and out == ""
+        assert err == ("nqsim simulate: error: --init must be 'empty' or M comma-separated integers, "
+                       "got '1,x,0,0,0'\n")
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": 300, "seed": 5, "neighborhood": "asym", "rule": "min"}))
@@ -302,9 +321,12 @@ class TestSimulateCommand:
             (["simulate", "--m", "4"], {"init": [0, 0, 0, 0]}),
             (["verify", "--suite", "sym", "--m", "5"], {"replicas": "10"}),
             (["enumerate", "--m", "5"], {"format": 1}),
+            # keys the command does not read, or that a flag overrides
+            (["simulate", "--m", "4", "--steps", "5"], {"format": 3}),
+            (["simulate", "--m", "4", "--steps", "5"], {"steps": 1.5}),
         ],
         ids=["steps-str", "steps-float", "seed-bool", "beta-str", "init-list", "replicas-str",
-             "format-int"],
+             "format-int", "unread-format-int", "overridden-steps-float"],
     )
     def test_mistyped_config_value_exits_1(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "cfg.json"

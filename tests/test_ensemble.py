@@ -8,10 +8,20 @@ import pytest
 from nqsim import ensemble, levels, statetable
 from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, run
 from nqsim.ensemble import FLAG_NAMES, EnsembleRequest, EnsembleResult, run_ensemble
-from nqsim.observers import LevelLog, ParityGapSeries, pattern, stat_S
 from nqsim.ring import Neighborhood, potentials, reduce_potential
 from nqsim.scaling import classify_final_ties
-from oracles import isolated_zero_centers, literal_window_flags, neighborhood, stat_Q, stat_W, step
+from oracles import (
+    ReferenceLevelLog,
+    ReferenceParityGapSeries,
+    isolated_zero_centers,
+    literal_window_flags,
+    neighborhood,
+    pattern,
+    stat_Q,
+    stat_S,
+    stat_W,
+    step,
+)
 
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC
@@ -273,7 +283,7 @@ def test_level_statistics_match_single_chain_log():
         )
     )
     for r in range(2):
-        log = LevelLog(SYM)
+        log = ReferenceLevelLog(SYM)
         run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r), observers=[log])
         assert log.level_count == int(res.level_counts[r])
         assert int(res.q_violations[r]) == log.q_decrease_violations
@@ -295,7 +305,7 @@ def test_signatures_beyond_site_64_match_single_chain_log():
         )
     )
     for r in range(replicas):
-        log = LevelLog(SYM)
+        log = ReferenceLevelLog(SYM)
         run(ChainState.from_occupancy(init, SYM), MinRule(), steps, RandomStream(seed, r),
             observers=[log])
         assert int(res.level_counts[r]) == log.level_count
@@ -359,27 +369,13 @@ def test_final_half_flags_match_single_chain_log(m, steps):
     )
     assert res.final_half_flags.shape == (replicas, len(FLAG_NAMES))
     for r in range(replicas):
-        log = LevelLog(SYM)
+        log = ReferenceLevelLog(SYM)
         run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r), observers=[log])
         assert int(res.level_counts[r]) == log.level_count
         expected = log.flag_counts(log.level_count // 2)
         assert res.final_half_flags[r].tolist() == [expected[name] > 0 for name in FLAG_NAMES], r
     if steps <= 1:
         assert res.final_half_flags.any()
-
-
-class _EngineLevelLog(LevelLog):
-    """LevelLog that also reads the step of the first S violation, which the engine reports beyond it."""
-
-    def __init__(self, kind):
-        super().__init__(kind)
-        self.first_s_violation_step = -1
-
-    def _open_level(self, record):
-        s_before = self.s_increase_violations
-        super()._open_level(record)
-        if self.first_s_violation_step < 0 and self.s_increase_violations > s_before:
-            self.first_s_violation_step = record.t
 
 
 def _level_requests(kind, m):
@@ -395,7 +391,7 @@ def _level_requests(kind, m):
 
 
 def _level_log(req, r):
-    log = _EngineLevelLog(req.kind)
+    log = ReferenceLevelLog(req.kind)
     start = ChainState.from_occupancy(req.init, req.kind) if req.init else ChainState.empty(req.m, req.kind)
     run(start, MinRule(), req.steps, RandomStream(req.seed, r), observers=[log])
     return log
@@ -455,7 +451,7 @@ def test_persistence_counts_each_lost_centre_as_the_single_chain_log_does():
     res = run_ensemble(
         EnsembleRequest(m=m, kind=ASYM, rule=MinRule(), steps=steps, replicas=1, seed=seed, track_levels=True)
     )
-    log = LevelLog(ASYM)
+    log = ReferenceLevelLog(ASYM)
     run(ChainState.empty(m, ASYM), MinRule(), steps, RandomStream(seed, 0), observers=[log])
     assert int(res.persistence_violations[0]) == log.persistence_violations == 5532
 
@@ -499,7 +495,7 @@ def test_renewals_match_parity_gap_series():
             track_renewals=True,
         )
     )
-    series = ParityGapSeries(m)
+    series = ReferenceParityGapSeries(m)
     run(ChainState.empty(m, ASYM), MinRule(), steps, RandomStream(seed, 0), observers=[series])
     assert int(res.renewal_counts[0]) == series.renewals
     pos = sum(n for z, n in series.increments.items() if z > 0)
@@ -511,6 +507,29 @@ def test_renewals_match_parity_gap_series():
         assert res.zeta_tail[c] == sum(n for z, n in series.increments.items() if abs(z) > c)
 
 
+@pytest.mark.parametrize("m", [3, 4, 7])
+def test_renewal_tracker_counts_large_increments(m):
+    # Parity gaps far apart, so the increments fill every tail bucket and its
+    # boundaries |z| = c M, in two gathers that split each replica's renewals.
+    rng = np.random.default_rng(m)
+    R, steps = 3, 400
+    hit = rng.random((steps, R)) < 0.3
+    d = np.cumsum(rng.integers(-12 * m, 12 * m + 1, (steps, R)), axis=0)
+    d[rng.random((steps, R)) < 0.1] += m * rng.integers(-11, 12)
+    res = EnsembleResult(request=None, t=steps, xi=None, u=None)
+    tracker = levels.RenewalTracker(res, R, m)
+    tracker.gather(hit[:150], d[:150])
+    tracker.gather(hit[150:], d[150:])
+    tracker.finish()
+    z = [b - a for r in range(R) for a, b in zip(d[hit[:, r], r], d[hit[:, r], r][1:])]
+    assert res.renewal_counts.tolist() == hit.sum(axis=0).tolist()
+    assert (res.zeta_positive, res.zeta_negative, res.zeta_zero) == (
+        sum(x > 0 for x in z), sum(x < 0 for x in z), sum(x == 0 for x in z))
+    assert res.zeta_tail.tolist() == [sum(abs(x) > c * m for x in z) for c in range(11)]
+    assert 0 < res.zeta_tail[10] < res.zeta_tail[0]
+    assert {abs(x) for x in z} & {c * m for c in range(1, 11)}  # a boundary value occurs
+
+
 def test_h_checkpoints_match_parity_gap():
     m, steps, seed = 4, 512, 21
     cps = (128, 256, 512)
@@ -520,7 +539,7 @@ def test_h_checkpoints_match_parity_gap():
         )
     )
     for r in range(3):
-        series = ParityGapSeries(m, sample_times=cps)
+        series = ReferenceParityGapSeries(m, sample_times=cps)
         run(
             ChainState.empty(m, ASYM), MinRule(), steps, RandomStream(seed, r), observers=[series]
         )

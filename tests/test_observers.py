@@ -6,24 +6,33 @@ from itertools import product
 import numpy as np
 import pytest
 
-from nqsim.dynamics import ChainState, MinRule, RandomStream, TrajectoryRecord, run
+from nqsim import observers
+from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, TrajectoryRecord, run
 from nqsim.ensemble import FLAG_NAMES
+from nqsim.levels import level_statistics
 from nqsim.limits import enumerate_limits
 from nqsim.observers import (
     MATCH_TOLERANCE,
     LevelLog,
     ParityGapSeries,
-    RenewalCounter,
     detect_convergence,
     limit_floats,
     match_limit,
     nearest_limit,
-    pattern,
     pattern_str,
-    stat_S,
 )
 from nqsim.ring import Neighborhood, potentials, reduce_potential
-from oracles import isolated_zero_centers, literal_window_flags, parity_gap, stat_Q, stat_W
+from oracles import (
+    ReferenceLevelLog,
+    ReferenceParityGapSeries,
+    isolated_zero_centers,
+    literal_window_flags,
+    parity_gap,
+    pattern,
+    stat_Q,
+    stat_S,
+    stat_W,
+)
 
 ASYM = Neighborhood.ASYMMETRIC
 SYM = Neighborhood.SYMMETRIC
@@ -138,9 +147,16 @@ class TestLevelLog:
         # M / 2 isolated zeros, more than a uint16 sum over the sites holds
         m = 2**17 + 2
         v = (1, 0) * (m // 2)
-        log = LevelLog(SYM)
-        log.on_step(TrajectoryRecord(0, (0,) * m, v, v, 0, None))
-        assert log._shapes[v] == (m // 2, 0, 0, int("10" * (m // 2), 2))
+        col = np.array(v, dtype=np.int64)[:, None]
+        zero = np.zeros(1, dtype=np.intp)
+        _, stats, centers, _ = level_statistics(col, zero, col.sum(axis=0), True, zero)
+        assert stats[:, 0].tolist() == [0, m // 2, 0]
+        assert np.flatnonzero(centers[:, 0]).tolist() == list(range(0, m, 2))  # row k: site k + 1
+        log, ref = LevelLog(SYM), ReferenceLevelLog(SYM)
+        for monitor in (log, ref):
+            monitor.on_step(TrajectoryRecord(0, (0,) * m, v, v, 0, None))
+        assert log.report() == ref.report()
+        assert log.current_signature == ref.current_signature == v
 
     @pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
     def test_stat_columns_match_functions(self, kind):
@@ -152,34 +168,27 @@ class TestLevelLog:
         assert out.final == out2.final
         # levels open at t = 0 and wherever the minimum potential rises
         levels = [b for a, b in zip([None, *out.records], out.records) if a is None or b.m > a.m]
-        assert log.level_count == len(levels)
-        assert log.report()["level_times_head"] == [lv.t for lv in levels[:10]]
+        report = log.report()
+        assert log.level_count == report["levels"] == len(levels)
+        assert report["level_times_head"] == [lv.t for lv in levels[:10]]
         assert all(min(lv.v) == 0 for lv in levels)
         stats = [(stat_S(lv.v), stat_Q(lv.v), stat_W(lv.v)) for lv in levels]
-        assert log.s_increase_violations == sum(b[0] > a[0] for a, b in zip(stats, stats[1:]))
-        assert log.q_decrease_violations == sum(b[1] < a[1] for a, b in zip(stats, stats[1:]))
-        assert log.w_increase_violations == sum(b[2] > a[2] for a, b in zip(stats, stats[1:]))
+        assert report["s_increase_violations"] == sum(b[0] > a[0] for a, b in zip(stats, stats[1:]))
+        assert report["q_decrease_violations"] == sum(b[1] < a[1] for a, b in zip(stats, stats[1:]))
+        assert report["w_increase_violations"] == sum(b[2] > a[2] for a, b in zip(stats, stats[1:]))
         # persistence recounted from the centers of successive signatures
         required, lost = frozenset(), 0
         for lv in levels:
             centers = isolated_zero_centers(pattern(lv.v))
             lost += len(required - centers)
             required |= centers
-        assert log.persistence_violations == lost
+        assert report["persistence_violations"] == lost
         # final-half flag counts recounted from the window flags of each level
-        for start in (0, len(levels) // 2):
-            flags = [literal_window_flags(pattern(lv.v)) for lv in levels[start:]]
-            assert log.flag_counts(start) == {
-                name: sum(f[name] for f in flags) for name in FLAG_NAMES
-            }
-        # every memoised signature shape equals the reference functions;
-        # bit k of the centre mask marks a centre at 0-based site k
-        assert set(log._shapes) == {pattern(lv.v) for lv in levels}
-        for sig, (q, w, flag_byte, centers) in log._shapes.items():
-            assert (q, w) == (stat_Q(sig), stat_W(sig))
-            assert centers == sum(1 << k for k in isolated_zero_centers(sig))
-            flags = literal_window_flags(sig)
-            assert [bool(flag_byte >> i & 1) for i in range(4)] == [flags[n] for n in FLAG_NAMES]
+        flags = [literal_window_flags(pattern(lv.v)) for lv in levels[len(levels) // 2 :]]
+        assert report["final_half_flag_counts"] == {
+            name: sum(f[name] for f in flags) for name in FLAG_NAMES
+        }
+        assert log.current_signature == pattern(levels[-1].v)
 
 
 class TestParityGap:
@@ -195,7 +204,7 @@ class TestParityGap:
             parity_gap((1, 2, 3))
 
     def test_renewal_bookkeeping(self):
-        series = ParityGapSeries(4, sample_times=(0, 2))
+        series = ReferenceParityGapSeries(4, sample_times=(0, 2))
         # empty start: renewal at t=0; a full sweep 1,2,3,4 renews again at t=4
         records = _records_from_sites(ASYM, 4, [1, 2, 3, 4])
         for rec in records:
@@ -211,29 +220,31 @@ class TestParityGap:
         assert all(
             abs(z) <= b.t - a.t for z, a, b in zip(increments, renewals, renewals[1:])
         )
+        front = ParityGapSeries(4)
+        for rec in records:
+            front.on_step(rec)
+        assert front.report() == series.report()
 
     def test_increment_values(self):
-        series = ParityGapSeries(4)
+        series, front = ReferenceParityGapSeries(4), ParityGapSeries(4)
         # sweep once (renewal at 4), then 2,1,4,3 (renewal at 8, H unchanged)
         records = _records_from_sites(ASYM, 4, [1, 2, 3, 4, 2, 1, 4, 3])
         for rec in records:
             series.on_step(rec)
+            front.on_step(rec)
         assert [rec.t for rec in records if not any(rec.v)] == [0, 4, 8]
         assert series.renewals == 3
         assert series.increments == Counter({Fraction(0): 2})
+        assert front.report() == {"renewals": 3, "increments": 2, "increment_positive": 0,
+                                  "increment_negative": 0}
 
-    def test_renewal_counter_matches_series(self):
-        log = RenewalCounter()
-        series = ParityGapSeries(6)
-        out = run(
-            ChainState.empty(6, ASYM),
-            MinRule(),
-            3000,
-            RandomStream(23, 0),
-            observers=[log, series],
-        )
-        assert log.renewals == series.renewals
-        assert log.renewals >= 10
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_renewal_count_matches_the_reference(self, m):
+        # `nqsim simulate` reads the count at odd M and every field at even M.
+        front, series = ParityGapSeries(m), ReferenceParityGapSeries(m)
+        run(ChainState.empty(m, ASYM), MinRule(), 3000, RandomStream(23, 0), observers=[front, series])
+        assert front.report() == series.report()
+        assert series.renewals >= 10
 
 
 class TestDetectConvergence:
@@ -276,8 +287,9 @@ class TestDetectConvergence:
 def test_parity_gap_series_matches_parity_gap_at_every_step(m, init, seed):
     steps = 3000
     start = ChainState.empty(m, ASYM) if init is None else ChainState.from_occupancy(init, ASYM)
-    series = ParityGapSeries(m, sample_times=range(0, steps + 1, 7))
-    records = run(start, MinRule(), steps, RandomStream(seed, 0), [series], sample_every=1).records
+    series = ReferenceParityGapSeries(m, sample_times=range(0, steps + 1, 7))
+    front = ParityGapSeries(m)
+    records = run(start, MinRule(), steps, RandomStream(seed, 0), [series, front], sample_every=1).records
     assert series.samples == {rec.t: parity_gap(rec.xi) for rec in records if rec.t % 7 == 0}
     renewals = [rec for rec in records if all(x == 0 for x in rec.v)]
     assert series.renewals == len(renewals)
@@ -286,6 +298,88 @@ def test_parity_gap_series_matches_parity_gap_at_every_step(m, init, seed):
         parity_gap(b.xi) - parity_gap(a.xi) for a, b in zip(renewals, renewals[1:])
     )
     assert all(type(h) is Fraction for h in [*series.samples.values(), *series.increments])
+    assert front.report() == series.report()
+
+
+RULES = [MinRule(), MaxRule(), Softmax(0.5)]
+
+
+def _front_ends_and_references(kind, m, rule, init, steps, seed):
+    """LevelLog, its reference and, if asymmetric, ParityGapSeries and its reference, run over one chain."""
+    start = ChainState.empty(m, kind) if init is None else ChainState.from_occupancy(init, kind)
+    monitors = [LevelLog(kind), ReferenceLevelLog(kind)]
+    if kind is ASYM:
+        monitors += [ParityGapSeries(m), ReferenceParityGapSeries(m)]
+    run(start, rule, steps, RandomStream(seed, 0), monitors, sample_every=max(steps, 1))
+    return monitors
+
+
+def _assert_front_ends_match(monitors):
+    log, ref = monitors[:2]
+    assert log.report() == ref.report()
+    fields = ("level_count", "run_length", "run_started_level", "current_signature")
+    assert [getattr(log, f) for f in fields] == [getattr(ref, f) for f in fields]
+    if len(monitors) > 2:
+        assert monitors[2].report() == monitors[3].report()
+
+
+def _random_init(m):
+    rng = np.random.default_rng(m)
+    return tuple(int(x) for x in rng.integers(0, 4, m))
+
+
+@pytest.mark.parametrize("init", ["empty", "random"])
+@pytest.mark.parametrize("rule", RULES, ids=str)
+@pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
+@pytest.mark.parametrize("m", [*range(4, 13), 70])
+def test_front_ends_match_the_reference_monitors(m, kind, rule, init):
+    # 1500 steps pass one flush block of levels at M <= 8 under the min rule.
+    steps = 300 if m == 70 else 1500
+    start = None if init == "empty" else _random_init(m)
+    _assert_front_ends_match(_front_ends_and_references(kind, m, rule, start, steps, 7 * m))
+
+
+@pytest.mark.parametrize("init", [None, (3, 0, 1, 0, 2, 5)], ids=["empty", "random"])
+@pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
+def test_front_ends_match_the_reference_monitors_at_no_steps(kind, init):
+    monitors = _front_ends_and_references(kind, 6, MinRule(), init, 0, 1)
+    _assert_front_ends_match(monitors)
+    assert monitors[0].level_count == 1
+
+
+@pytest.mark.parametrize("block", [1, 7, observers.FLUSH_LEVELS])
+@pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
+def test_flush_blocks_change_no_report(monkeypatch, kind, block):
+    # Several blocks, then a level count that is an exact multiple of the
+    # block, so the last flush comes from `on_step` and none from `report`.
+    monkeypatch.setattr(observers, "FLUSH_LEVELS", block)
+    m, seed = 4, 13
+    ref = ReferenceLevelLog(kind)
+    run(ChainState.empty(m, kind), MinRule(), 4000, RandomStream(seed, 0), [ref])
+    assert ref.level_count > 2 * observers.FLUSH_LEVELS
+    exact = 2 * block if block > 1 else 11
+    for steps in (4000, ref.level_times[exact] - 1):
+        monitors = _front_ends_and_references(kind, m, MinRule(), None, steps, seed)
+        _assert_front_ends_match(monitors)
+    assert monitors[0].level_count == exact
+    assert monitors[0]._tracker.fill == 0
+
+
+def test_final_half_starts_at_a_flagged_level():
+    # A chain cut where level levels // 2 carries a window that no later level
+    # carries: a final half that started one level late would miss it.
+    m, seed = 5, 3
+    ref = ReferenceLevelLog(SYM)
+    run(ChainState.empty(m, SYM), MinRule(), 300, RandomStream(seed, 0), [ref])
+    cut = next(
+        n for n in range(2, ref.level_count)
+        if any(ref.flags[n // 2][f] and not any(g[f] for g in ref.flags[n // 2 + 1 : n]) for f in FLAG_NAMES)
+    )
+    monitors = _front_ends_and_references(SYM, m, MinRule(), None, ref.level_times[cut] - 1, seed)
+    _assert_front_ends_match(monitors)
+    assert monitors[0].level_count == cut
+    counts = monitors[0].report()["final_half_flag_counts"]
+    assert any(counts[f] == 1 and ref.flags[cut // 2][f] for f in FLAG_NAMES)
 
 
 @pytest.mark.parametrize(
