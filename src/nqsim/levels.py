@@ -11,12 +11,13 @@ replica engine runs them at R replicas, and `observers.LevelLog` and
 check both against the literal monitors in tests/oracles.py.
 
 Each lock-step only copies the potentials of the replicas that opened a level,
-with their ids and the step, into one buffer of about LEVEL_BLOCK_CELLS cells.
-The buffer is resolved when it is full, at the end of each uniform block and
-at the end of the run.  A flush reads S off the potentials of every gathered
-level.  The levels are then ordered replica-major, so each replica's levels
-form one segment, and each segment is cut into runs of levels with one
-zero/positive signature.  Each run's signature is packed into a key of uint64
+with their ids and the step, into one buffer of about LEVEL_BLOCK_CELLS cells,
+or FLUSH_LEVELS levels a replica if fewer.  The buffer is resolved when it is
+full, at the end of each uniform block and at the end of the run.  A flush
+reads S off the potentials of every gathered level.  The levels are then
+ordered replica-major, so each replica's levels form one segment, and each
+segment is cut into runs of levels with one zero/positive signature.
+Each run's signature is packed into a key of uint64
 words (bit k of word w: site 64 w + k is positive; one word up to M = 64;
 `_pack_words`).  Q, W, the flag byte and the isolated-zero centres depend on
 the signature alone: they are computed once per distinct key
@@ -64,6 +65,9 @@ _WINDOW = 5  # sites per window code; the longest shape
 # mmap threshold, and the next one then comes from the brk heap, where later
 # small allocations pin it and the peak RSS grows.
 LEVEL_BLOCK_CELLS = 3 * 2**13
+# and at most FLUSH_LEVELS levels a replica: a single chain's flush at the cell
+# budget would add hundreds of KB to its peak memory, one of 512 levels tens.
+FLUSH_LEVELS = 512
 # A level may not raise S, lower Q or raise W.
 _WORSE = (np.greater, np.less, np.greater)
 
@@ -138,15 +142,11 @@ def level_statistics(u, m_new, u_total, with_flags: bool, order: np.ndarray) -> 
 def _pack_words(marks: np.ndarray) -> np.ndarray:
     """The uint64 words (W, N) of a boolean (M, N) array: bit k of word w is row 64 w + k."""
     m, n = marks.shape
-    if m <= 64:  # one word: a shift per row is the fastest at the engine's many columns
-        word = np.zeros((1, n), dtype=np.uint64)
-        for k, row in enumerate(marks):
-            word[0] |= np.left_shift(row, k, dtype=np.uint64)
-        return word
-    # A single chain's few columns at large M: byte j of a column's
-    # little-endian words holds rows 8 j .. 8 j + 7.
+    # Byte j of a column's little-endian words holds rows 8 j .. 8 j + 7.
+    bits = np.zeros((n, 8 * ((m + 7) // 8)), dtype=bool)
+    bits[:, :m] = marks.T
     octets = np.zeros((n, 8 * ((m + 63) // 64)), dtype=np.uint8)
-    octets[:, : (m + 7) // 8] = np.packbits(marks, axis=0, bitorder="little").T
+    octets[:, : (m + 7) // 8] = np.packbits(bits, bitorder="little").reshape(n, -1)
     return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
 
 
@@ -165,9 +165,14 @@ def _key_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, ids
 
 
+def block_levels(m: int, replicas: int) -> int:
+    """Levels gathered before a flush: the cell budget's, and at most FLUSH_LEVELS a replica."""
+    return min(-(-LEVEL_BLOCK_CELLS // m), FLUSH_LEVELS * replicas)
+
+
 def buffer_columns(m: int, replicas: int) -> int:
-    """Columns of the level buffer: those below the cell budget, and one more lock-step's openings."""
-    return (LEVEL_BLOCK_CELLS - 1) // m + replicas
+    """Columns of the level buffer: those of a block but one, and one more lock-step's openings."""
+    return block_levels(m, replicas) - 1 + replicas
 
 
 def _replica_type(replicas: int):
@@ -215,9 +220,10 @@ class LevelTracker:
 
     def __init__(self, res: EnsembleResult, R: int, m: int, total0: int, window: int, with_flags: bool):
         self.res, self.total0, self.window, self.with_flags = res, total0, window, with_flags
+        self.block = block_levels(m, R)
         cap = buffer_columns(m, R)
         self.u = np.empty((m, cap), dtype=np.int64)
-        self.rep = np.zeros(cap, dtype=_replica_type(R))  # an R = 1 front end writes no id
+        self.rep = np.empty(cap, dtype=_replica_type(R))
         self.t = np.empty(cap, dtype=np.int64)
         self.fill = 0
         res.level_counts = np.zeros(R, dtype=np.int64)
@@ -237,18 +243,18 @@ class LevelTracker:
         # last_flag[i, r]: index of replica r's last level carrying FLAG_NAMES[i], -1 if none
         self.last_flag = np.full((len(FLAG_NAMES), R), -1, dtype=np.int64)
 
-    def gather(self, idx: np.ndarray, t: int, u: np.ndarray) -> None:
-        """Record the levels replicas idx opened at step t, their potentials u (M, len(idx)).
+    def gather(self, idx: np.ndarray, t: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """Record the levels replicas idx opened at step t (or steps t), their potentials u (M, len(idx)).
 
-        Flushes once the cell budget is reached.
+        Takes one lock-step's openings, or a block into an empty buffer; flushes
+        once a block is gathered and returns what the flush returns.
         """
         a = self.fill
         self.fill = b = a + len(idx)
         self.u[:, a:b] = u
         self.rep[a:b] = idx
         self.t[a:b] = t
-        if b * len(u) >= LEVEL_BLOCK_CELLS:
-            self.flush()
+        return self.flush() if b >= self.block else None
 
     def flush(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Resolve the buffered levels.
@@ -297,6 +303,11 @@ class LevelTracker:
             self._flags(run_flags, level + length - 1, runs)
         self.res.level_counts[levels.r0] += levels.last + 1 - levels.starts
         return None if run_flags is None else (run_flags, length)
+
+    def signature(self, r: int) -> tuple[int, ...]:
+        """Replica r's current zero/positive signature (1: positive), as of the last flush."""
+        key = self.cur_sig[:, r].astype("<u8").view(np.uint8)
+        return tuple(np.unpackbits(key, count=len(self.u), bitorder="little").tolist())
 
     def _monotone(self, row: int, x, blk: _Block, order=None) -> None:
         """Statistic `row` (S, Q or W) of each level or run x against the one before it.

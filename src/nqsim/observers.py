@@ -2,23 +2,24 @@
 
 A level opens whenever the running minimum potential strictly increases.
 `LevelLog` and `ParityGapSeries` are R = 1 front ends of the engine's
-`levels.LevelTracker` and `levels.RenewalTracker`: each `on_step` copies what
-the tracker reads at a level opening or a renewal into a buffer, which is
-resolved in blocks of FLUSH_LEVELS, and `report()` reads the tracker's
-fields.  So a chain's S, Q, W, persistence, signature runs, window flags and
-renewal increments have the engine's one definition.  Their memory does not
+`levels.LevelTracker` and `levels.RenewalTracker`: each `on_step` keeps what
+the tracker reads at a level opening or a renewal, passes it on in blocks of
+at most `levels.FLUSH_LEVELS`, and `report()` reads the tracker's fields.  So
+a chain's S, Q, W, persistence, signature runs, window flags and renewal
+increments have the engine's one definition.  Their memory does not
 grow with the chain, except for one flag byte per level that `LevelLog`
 keeps: the final half starts at a level known only at the end.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .levels import FLAG_NAMES, LevelTracker, RenewalTracker
+from .levels import FLAG_NAMES, FLUSH_LEVELS, LevelTracker, RenewalTracker
 from .ring import Neighborhood
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,10 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # the L-infinity distance within which its fractions match a limit.
 STABILITY_WINDOW = 25
 MATCH_TOLERANCE = 0.02
-# Levels (or renewals) buffered before a front end resolves them.  A flush's
-# temporaries grow with its block, so a block of the engine's LEVEL_BLOCK_CELLS
-# would add hundreds of KB to a chain's peak memory; 512 levels add a few KB.
-FLUSH_LEVELS = 512
 
 
 def pattern_str(signature: Sequence[int]) -> str:
@@ -42,10 +39,10 @@ def pattern_str(signature: Sequence[int]) -> str:
 class LevelLog:
     """Per-chain level log: `levels.LevelTracker` at R = 1, with window flags.
 
-    `on_step` writes each level's potentials and step into the tracker's
-    buffer.  Besides the tracker it keeps only the first ten level times and
-    one flag byte per level (bit i marks `FLAG_NAMES[i]`), from the runs each
-    flush returns.
+    `on_step` keeps each level's potentials and step, and gathers them as
+    replica 0's a flush block at a time.  Besides the tracker it keeps only
+    the first ten level times and one flag byte per level (bit i marks
+    `FLAG_NAMES[i]`), from the runs each flush returns.
     """
 
     def __init__(self, kind: Neighborhood):
@@ -54,6 +51,8 @@ class LevelLog:
         self._last_t: int | None = None
         self._last_m: int | None = None
         self._flags = bytearray()
+        self._u = array("q")  # the potentials and steps of the levels not yet gathered
+        self._t = array("q")
         self._res = SimpleNamespace()
         self._tracker: LevelTracker | None = None  # made at the first record, which fixes M
 
@@ -64,23 +63,27 @@ class LevelLog:
         self._last_t = record.t
         self._last_m = record.m
         if opens:
-            tracker = self._tracker
-            if tracker is None:
+            if self._tracker is None:
                 # S reads the potentials' sum at each level, as total0 + window * t
                 window = self.kind.window
                 total0 = sum(record.u) - window * record.t
-                tracker = self._tracker = LevelTracker(self._res, 1, len(record.u), total0, window, True)
-            i = tracker.fill
-            tracker.u[:, i] = record.u
-            tracker.t[i] = record.t
-            tracker.fill = i + 1
+                self._tracker = LevelTracker(self._res, 1, len(record.u), total0, window, True)
             if len(self._times_head) < 10:
                 self._times_head.append(record.t)
-            if i + 1 == min(FLUSH_LEVELS, len(tracker.t)):
+            self._u.extend(record.u)
+            self._t.append(record.t)
+            if len(self._t) == self._tracker.block:
                 self._flush()
 
     def _flush(self) -> None:
-        runs = self._tracker.flush()
+        """Gather the pending levels and resolve every level, keeping the flag bytes of its runs."""
+        runs = None
+        if n := len(self._t):
+            u = np.array(self._u).reshape(n, -1).T
+            runs = self._tracker.gather(np.zeros(n, dtype=np.intp), np.array(self._t), u)
+            del self._u[:], self._t[:]
+        if runs is None:  # the block was not full
+            runs = self._tracker.flush()
         if runs is not None:
             self._flags += np.repeat(*runs).tobytes()
 
@@ -105,12 +108,11 @@ class LevelLog:
 
     @property
     def current_signature(self) -> tuple[int, ...] | None:
-        """The last level's zero/positive signature, unpacked from the tracker's key."""
+        """The last level's zero/positive signature (1: positive)."""
         if self._tracker is None:
             return None
         self._flush()
-        key = self._tracker.cur_sig[:, 0].astype("<u8").view(np.uint8)
-        return tuple(np.unpackbits(key, count=len(self._tracker.u), bitorder="little").tolist())
+        return self._tracker.signature(0)
 
     def report(self) -> dict:
         levels = self.level_count

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from nqsim import observers
+from nqsim import levels, observers
 from nqsim.dynamics import ChainState, MaxRule, MinRule, RandomStream, Softmax, TrajectoryRecord, run
 from nqsim.ensemble import FLAG_NAMES
 from nqsim.levels import level_statistics
@@ -347,22 +347,25 @@ def test_front_ends_match_the_reference_monitors_at_no_steps(kind, init):
     assert monitors[0].level_count == 1
 
 
-@pytest.mark.parametrize("block", [1, 7, observers.FLUSH_LEVELS])
+@pytest.mark.parametrize("block", [1, 7, levels.FLUSH_LEVELS])
 @pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
 def test_flush_blocks_change_no_report(monkeypatch, kind, block):
     # Several blocks, then a level count that is an exact multiple of the
     # block, so the last flush comes from `on_step` and none from `report`.
-    monkeypatch.setattr(observers, "FLUSH_LEVELS", block)
+    for module in (levels, observers):
+        monkeypatch.setattr(module, "FLUSH_LEVELS", block)
     m, seed = 4, 13
     ref = ReferenceLevelLog(kind)
     run(ChainState.empty(m, kind), MinRule(), 4000, RandomStream(seed, 0), [ref])
-    assert ref.level_count > 2 * observers.FLUSH_LEVELS
+    assert ref.level_count > 2 * block
     exact = 2 * block if block > 1 else 11
     for steps in (4000, ref.level_times[exact] - 1):
         monitors = _front_ends_and_references(kind, m, MinRule(), None, steps, seed)
         _assert_front_ends_match(monitors)
     assert monitors[0].level_count == exact
     assert monitors[0]._tracker.fill == 0
+    # a single chain's buffer holds one block, not the engine's cell budget
+    assert len(monitors[0]._tracker.t) == block
 
 
 def test_final_half_starts_at_a_flagged_level():
