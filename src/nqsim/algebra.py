@@ -7,17 +7,23 @@ u_k = xi_{k-1} + xi_k + xi_{k+1} is uniquely solvable unless M is divisible
 by 3, in which case solvability requires the three residue-class sums of u to
 coincide and leaves two free parameters.
 
-All arithmetic is exact: the potentials are scaled to integers over one
-common denominator, the recurrences and the Unique/Family/Infeasible
-boundaries run in integer arithmetic without any floating point, and only the
-returned entries are built as fractions.Fraction.
+One solver per window takes a batch of rows of integer numerators n, shape
+(N, M), and returns per row the outcome and the integer numerators of xi over
+one denominator.  Both recurrences are prefix sums, so a batch takes O(M)
+numpy passes whatever N.  The arithmetic is exact: in Python ints for an
+object array, and in int64 while every value fits (with |n| <= 60, every
+value stays below 2^62 up to 2^50 sites).  The scalar solvers scale u to integers over
+one common denominator, solve it as one object row, and build
+fractions.Fraction entries only at the boundary.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,15 @@ class Infeasible:
 
 SolveOutcome = Unique | Family | Infeasible
 
+# Per-row outcome codes of the batch solvers.
+UNIQUE, FAMILY, INFEASIBLE = 0, 1, 2
+
+
+class BatchSolution(NamedTuple):
+    outcome: np.ndarray  # (N,) UNIQUE, FAMILY or INFEASIBLE
+    x: np.ndarray  # (N, M) numerators of xi (of the family base) over den; junk where infeasible
+    den: int
+
 
 def _scaled(u: Sequence) -> tuple[list[int], int]:
     """Integers n and a common denominator d > 0 with u_k = n_k / d exactly."""
@@ -50,71 +65,89 @@ def _scaled(u: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in uf], d
 
 
-def solve_occupancy_asym(u: Sequence) -> SolveOutcome:
-    """Solve u_k = xi_k + xi_{k+1} on a ring of M = len(u) >= 3 sites."""
-    m = len(u)
+def solve_asym_batch(n: np.ndarray) -> BatchSolution:
+    """Solve u_k = xi_k + xi_{k+1} for each row of numerators n, shape (N, M), M >= 3.
+
+    x_k = (-1)^k (x_0 + f c_k) with c_k = sum_{j<k} (-1)^{j+1} n_j.  At odd M,
+    f = 2, x_0 = sum_even n - sum_odd n = -c_M and den = 2.  At even M the
+    base has x_0 = 0, f = 1 and den = 1, and a row is solvable iff c_M = 0.
+    """
+    rows, m = n.shape
     if m < 3:
         raise ValueError(f"asymmetric system needs M >= 3, got {m}")
-    n, d = _scaled(u)
-
+    sign = 1 - 2 * (np.arange(m) % 2)  # (-1)^k
+    s = -sign * n
+    c = np.cumsum(s, axis=1)
+    total = c[:, -1].copy()
+    c -= s  # the exclusive prefix sums c_k
     if m % 2 == 1:
-        # xi_1 = (u_M - u_{M-1} + ... - u_2 + u_1) / 2, then peel off one
-        # equation at a time; x holds 2 * d * xi.
-        x = [sum(n[0::2]) - sum(n[1::2])]
-        for k in range(1, m):
-            x.append(2 * n[k - 1] - x[k - 1])
-        return Unique(tuple(Fraction(v, 2 * d) for v in x))
-
-    if not parity_invariant(n):
-        return Infeasible("parity")
-    x = [0]  # d * base
-    for k in range(1, m):
-        x.append(n[k - 1] - x[k - 1])
-    return Family(tuple(Fraction(v, d) for v in x), free_parameters=1)
+        c *= 2
+        c -= total[:, None]
+        c *= sign
+        return BatchSolution(np.full(rows, UNIQUE), c, 2)
+    c *= sign
+    return BatchSolution(np.where(total == 0, FAMILY, INFEASIBLE), c, 1)
 
 
-def _propagate_sym(n: list[int]) -> list[int]:
-    # Equations 2..M-1 determine xi_3..xi_M from xi_1 = xi_2 = 0.
-    p = [0, 0]
-    for k in range(2, len(n)):
-        p.append(n[k - 1] - p[k - 1] - p[k - 2])
-    return p
+# xi_k's coefficients of xi_1 (row 0) and xi_2 (row 1) when the symmetric
+# equations 2..M-1 propagate them; both repeat with period 3.
+_PERIOD3 = np.array([[1, 0, -1], [0, 1, -1]])
+
+
+def solve_sym_batch(n: np.ndarray) -> BatchSolution:
+    """Solve u_k = xi_{k-1} + xi_k + xi_{k+1} for each row of numerators n, shape (N, M), M >= 4.
+
+    Equations 2..M-1 give xi_k = p_k + a_k xi_1 + b_k xi_2 with p_1 = p_2 = 0,
+    p_3 = n_2 and p_k = p_{k-3} + n_{k-1} - n_{k-2}: a prefix sum along each
+    residue class mod 3.  At 3 | M the base is p (den = 1), solvable iff the
+    three residue-class sums of n agree.  Otherwise equations 1 and M close the
+    loop with a 2x2 determinant of +-3, so den = 3.
+    """
+    rows, m = n.shape
+    if m < 4:
+        raise ValueError(f"symmetric system needs M >= 4, got {m}")
+    e = np.zeros((rows, m + (-m) % 3), dtype=n.dtype)
+    e[:, 2] = n[:, 1]
+    e[:, 3:m] = n[:, 2 : m - 1] - n[:, 1 : m - 2]
+    p = np.cumsum(e.reshape(rows, -1, 3), axis=1).reshape(rows, -1)[:, :m]
+    if m % 3 == 0:
+        sums = n.reshape(rows, -1, 3).sum(axis=1)
+        feasible = (sums[:, 0] == sums[:, 1]) & (sums[:, 1] == sums[:, 2])
+        return BatchSolution(np.where(feasible, FAMILY, INFEASIBLE), p, 1)
+
+    a, b = _PERIOD3[:, np.arange(m) % 3]
+    # eq 1: xi_M + xi_1 + xi_2 = u_1 ; eq M: xi_{M-1} + xi_M + xi_1 = u_M
+    a11, a12 = int(a[m - 1]) + 1, int(b[m - 1]) + 1
+    a21, a22 = int(a[m - 2] + a[m - 1]) + 1, int(b[m - 2] + b[m - 1])
+    det = a11 * a22 - a12 * a21
+    assert abs(det) == 3, f"closing determinant {det} for M={m}"
+    r1 = n[:, 0] - p[:, m - 1]
+    r2 = n[:, m - 1] - p[:, m - 2] - p[:, m - 1]
+    # 3 * xi_1 and 3 * xi_2 by Cramer's rule, the sign of det moved into them
+    x1 = (det // 3) * (r1 * a22 - r2 * a12)
+    x2 = (det // 3) * (a11 * r2 - a21 * r1)
+    x = 3 * p + a * x1[:, None] + b * x2[:, None]
+    return BatchSolution(np.full(rows, UNIQUE), x, 3)
+
+
+def _solve_one(solve, u: Sequence, condition: str, free_parameters: int) -> SolveOutcome:
+    """One exact row of a batch solver, with Fraction entries."""
+    n, d = _scaled(u)
+    outcome, x, den = solve(np.array([n], dtype=object))
+    if outcome[0] == INFEASIBLE:
+        return Infeasible(condition)
+    xi = tuple(Fraction(v, den * d) for v in x[0].tolist())
+    return Unique(xi) if outcome[0] == UNIQUE else Family(xi, free_parameters)
+
+
+def solve_occupancy_asym(u: Sequence) -> SolveOutcome:
+    """Solve u_k = xi_k + xi_{k+1} on a ring of M = len(u) >= 3 sites."""
+    return _solve_one(solve_asym_batch, u, "parity", 1)
 
 
 def solve_occupancy_sym(u: Sequence) -> SolveOutcome:
     """Solve u_k = xi_{k-1} + xi_k + xi_{k+1} on a ring of M = len(u) >= 4 sites."""
-    m = len(u)
-    if m < 4:
-        raise ValueError(f"symmetric system needs M >= 4, got {m}")
-    n, d = _scaled(u)
-
-    if m % 3 == 0:
-        if not mod3_invariant(n):
-            return Infeasible("mod3")
-        return Family(tuple(Fraction(v, d) for v in _propagate_sym(n)), free_parameters=2)
-
-    # Propagate symbolically: xi_k = p_k + a_k*xi_1 + b_k*xi_2 (p held as
-    # d * p) where the homogeneous coefficients cycle with period 3 (a, b,
-    # -a-b).  The two unused equations (k=1 and k=M) close the loop; their
-    # 2x2 determinant is -3 whenever M is not divisible by 3.
-    p = _propagate_sym(n)
-    a = [1, 0]
-    b = [0, 1]
-    for k in range(2, m):
-        a.append(-a[k - 1] - a[k - 2])
-        b.append(-b[k - 1] - b[k - 2])
-
-    # eq 1: xi_M + xi_1 + xi_2 = u_1 ; eq M: xi_{M-1} + xi_M + xi_1 = u_M
-    a11, a12 = a[m - 1] + 1, b[m - 1] + 1
-    a21, a22 = a[m - 2] + a[m - 1] + 1, b[m - 2] + b[m - 1]
-    r1 = n[0] - p[m - 1]
-    r2 = n[m - 1] - p[m - 2] - p[m - 1]
-    det = a11 * a22 - a12 * a21
-    assert abs(det) == 3, f"closing determinant {det} for M={m}"
-    # det * d * xi_1 and det * d * xi_2 (Cramer's rule)
-    x1 = r1 * a22 - r2 * a12
-    x2 = a11 * r2 - a21 * r1
-    return Unique(tuple(Fraction(det * p[k] + a[k] * x1 + b[k] * x2, det * d) for k in range(m)))
+    return _solve_one(solve_sym_batch, u, "mod3", 2)
 
 
 def parity_invariant(v: Sequence) -> bool:

@@ -437,7 +437,8 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--suite", choices=list(SUITE_NAMES), required=True)
     p_ver.add_argument("--neighborhood", choices=["asym", "sym"], default=None,
                        help="appendix suite only (default: sym)")
-    p_ver.add_argument("--trials", type=int, default=None, help="algebra suite batch size")
+    p_ver.add_argument("--trials", type=int, default=None,
+                       help="algebra suite only: cases per battery (default: 1000)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_sc = sub.add_parser("scaling", help="parity-gap diffusivity diagnostics (asym, even M)")

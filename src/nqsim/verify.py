@@ -1,23 +1,22 @@
 """Invariant batteries behind the `verify` subcommand and the acceptance suite.
 
-Each suite runs a replica ensemble (or, for algebra, a batch of exact solves)
-and turns the tracked violation counters into a flat list of pass/fail
+Each suite runs a replica ensemble (or, for algebra, batches of exact integer
+solves) and turns the tracked violation counters into a flat list of pass/fail
 invariant results with first-violation details.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .algebra import Family, Infeasible, Unique, solve_occupancy_asym, solve_occupancy_sym
-from .dynamics import MaxRule, MinRule
+from .algebra import FAMILY, INFEASIBLE, UNIQUE, BatchSolution, solve_asym_batch, solve_sym_batch
+from .dynamics import MaxRule, MinRule, RandomStream
 from .ensemble import FLAG_NAMES, EnsembleRequest, run_ensemble
 from .limits import enumerate_limits
 from .observers import STABILITY_WINDOW, limit_floats, nearest_limit
-from .ring import Neighborhood, potentials
+from .ring import Neighborhood
 from .scaling import classify_final_ties, sign_test_p
 
 SUITE_NAMES = ("asym-odd", "asym-even", "sym", "appendix", "algebra")
@@ -273,26 +272,16 @@ def suite_appendix(
     return VerificationReport("appendix", config, invariants)
 
 
-def _reproduces(base: tuple, u: tuple, kind: Neighborhood) -> bool:
-    """Whether the Fraction occupancy `base` has potentials `u`.
-
-    Integer potentials have integral bases, so the sums run on the numerators
-    without building a Fraction; other bases fall back to Fraction sums.
-    """
-    if all(x.denominator == 1 for x in base):
-        return potentials([x.numerator for x in base], kind) == u
-    return potentials(base, kind) == u
-
-
 # Cells (trials x columns) drawn at once by an algebra battery; bounds its arrays.
 ALGEBRA_BATCH_CELLS = 2**14
 # The suite refuses a ring whose estimated footprint (`algebra_bytes`) exceeds
 # this, the limit of `simulate` and of the ensemble.
 MAX_ALGEBRA_BYTES = 2**32
 # `algebra_bytes` per cell of a batch: the drawn cases, their potentials and
-# their lists, and one trial's solver lists and Fraction tuple.  Measured
-# tracemalloc peaks of the whole suite: 146-220 bytes per site at M = 1e4,
-# 1e5 and 1e6 (2 trials, one case per batch), 110 per cell at M = 7.
+# the batch solver's int64 prefix sums and numerators.  Measured tracemalloc
+# peaks of the whole suite: 139, 64 and 64 bytes per site at M = 1e4, 1e5 and
+# 1e6 (2 trials, one case per batch), 32-66 per cell of a full batch at M = 7.
+# 256 leaves headroom and refuses the same rings as before.
 _ALGEBRA_CELL_BYTES = 256
 
 
@@ -314,10 +303,13 @@ def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
     check, recorded in the detail.
 
     Each battery draws its cases in batches of at most ALGEBRA_BATCH_CELLS
-    cells, and takes the potentials of a whole batch at once.  A batch of n
-    rows is the n cases that n draws of one case each would give, in order,
-    so the report does not depend on the batch size.  A ring whose footprint
-    exceeds MAX_ALGEBRA_BYTES is refused before anything is drawn.
+    cells, takes the potentials of a whole batch at once and hands them, as
+    int64, to the batch solver of its window.  The checks compare integer
+    numerators, so no Fraction is built.  A batch of n rows is the n cases
+    that n draws of one case each would give, in order, so the report does
+    not depend on the batch size.  A ring whose footprint exceeds
+    MAX_ALGEBRA_BYTES, or a seed outside [0, 2^64), is refused before
+    anything is drawn.
     """
     if m < 4:
         raise ValueError(f"algebra suite needs M >= 4, got {m}")
@@ -329,18 +321,22 @@ def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
             f"algebra suite at M={m} needs about {need / 2**20:.0f} MiB, "
             f"above the {MAX_ALGEBRA_BYTES / 2**20:.0f} MiB limit"
         )
+    RandomStream(seed)  # refuses a seed outside [0, 2^64) as the other suites do
     rng = np.random.default_rng(seed)
     asym, sym = Neighborhood.ASYMMETRIC, Neighborhood.SYMMETRIC
-    solvers = {asym: solve_occupancy_asym, sym: solve_occupancy_sym}
+    solvers = {asym: solve_asym_batch, sym: solve_sym_batch}
+
+    def windows(kind: Neighborhood, v: np.ndarray) -> np.ndarray:
+        return sum(np.roll(v, -d, axis=1) for d in kind.offsets)
 
     def battery(
         id_: str, kind: Neighborhood, size: int, passes: Callable, bumped: bool = False
     ) -> InvariantResult:
-        """`trials` calls of `passes(kind, xi, u)` on drawn cases, counting the false ones.
+        """`trials` drawn cases, solved a batch at a time, counting the rows `passes` rejects.
 
         A case is `size` occupancies in [0, 20) and their potentials; in a
         bumped case the occupancies are in [0, 15) and a last drawn column
-        names the potential raised by 1.
+        names the potential raised by 1.  Every potential is below 60.
         """
         high = np.array([15] * size + [size]) if bumped else 20
         width = size + bumped
@@ -349,29 +345,25 @@ def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
         for start in range(0, trials, per_batch):
             cases = rng.integers(0, high, size=(min(per_batch, trials - start), width))
             xi = cases[:, :size]
-            u = sum(np.roll(xi, -d, axis=1) for d in kind.offsets)
+            u = windows(kind, xi)
             if bumped:
                 u[np.arange(len(u)), cases[:, size]] += 1
-            failures += sum(
-                not passes(kind, tuple(x), tuple(v)) for x, v in zip(xi.tolist(), u.tolist())
-            )
+            ok = passes(kind, solvers[kind](u), xi, u)
+            failures += len(ok) - int(np.count_nonzero(ok))
         return InvariantResult(
             id_, failures == 0, None, {"trials": trials, "failures": failures, "m": size}
         )
 
-    def unique(kind: Neighborhood, xi: tuple, u: tuple) -> bool:
-        outcome = solvers[kind](u)
-        return isinstance(outcome, Unique) and outcome.xi == xi
+    def unique(kind: Neighborhood, s: BatchSolution, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return (s.outcome == UNIQUE) & (s.x == s.den * xi).all(axis=1)
 
-    def family(kind: Neighborhood, xi: tuple, u: tuple) -> bool:
-        outcome = solvers[kind](u)
-        return isinstance(outcome, Family) and _reproduces(outcome.base, u, kind)
+    def family(kind: Neighborhood, s: BatchSolution, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return (s.outcome == FAMILY) & (windows(kind, s.x) == s.den * u).all(axis=1)
 
-    def infeasible(condition: str, kind: Neighborhood, xi: tuple, u: tuple) -> bool:
+    def infeasible(kind: Neighborhood, s: BatchSolution, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
         # Potentials of an occupancy satisfy the sum condition; bumping a
         # single entry breaks it by exactly 1.
-        outcome = solvers[kind](u)
-        return isinstance(outcome, Infeasible) and outcome.condition == condition
+        return s.outcome == INFEASIBLE
 
     m_odd = m if m % 2 == 1 else m + 1
     m_even = m if m % 2 == 0 else m + 1
@@ -382,8 +374,8 @@ def suite_algebra(m: int, seed: int, trials: int = 1000) -> VerificationReport:
         battery("round-trip-unique-sym", sym, m_non3, unique),
         battery("family-base-reproduces-potentials-asym", asym, m_even, family),
         battery("family-base-reproduces-potentials-sym", sym, m_div3, family),
-        battery("infeasible-parity-detected", asym, m_even, partial(infeasible, "parity"), True),
-        battery("infeasible-mod3-detected", sym, m_div3, partial(infeasible, "mod3"), True),
+        battery("infeasible-parity-detected", asym, m_even, infeasible, True),
+        battery("infeasible-mod3-detected", sym, m_div3, infeasible, True),
     ]
     config = {"m": m, "seed": seed, "trials": trials}
     return VerificationReport("algebra", config, invariants)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +8,18 @@ from hypothesis import strategies as st
 
 from nqsim import verify
 from nqsim.algebra import (
+    FAMILY,
+    INFEASIBLE,
+    UNIQUE,
     Family,
     Infeasible,
     Unique,
     mod3_invariant,
     parity_invariant,
+    solve_asym_batch,
     solve_occupancy_asym,
     solve_occupancy_sym,
+    solve_sym_batch,
 )
 from nqsim.ring import Neighborhood, potentials
 
@@ -243,6 +249,73 @@ def test_solver_matches_literal_fraction_solver(kind, m):
         assert outcomes == ({Family, Infeasible} if m % 3 == 0 else {Unique})
 
 
+# --- the batch solvers ------------------------------------------------------
+
+BATCH = {ASYM: solve_asym_batch, SYM: solve_sym_batch}
+OUTCOME_TYPES = {UNIQUE: Unique, FAMILY: Family, INFEASIBLE: Infeasible}
+
+
+def _windows(kind, v):
+    return sum(np.roll(v, -d, axis=1) for d in kind.offsets)
+
+
+def _int_rows(rng, kind, m):
+    """Integer potentials with negative entries: arbitrary, feasible, and one entry off feasible."""
+    feasible = _windows(kind, rng.integers(-20, 30, size=(12, m)))
+    bumped = feasible.copy()
+    bumped[np.arange(12), rng.integers(0, m, size=12)] += rng.choice((-1, 1), size=12)
+    return np.concatenate([rng.integers(-60, 60, size=(12, m)), feasible, bumped])
+
+
+@pytest.mark.parametrize("kind, m", [(ASYM, m) for m in range(3, 17)] + [(SYM, m) for m in range(4, 17)])
+def test_batch_rows_match_the_one_row_object_solve_and_the_literal_solver(kind, m):
+    solve, literal = BATCH[kind], SOLVERS[kind][1]
+    n = _int_rows(np.random.default_rng(300 + m + 100 * (kind is SYM)), kind, m)
+    got = solve(n)
+    assert got.x.dtype == np.int64 and got.x.shape == n.shape
+    for row, u in enumerate(n.tolist()):
+        one = solve(np.array([u], dtype=object))
+        code = int(got.outcome[row])
+        assert (int(one.outcome[0]), one.den) == (code, got.den)
+        expected = literal(u)
+        assert type(expected) is OUTCOME_TYPES[code]
+        if code != INFEASIBLE:
+            assert one.x[0].tolist() == got.x[row].tolist()
+            entries = expected.xi if code == UNIQUE else expected.base
+            assert entries == tuple(Fraction(v, got.den) for v in got.x[row].tolist())
+    assert set(got.outcome.tolist()) == ({UNIQUE} if m % (2 if kind is ASYM else 3) else {FAMILY, INFEASIBLE})
+
+
+@pytest.mark.parametrize("kind, m", [(ASYM, 100_001), (SYM, 100_000)])
+def test_large_ring_substitutes_back_exactly_in_int64(kind, m):
+    u = np.random.default_rng(m).integers(0, 60, size=(1, m))
+    got = BATCH[kind](u)
+    assert got.outcome.tolist() == [UNIQUE] and got.x.dtype == np.int64
+    assert np.array_equal(_windows(kind, got.x), got.den * u)
+
+
+def test_int64_holds_every_value_up_to_the_largest_ring_the_suite_admits():
+    # Arithmetic, not a run.  The suite draws occupancies below 20 and bumps
+    # one potential by 1, so every numerator n has |n| <= 3 * 19 + 1 <= 60.
+    bound = 60
+    assert 3 * 19 + 1 <= bound
+    # the largest battery ring, m + 2 sites for the largest m the suite admits
+    m = verify.MAX_ALGEBRA_BYTES // verify._ALGEBRA_CELL_BYTES
+    assert verify.algebra_bytes(m - 2) <= verify.MAX_ALGEBRA_BYTES < verify.algebra_bytes(m - 1)
+    # asymmetric: |c_k| <= M |n|, and x_k = +-(x_0 + 2 c_k) with |x_0| <= M |n|
+    prefix = m * bound
+    x_asym = 3 * prefix
+    # symmetric: |n_{k-1} - n_{k-2}| <= 2 |n| summed over one residue class
+    # gives p; the closing coefficients are at most 2 in magnitude
+    p = 2 * bound * -(-m // 3)
+    r = bound + 2 * p
+    x12 = 2 * r + 2 * r
+    x_sym = 3 * p + 2 * x12
+    # the batteries compare x with den * xi and the window sums of x with den * u
+    largest = max(prefix, x_asym, 2 * x_asym, p, m * bound, x_sym, 3 * x_sym)
+    assert largest < 2**62, largest
+
+
 # --- the `verify --suite algebra` batteries --------------------------------
 
 SUITE_SEEDS = (1, 6, 808, 2701)
@@ -279,10 +352,9 @@ def _sizes(m):
     ]
 
 
-def replayed_failures(m, seed, trials):
-    """Failures per battery, one case drawn per trial, with the solvers `verify` holds now."""
+def replayed_failures(m, seed, trials, solve):
+    """Failures per battery, one case drawn per trial, through the scalar solvers `solve[kind]`."""
     rng = np.random.default_rng(seed)
-    solve = {ASYM: verify.solve_occupancy_asym, SYM: verify.solve_occupancy_sym}
     failures = {}
     for id_, kind, size, check in _sizes(m):
         failures[id_] = 0
@@ -308,6 +380,17 @@ def _battery(report):
     return {inv.id: (inv.passed, inv.detail) for inv in report.invariants}
 
 
+def test_suite_peak_stays_within_the_footprint_estimate():
+    m = 100_000  # one case per batch, far above the ALGEBRA_BATCH_CELLS floor of the estimate
+    tracemalloc.start()
+    try:
+        assert verify.suite_algebra(m, 5, 2).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= verify.algebra_bytes(m), (peak, verify.algebra_bytes(m))
+
+
 @pytest.mark.parametrize("seed", (1, 6, 2701))
 @pytest.mark.parametrize("m", (4, 7, 12))
 def test_report_does_not_depend_on_the_batch(monkeypatch, seed, m):
@@ -317,21 +400,37 @@ def test_report_does_not_depend_on_the_batch(monkeypatch, seed, m):
         assert _battery(verify.suite_algebra(m, seed, 120)) == whole
 
 
+PLANTED = -1  # an outcome code that no battery accepts
+
+
 @pytest.mark.parametrize("cells", (verify.ALGEBRA_BATCH_CELLS, 50))
 @pytest.mark.parametrize("seed", (1, 6, 2701))
 @pytest.mark.parametrize("m", (4, 7, 12))
 def test_failures_are_counted_per_trial(monkeypatch, cells, seed, m):
+    # each solver errs on a known part of its inputs: on rows of the batch
+    # solvers that `verify` calls, and on calls of the scalar solvers that
+    # the per-trial replay makes
+    wrong = {ASYM: lambda u: u[0] % 2 != 0, SYM: lambda u: u[1] % 3 == 0}
+
+    def erring_batch(solve, wrong):
+        def solve_batch(n):
+            out = solve(n)
+            return out._replace(outcome=np.where(wrong(n.T), PLANTED, out.outcome))  # n.T[k]: entry k of each row
+
+        return solve_batch
+
     def erring(solve, wrong):
         return lambda u: Infeasible("planted") if wrong(u) else solve(u)
 
-    # each solver errs on a known part of its inputs
-    monkeypatch.setattr(verify, "solve_occupancy_asym", erring(solve_occupancy_asym, lambda u: u[0] % 2))
-    monkeypatch.setattr(verify, "solve_occupancy_sym", erring(solve_occupancy_sym, lambda u: u[1] % 3 == 0))
+    monkeypatch.setattr(verify, "solve_asym_batch", erring_batch(solve_asym_batch, wrong[ASYM]))
+    monkeypatch.setattr(verify, "solve_sym_batch", erring_batch(solve_sym_batch, wrong[SYM]))
     monkeypatch.setattr(verify, "ALGEBRA_BATCH_CELLS", cells)
     trials = 150
-    expected = replayed_failures(m, seed, trials)
+    scalar = {ASYM: erring(solve_occupancy_asym, wrong[ASYM]), SYM: erring(solve_occupancy_sym, wrong[SYM])}
+    expected = replayed_failures(m, seed, trials, scalar)
     assert all(0 < n < trials for n in expected.values()), expected
     report = verify.suite_algebra(m, seed, trials)
     assert {inv.id: inv.detail["failures"] for inv in report.invariants} == expected
     assert [(inv.id, inv.detail["m"]) for inv in report.invariants] == [(i, n) for i, _, n, _ in _sizes(m)]
     assert not any(inv.passed for inv in report.invariants)
+

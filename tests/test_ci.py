@@ -1,6 +1,6 @@
 """The repository's documents agree with it: the CI workflow runs the tier-1
-command that ROADMAP.md names, under a time limit, and the README layout
-names every module of the package."""
+command that ROADMAP.md names, under a time limit, with pip's cache keyed on
+pyproject.toml, and the README layout names every module of the package."""
 import re
 from pathlib import Path
 
@@ -17,6 +17,17 @@ def test_workflow_runs_the_roadmap_tier1_command_with_a_timeout():
     (run,) = [step["run"] for step in job["steps"] if step.get("name") == "Tier-1 tests"]
     (command,) = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
     assert run.strip() == command
+
+
+def test_workflow_caches_pip_on_pyproject():
+    # setup-python keys its pip cache on requirements*.txt unless told
+    # otherwise, and the repository has none: the dependencies are in pyproject.toml
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    (setup,) = [step["with"] for step in job["steps"] if step.get("uses", "").startswith("actions/setup-python")]
+    assert setup["cache"] == "pip"
+    assert setup["cache-dependency-path"] == "pyproject.toml"
 
 
 def test_readme_layout_names_every_module():

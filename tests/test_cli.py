@@ -526,6 +526,19 @@ class TestVerifyCommand:
         assert out == ""
         assert err == f"nqsim verify: error: algebra suite needs trials >= 1, got {trials}\n"
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_algebra_suite_refuses_a_seed_outside_64_bits(self, capsys, seed):
+        code, out, err = run_cli(capsys, "verify", "--suite", "algebra", "--m", "5", "--seed", str(seed))
+        assert code == 1
+        assert out == ""
+        assert err == f"nqsim verify: error: seed must fit in 64 bits, got {seed}\n"
+
+    def test_algebra_suite_takes_the_largest_64_bit_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "algebra", "--m", "5", "--trials", "20",
+                               "--seed", str(2**64 - 1))
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == 2**64 - 1
+
     def test_algebra_suite_refuses_a_ring_it_cannot_hold_before_drawing(self, capsys, monkeypatch):
         class NoDraws:
             def integers(self, *args, **kwargs):
