@@ -20,6 +20,7 @@ from .dynamics import (
     RandomStream,
     parse_rule,
     run,
+    trajectory_lines,
 )
 from .limits import enumerate_limits, rotation_classes, summary_counts
 from .observers import (
@@ -208,8 +209,7 @@ def cmd_simulate(args, config_file) -> int:
 
     if args.trajectory:
         with open(args.trajectory, "w") as fh:
-            for rec in result.records:
-                fh.write(rec.to_json_line() + "\n")
+            fh.writelines(trajectory_lines(result.records))
 
     verdict = detect_convergence(level_log, result.final.xi, result.final.t, limits)
     final = result.final

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,8 +150,8 @@ class TrajectoryRecord(NamedTuple):
     v = u - m, minimum potential m and the 1-based site that received the
     particle (None for the initial record).
 
-    A tuple, so that `run` builds one per step cheaply; records compare
-    equal field by field, in this order.
+    A tuple, so that `run` builds one cheaply at each step it keeps or
+    observes; records compare equal field by field, in this order.
     """
 
     t: int
@@ -161,25 +161,22 @@ class TrajectoryRecord(NamedTuple):
     m: int
     site: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "xi": list(self.xi),
-            "u": list(self.u),
-            "v": list(self.v),
-            "m": self.m,
-            "site": self.site,
-        }
 
-    def to_json_line(self) -> str:
-        """`json.JSONEncoder(sort_keys=True).encode(self.to_json_dict())`, built directly.
+def trajectory_lines(records: Iterable[TrajectoryRecord]) -> Iterator[str]:
+    """Each record of one chain as a JSON line, newline included.
 
-        The keys are written in sorted order with the encoder's default
-        separators; a list of ints prints as JSON does.
-        """
-        t, xi, u, v, m, site = self
-        site = "null" if site is None else site
-        return f'{{"m": {m}, "site": {site}, "t": {t}, "u": {[*u]}, "v": {[*v]}, "xi": {[*xi]}}}'
+    A line is `json.dumps(fields, sort_keys=True)` of the record's fields,
+    the tuples written as lists and the initial record's site as null.  It
+    is filled into one %-template per ring size, built at the first record,
+    which holds the keys, separators and brackets; a Python int prints as
+    JSON prints it.
+    """
+    template = None
+    for t, xi, u, v, m, site in records:
+        if template is None:
+            ints = ", ".join(["%d"] * len(u))
+            template = f'{{"m": %d, "site": %s, "t": %d, "u": [{ints}], "v": [{ints}], "xi": [{ints}]}}\n'
+        yield template % (m, "null" if site is None else site, t, *u, *v, *xi)
 
 
 def _distribution(u: Sequence[int], rule: AllocationRule) -> list[float]:
@@ -273,12 +270,16 @@ def run(
 ) -> RunResult:
     """Drive a single chain for `steps` steps.
 
-    Observers see every step (including the initial record).  The returned
-    records are the initial state, every `sample_every`-th step, optionally
-    every step at which the minimum potential rose, and the final state.
-    Identical (initial, rule, seed, stream, steps, stride) arguments give
-    identical output.  The chain lives in two lists updated in place; a
-    `ChainState` is built only for the final state.
+    Observers' `on_step` hears the initial record and each level opening, a
+    step at which the minimum potential rose.  Every renewal (reduced
+    potential identically zero) is one, since a step raises `window` < M
+    potentials (`check_ring_size`).  The returned records are the initial
+    state, every step that is a multiple of `sample_every`, optionally every
+    level opening, and the final state.  Identical (initial, rule, seed,
+    stream, steps, stride) arguments give identical output.  The chain
+    lives in two lists updated in place.  A `TrajectoryRecord` is built only
+    at a step that is kept or observed, one shared by both, and a
+    `ChainState` only for the final state.
 
     Under the min and max rules the site is the tie member at
     `bisect_right(_TIE_ROWS[n], U)`, the site `sample_site` returns for the
@@ -317,6 +318,8 @@ def run(
     new_record = tuple.__new__  # TrajectoryRecord(...) without its Python-level __new__
     m = len(u)
     last_t = t + steps
+    keep_t = min((t // sample_every + 1) * sample_every, last_t)  # the next step kept
+    watch_levels = include_level_steps or bool(notify)
     while t < last_t:
         # Philox gives the same doubles in one block as in scalar calls
         for uniform in gen.random(min(DRAW_BLOCK, last_t - t)).tolist():
@@ -332,11 +335,17 @@ def run(
             t += 1
             prev = lo
             lo = min(u)
-            v = tuple([x - lo for x in u])
-            rec = new_record(TrajectoryRecord, (t, tuple(xi), tuple(u), v, lo, site0 + 1))
-            for on_step in notify:
-                on_step(rec)
-            if t % sample_every == 0 or t == last_t or (include_level_steps and lo > prev):
-                records.append(rec)
+            opens = watch_levels and lo > prev
+            if opens or t == keep_t:
+                v = tuple([x - lo for x in u])
+                rec = new_record(TrajectoryRecord, (t, tuple(xi), tuple(u), v, lo, site0 + 1))
+                if opens:
+                    for on_step in notify:
+                        on_step(rec)
+                if t == keep_t:
+                    keep_t = min(t + sample_every, last_t)
+                    records.append(rec)
+                elif include_level_steps:
+                    records.append(rec)
     final = ChainState(t=t, xi=tuple(xi), u=tuple(u), kind=initial.kind)
     return RunResult(final=final, records=records)

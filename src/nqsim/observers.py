@@ -1,11 +1,14 @@
 """Single-chain monitors for `dynamics.run`, and convergence detection.
 
 A level opens whenever the running minimum potential strictly increases.
-`LevelLog` and `ParityGapSeries` are R = 1 front ends of the engine's
-`levels.LevelTracker` and `levels.RenewalTracker`: each `on_step` keeps what
-the tracker reads at a level opening or a renewal, passes it on in blocks of
-at most `levels.FLUSH_LEVELS`, and `report()` reads the tracker's fields.  So
-a chain's S, Q, W, persistence, signature runs, window flags and renewal
+`dynamics.run` calls an observer's `on_step` at the initial record and at
+each level opening only; every renewal is a level opening, so the openings
+are all the monitors here read.  `LevelLog` and `ParityGapSeries` are R = 1
+front ends of the engine's `levels.LevelTracker` and
+`levels.RenewalTracker`: each `on_step` keeps what the tracker reads at a
+level opening or a renewal, passes it on in blocks of at most
+`levels.FLUSH_LEVELS`, and `report()` reads the tracker's fields.  So a
+chain's S, Q, W, persistence, signature runs, window flags and renewal
 increments have the engine's one definition.  Their memory does not
 grow with the chain, except for one flag byte per level that `LevelLog`
 keeps: the final half starts at a level known only at the end.
@@ -39,10 +42,13 @@ def pattern_str(signature: Sequence[int]) -> str:
 class LevelLog:
     """Per-chain level log: `levels.LevelTracker` at R = 1, with window flags.
 
-    `on_step` keeps each level's potentials and step, and gathers them as
-    replica 0's a flush block at a time.  Besides the tracker it keeps only
-    the first ten level times and one flag byte per level (bit i marks
-    `FLAG_NAMES[i]`), from the runs each flush returns.
+    `on_step` takes records in increasing `t`, gaps allowed: every step, or
+    the level openings `dynamics.run` hands its observers.  A record whose
+    `m` is above the last one's opens a level.  It keeps each level's
+    potentials and step, and gathers them as replica 0's a flush block at a
+    time.  Besides the tracker it keeps only the first ten level times and
+    one flag byte per level (bit i marks `FLAG_NAMES[i]`), from the runs
+    each flush returns.
     """
 
     def __init__(self, kind: Neighborhood):
@@ -57,7 +63,7 @@ class LevelLog:
         self._tracker: LevelTracker | None = None  # made at the first record, which fixes M
 
     def on_step(self, record: "TrajectoryRecord") -> None:
-        if self._last_t is not None and record.t != self._last_t + 1:
+        if self._last_t is not None and record.t <= self._last_t:
             raise ValueError(f"out-of-order record: t={record.t} after t={self._last_t}")
         opens = self._last_t is None or record.m > self._last_m
         self._last_t = record.t
@@ -138,12 +144,13 @@ class LevelLog:
 class ParityGapSeries:
     """Per-chain renewals: `levels.RenewalTracker` at R = 1.
 
-    A renewal is a step with the reduced potential identically zero.
-    `on_step` keeps the parity gap (times M) at each renewal and passes them
-    to the tracker in blocks.  `report()` gives the renewal count and the
-    signs of the parity-gap increments between consecutive renewals, which
-    `nqsim simulate` reports for asymmetric even M; at odd M it reports the
-    count alone.
+    A renewal is a step with the reduced potential identically zero, and so
+    a level opening: `on_step` may be fed every step or only the openings.
+    It keeps the parity gap (times M) at each renewal and passes them to the
+    tracker in blocks.  `report()` gives the renewal count and the signs of
+    the parity-gap increments between consecutive renewals, which `nqsim
+    simulate` reports for asymmetric even M; at odd M it reports the count
+    alone.
     """
 
     def __init__(self, m: int):

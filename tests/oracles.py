@@ -16,7 +16,8 @@ from `nqsim.scaling` only the `FreezeOutcome` type
     monitors of one chain, resolved level by level and renewal by renewal
     from those shapes, the oracle for `levels.LevelTracker` and
     `levels.RenewalTracker` (in the engine, and at R = 1 behind
-    `observers.LevelLog` and `observers.ParityGapSeries`);
+    `observers.LevelLog` and `observers.ParityGapSeries`), fed every step by
+    `run_every_step`;
   * `parity_gap` in exact rationals; `classify_freeze` from an allocation-site
     list; `is_limit_configuration` on exact fraction vectors;
   * `neighborhood` as a set of 1-based sites, and `total_variation`.
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from nqsim.dynamics import AllocationRule, ChainState, _distribution, sample_site
+from nqsim.dynamics import AllocationRule, ChainState, RandomStream, RunResult, _distribution, run, sample_site
 from nqsim.ring import Neighborhood, check_ring_size, potentials
 from nqsim.scaling import FreezeOutcome
 
@@ -257,6 +258,20 @@ class ReferenceParityGapSeries:
             "increment_positive": sum(n for z, n in self.increments.items() if z > 0),
             "increment_negative": sum(n for z, n in self.increments.items() if z < 0),
         }
+
+
+def run_every_step(monitors, initial: ChainState, rule: AllocationRule, steps: int,
+                   rng: RandomStream, observers: Sequence = ()) -> RunResult:
+    """`dynamics.run` with every step kept, each record handed to each monitor's `on_step`.
+
+    `run` calls its own `observers` only at the initial record and the level
+    openings; the reference monitors read every step.
+    """
+    out = run(initial, rule, steps, rng, observers=observers, sample_every=1)
+    for rec in out.records:
+        for monitor in monitors:
+            monitor.on_step(rec)
+    return out
 
 
 def parity_gap(xi: Sequence[int]) -> Fraction:

@@ -7,7 +7,7 @@ import pytest
 import nqsim.cli
 import nqsim.verify
 from nqsim.cli import main
-from nqsim.dynamics import ChainState, MinRule, RandomStream
+from nqsim.dynamics import ChainState, MinRule, RandomStream, run
 from nqsim.ensemble import EnsembleRequest, run_ensemble
 from nqsim.limits import enumerate_limits
 from nqsim.observers import match_limit
@@ -134,6 +134,27 @@ class TestSimulateCommand:
         opened = {b.t for a, b in zip(every, every[1:]) if b.m > a.m}
         assert times == sorted(set(sampled) | opened)
         assert [json.loads(line)["t"] for line in traj.read_text().splitlines()] == times
+
+    @pytest.mark.parametrize("kind", ["sym", "asym"])
+    def test_each_trajectory_line_is_its_records_sorted_key_json(self, tmp_path, capsys, kind):
+        # A large start puts many-digit counts and potentials on every line.
+        init = (123456789012, 0, 7, 10**15, 42, 99999)
+        traj = tmp_path / "t.jsonl"
+        code, _, err = run_cli(
+            capsys, "simulate", "--m", "6", "--neighborhood", kind, "--steps", "600", "--seed", "4",
+            "--init", ",".join(map(str, init)), "--sample-every", "7", "--trajectory", str(traj),
+            "--out", os.devnull,
+        )
+        assert code == 0, err
+        records = run(ChainState.from_occupancy(init, Neighborhood.parse(kind)), MinRule(), 600,
+                      RandomStream(4, 0), sample_every=7, include_level_steps=True).records
+        want = [
+            json.dumps({**rec._asdict(), "xi": list(rec.xi), "u": list(rec.u), "v": list(rec.v)},
+                       sort_keys=True) + "\n"
+            for rec in records
+        ]
+        assert traj.read_text().splitlines(keepends=True) == want
+        assert '"site": null' in want[0] and str(10**15) in want[-1]
 
     def test_unstable_symmetric_run_never_enumerates_limits(self, capsys, monkeypatch):
         # the limit set grows fast with M and an unstable chain matches nothing

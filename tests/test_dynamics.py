@@ -23,6 +23,7 @@ from nqsim.dynamics import (
     parse_rule,
     run,
     sample_site,
+    trajectory_lines,
 )
 from nqsim.ring import Neighborhood, potentials, reduce_potential
 from oracles import step, total_variation, transition_distribution
@@ -238,7 +239,8 @@ class TestRun:
         times = [r.t for r in out.records]
         assert times == [0, 100, 200, 250]
 
-    def test_observers_see_every_step(self):
+    @pytest.mark.parametrize("xi", [(0,) * 5, (1, 2, 0, 3, 1)], ids=["empty", "t7"])
+    def test_observers_hear_the_start_and_each_level_opening(self, xi):
         class Counter:
             def __init__(self):
                 self.ts = []
@@ -246,9 +248,13 @@ class TestRun:
             def on_step(self, rec):
                 self.ts.append(rec.t)
 
+        initial = ChainState(t=0 if not any(xi) else 7, xi=xi, u=potentials(xi, ASYM), kind=ASYM)
         counter = Counter()
-        run(ChainState.empty(4, ASYM), MinRule(), 30, RandomStream(1, 0), observers=[counter])
-        assert counter.ts == list(range(31))
+        run(initial, MinRule(), 300, RandomStream(1, 0), observers=[counter])
+        every = run(initial, MinRule(), 300, RandomStream(1, 0), sample_every=1).records
+        opened = [b.t for a, b in zip(every, every[1:]) if b.m > a.m]
+        assert len(opened) > 50
+        assert counter.ts == [initial.t, *opened]
 
     def test_scalar_and_vector_draws_agree(self):
         # chunked array draws must replay the scalar draw sequence exactly
@@ -281,8 +287,8 @@ class TestRun:
 
     def test_records_serialize_with_one_based_sites(self):
         out = run(ChainState.empty(4, ASYM), MinRule(), 5, RandomStream(2, 0), sample_every=1)
-        for rec in out.records[1:]:
-            d = rec.to_json_dict()
+        for line in trajectory_lines(out.records[1:]):
+            d = json.loads(line)
             assert 1 <= d["site"] <= 4
             assert d["m"] == min(d["u"])
             assert d["v"] == [x - d["m"] for x in d["u"]]
@@ -290,6 +296,24 @@ class TestRun:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             run(ChainState.empty(4, ASYM), MinRule(), 2**62, RandomStream(0, 0))
+
+    # `run` hands its observers the level openings only, and `ParityGapSeries`
+    # reads renewals from them: a step raises window < M potentials, so a
+    # reduced potential that turns identically zero has raised the minimum.
+    @pytest.mark.parametrize("init", ["empty", "random"])
+    @pytest.mark.parametrize("rule", [MinRule(), MaxRule(), Softmax(0.5)], ids=["min", "max", "softmax"])
+    @pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
+    def test_every_renewal_is_a_level_opening(self, kind, rule, init):
+        renewals = 0
+        for m in range(kind.min_sites, 10):
+            xi = (0,) * m if init == "empty" else tuple(np.random.default_rng(m).integers(0, 4, m).tolist())
+            records = run(ChainState.from_occupancy(xi, kind), rule, 2000, RandomStream(m, 1), sample_every=1).records
+            for a, b in zip(records, records[1:]):
+                if not any(b.v):
+                    renewals += 1
+                    assert b.m > a.m, (m, b.t)
+        # the asymmetric min and softmax chains renew; the others meet no renewal here
+        assert (renewals > 100) == (kind is ASYM and not isinstance(rule, MaxRule))
 
 
 def replay_with_step(initial, rule, steps, rng):
@@ -364,8 +388,11 @@ class TestRunReplaysStep:
                     if b.t % sample_every == 0 or b.t == last_t or (levels and b.m > a.m)
                 ]
                 assert out.final == final
-                assert seen.records == every
+                assert seen.records == [every[0]] + [b for a, b in zip(every, every[1:]) if b.m > a.m]
                 assert out.records == kept
+                # a step both kept and observed has one record
+                kept_at = {rec.t: rec for rec in out.records}
+                assert all(kept_at.get(rec.t, rec) is rec for rec in seen.records)
 
 
 def literal_site(state, rule, uniform):
@@ -505,7 +532,8 @@ class TestTieRows:
 class TestJsonLine:
     @staticmethod
     def encode(rec):
-        return json.JSONEncoder(sort_keys=True).encode(rec.to_json_dict())
+        fields = {**rec._asdict(), "xi": list(rec.xi), "u": list(rec.u), "v": list(rec.v)}
+        return json.dumps(fields, sort_keys=True) + "\n"
 
     def test_line_is_the_sorted_key_encoding(self):
         rng = random.Random(5)
@@ -515,10 +543,9 @@ class TestJsonLine:
             site = None if m % 4 == 0 else rng.randrange(1, m + 1)
             rec = TrajectoryRecord(rng.choice(edges), tuple(ints()), tuple(ints()), tuple(ints()),
                                    rng.choice(edges), site)
-            assert rec.to_json_line() == self.encode(rec)
+            assert list(trajectory_lines([rec])) == [self.encode(rec)]
 
     def test_line_of_every_record_of_a_run(self):
         out = run(ChainState.from_occupancy((3, 0, 1, 0, 2), SYM), MinRule(), 50, RandomStream(2), sample_every=1)
         assert out.records[0].site is None
-        for rec in out.records:
-            assert rec.to_json_line() == self.encode(rec)
+        assert list(trajectory_lines(out.records)) == [self.encode(rec) for rec in out.records]

@@ -17,6 +17,7 @@ from oracles import (
     literal_window_flags,
     neighborhood,
     pattern,
+    run_every_step,
     stat_Q,
     stat_S,
     stat_W,
@@ -284,7 +285,7 @@ def test_level_statistics_match_single_chain_log():
     )
     for r in range(2):
         log = ReferenceLevelLog(SYM)
-        run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r), observers=[log])
+        run_every_step([log], ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r))
         assert log.level_count == int(res.level_counts[r])
         assert int(res.q_violations[r]) == log.q_decrease_violations
         assert int(res.w_violations[r]) == log.w_increase_violations
@@ -306,8 +307,8 @@ def test_signatures_beyond_site_64_match_single_chain_log():
     )
     for r in range(replicas):
         log = ReferenceLevelLog(SYM)
-        run(ChainState.from_occupancy(init, SYM), MinRule(), steps, RandomStream(seed, r),
-            observers=[log])
+        run_every_step([log], ChainState.from_occupancy(init, SYM), MinRule(), steps,
+                       RandomStream(seed, r))
         assert int(res.level_counts[r]) == log.level_count
         assert int(res.run_length[r]) == log.run_length
         assert int(res.run_started_level[r]) == log.run_started_level
@@ -370,7 +371,7 @@ def test_final_half_flags_match_single_chain_log(m, steps):
     assert res.final_half_flags.shape == (replicas, len(FLAG_NAMES))
     for r in range(replicas):
         log = ReferenceLevelLog(SYM)
-        run(ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r), observers=[log])
+        run_every_step([log], ChainState.empty(m, SYM), MinRule(), steps, RandomStream(seed, r))
         assert int(res.level_counts[r]) == log.level_count
         expected = log.flag_counts(log.level_count // 2)
         assert res.final_half_flags[r].tolist() == [expected[name] > 0 for name in FLAG_NAMES], r
@@ -393,7 +394,7 @@ def _level_requests(kind, m):
 def _level_log(req, r):
     log = ReferenceLevelLog(req.kind)
     start = ChainState.from_occupancy(req.init, req.kind) if req.init else ChainState.empty(req.m, req.kind)
-    run(start, MinRule(), req.steps, RandomStream(req.seed, r), observers=[log])
+    run_every_step([log], start, MinRule(), req.steps, RandomStream(req.seed, r))
     return log
 
 
@@ -452,7 +453,7 @@ def test_persistence_counts_each_lost_centre_as_the_single_chain_log_does():
         EnsembleRequest(m=m, kind=ASYM, rule=MinRule(), steps=steps, replicas=1, seed=seed, track_levels=True)
     )
     log = ReferenceLevelLog(ASYM)
-    run(ChainState.empty(m, ASYM), MinRule(), steps, RandomStream(seed, 0), observers=[log])
+    run_every_step([log], ChainState.empty(m, ASYM), MinRule(), steps, RandomStream(seed, 0))
     assert int(res.persistence_violations[0]) == log.persistence_violations == 5532
 
 
@@ -496,7 +497,7 @@ def test_renewals_match_parity_gap_series():
         )
     )
     series = ReferenceParityGapSeries(m)
-    run(ChainState.empty(m, ASYM), MinRule(), steps, RandomStream(seed, 0), observers=[series])
+    run_every_step([series], ChainState.empty(m, ASYM), MinRule(), steps, RandomStream(seed, 0))
     assert int(res.renewal_counts[0]) == series.renewals
     pos = sum(n for z, n in series.increments.items() if z > 0)
     neg = sum(n for z, n in series.increments.items() if z < 0)
@@ -540,9 +541,7 @@ def test_h_checkpoints_match_parity_gap():
     )
     for r in range(3):
         series = ReferenceParityGapSeries(m, sample_times=cps)
-        run(
-            ChainState.empty(m, ASYM), MinRule(), steps, RandomStream(seed, r), observers=[series]
-        )
+        run_every_step([series], ChainState.empty(m, ASYM), MinRule(), steps, RandomStream(seed, r))
         for t in cps:
             assert res.h_checkpoints[t][r] == pytest.approx(float(series.samples[t]))
 

@@ -29,6 +29,7 @@ from oracles import (
     literal_window_flags,
     parity_gap,
     pattern,
+    run_every_step,
     stat_Q,
     stat_S,
     stat_W,
@@ -120,6 +121,32 @@ class TestLevelLog:
         log.on_step(recs[1])
         with pytest.raises(ValueError):
             log.on_step(recs[1])
+
+    def test_steps_may_skip_but_not_repeat_or_go_back(self):
+        # `run` hands its observers the level openings only: a gap in t
+        # is accepted, a repeated or earlier step refused.
+        recs = _records_from_sites(ASYM, 3, [1, 2, 3, 1, 2])
+        log = LevelLog(ASYM)
+        log.on_step(recs[0])
+        log.on_step(recs[3])
+        for stale in (recs[3], recs[2]):
+            with pytest.raises(ValueError):
+                log.on_step(stale)
+        log.on_step(recs[5])
+        assert log.report()["level_times_head"] == [0, 3, 5]
+
+    @pytest.mark.parametrize("init", [None, (3, 0, 1, 0, 2, 5)], ids=["empty", "random"])
+    @pytest.mark.parametrize("kind", [SYM, ASYM], ids=["sym", "asym"])
+    def test_openings_alone_give_the_every_step_report(self, kind, init):
+        start = ChainState.empty(6, kind) if init is None else ChainState.from_occupancy(init, kind)
+        every, openings = LevelLog(kind), LevelLog(kind)
+        out = run(start, MinRule(), 3000, RandomStream(11, 0), [openings], sample_every=1)
+        for rec in out.records:
+            every.on_step(rec)
+        assert every.level_count > 100
+        assert every.report() == openings.report()
+        fields = ("level_count", "run_length", "run_started_level", "current_signature")
+        assert [getattr(every, f) for f in fields] == [getattr(openings, f) for f in fields]
 
     def test_all_27_asym_m3_paths_reach_level_one_by_step_three(self):
         # exhaustive oracle: 3 choice indices per step cover every admissible
@@ -242,7 +269,7 @@ class TestParityGap:
     def test_renewal_count_matches_the_reference(self, m):
         # `nqsim simulate` reads the count at odd M and every field at even M.
         front, series = ParityGapSeries(m), ReferenceParityGapSeries(m)
-        run(ChainState.empty(m, ASYM), MinRule(), 3000, RandomStream(23, 0), observers=[front, series])
+        run_every_step([series], ChainState.empty(m, ASYM), MinRule(), 3000, RandomStream(23, 0), [front])
         assert front.report() == series.report()
         assert series.renewals >= 10
 
@@ -289,7 +316,7 @@ def test_parity_gap_series_matches_parity_gap_at_every_step(m, init, seed):
     start = ChainState.empty(m, ASYM) if init is None else ChainState.from_occupancy(init, ASYM)
     series = ReferenceParityGapSeries(m, sample_times=range(0, steps + 1, 7))
     front = ParityGapSeries(m)
-    records = run(start, MinRule(), steps, RandomStream(seed, 0), [series, front], sample_every=1).records
+    records = run_every_step([series], start, MinRule(), steps, RandomStream(seed, 0), [front]).records
     assert series.samples == {rec.t: parity_gap(rec.xi) for rec in records if rec.t % 7 == 0}
     renewals = [rec for rec in records if all(x == 0 for x in rec.v)]
     assert series.renewals == len(renewals)
@@ -305,12 +332,16 @@ RULES = [MinRule(), MaxRule(), Softmax(0.5)]
 
 
 def _front_ends_and_references(kind, m, rule, init, steps, seed):
-    """LevelLog, its reference and, if asymmetric, ParityGapSeries and its reference, run over one chain."""
+    """LevelLog, its reference and, if asymmetric, ParityGapSeries and its reference, run over one chain.
+
+    The front ends observe the run, which hands them the level openings; the
+    references read every step.
+    """
     start = ChainState.empty(m, kind) if init is None else ChainState.from_occupancy(init, kind)
     monitors = [LevelLog(kind), ReferenceLevelLog(kind)]
     if kind is ASYM:
         monitors += [ParityGapSeries(m), ReferenceParityGapSeries(m)]
-    run(start, rule, steps, RandomStream(seed, 0), monitors, sample_every=max(steps, 1))
+    run_every_step(monitors[1::2], start, rule, steps, RandomStream(seed, 0), monitors[::2])
     return monitors
 
 
@@ -356,7 +387,7 @@ def test_flush_blocks_change_no_report(monkeypatch, kind, block):
         monkeypatch.setattr(module, "FLUSH_LEVELS", block)
     m, seed = 4, 13
     ref = ReferenceLevelLog(kind)
-    run(ChainState.empty(m, kind), MinRule(), 4000, RandomStream(seed, 0), [ref])
+    run_every_step([ref], ChainState.empty(m, kind), MinRule(), 4000, RandomStream(seed, 0))
     assert ref.level_count > 2 * block
     exact = 2 * block if block > 1 else 11
     for steps in (4000, ref.level_times[exact] - 1):
@@ -373,7 +404,7 @@ def test_final_half_starts_at_a_flagged_level():
     # carries: a final half that started one level late would miss it.
     m, seed = 5, 3
     ref = ReferenceLevelLog(SYM)
-    run(ChainState.empty(m, SYM), MinRule(), 300, RandomStream(seed, 0), [ref])
+    run_every_step([ref], ChainState.empty(m, SYM), MinRule(), 300, RandomStream(seed, 0))
     cut = next(
         n for n in range(2, ref.level_count)
         if any(ref.flags[n // 2][f] and not any(g[f] for g in ref.flags[n // 2 + 1 : n]) for f in FLAG_NAMES)
